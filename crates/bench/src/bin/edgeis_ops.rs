@@ -104,7 +104,7 @@ fn main() -> ExitCode {
             .filter(|a| a.label != "healthy")
             .map(|a| a.shortfall)
             .sum();
-        if !(attributed > 0.0) {
+        if attributed.is_nan() || attributed <= 0.0 {
             eprintln!(
                 "edgeis_ops: --require-attribution: no shortfall attributed to any \
                  non-healthy outcome (total_shortfall {:.4})",

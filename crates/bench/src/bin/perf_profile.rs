@@ -4,21 +4,22 @@
 //! configurations (see [`edgeis_bench::perf::ProfileMode`]) and writes
 //! `results/BENCH_pipeline.json`:
 //!
-//! - `baseline_serial_linear_knn` — one thread, with every removed hot
-//!   path restored: the pre-grid O(anchors) linear k-NN scan in mask
-//!   transfer and the clamped reference ORB detector — the
-//!   pre-optimization serial pipeline, end to end.
-//! - `optimized_serial_no_simd` — one thread, all algorithmic fast paths
-//!   on, SIMD kernels pinned off: the pre-SIMD optimized pipeline.
+//! - `baseline_serial_linear_knn` — one thread, the clamped reference ORB
+//!   detector. It differs from `optimized_serial_no_simd` only by the
+//!   detector; the label keeps its historical `_linear_knn` suffix (the
+//!   linear k-NN is now the only transfer path, in every run).
+//! - `optimized_serial_no_simd` — one thread, the detector fast paths on,
+//!   SIMD kernels pinned off: the pre-SIMD optimized pipeline.
 //! - `optimized_serial` — one thread (`EDGEIS_THREADS=1` equivalent),
 //!   SIMD kernels on.
 //! - `optimized_parallel` — default thread count.
 //!
 //! All four configurations produce bit-identical masks (the parallel
-//! merge, the grid k-NN and the SIMD kernels are exact), so the profile
-//! only moves timing fields. Per-stage p50/p95/mean, end-to-end frame
-//! time, wall-clock fps and the peak scratch bytes (allocation proxy) are
-//! recorded per run, plus the headline baseline-vs-optimized speedup.
+//! merge, the detector fast paths and the SIMD kernels are exact), so the
+//! profile only moves timing fields. Per-stage p50/p95/mean, end-to-end
+//! frame time, wall-clock fps and the peak scratch bytes (allocation
+//! proxy) are recorded per run, plus the headline baseline-vs-optimized
+//! speedup.
 
 use edgeis::metrics::percentile;
 use edgeis_bench::json;

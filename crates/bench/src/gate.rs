@@ -296,9 +296,6 @@ pub fn host_fingerprint() -> String {
     if caps.avx2 {
         flags.push("avx2");
     }
-    if caps.avx512_vpopcnt {
-        flags.push("avx512vp");
-    }
     let flags = if flags.is_empty() {
         "scalar".to_string()
     } else {

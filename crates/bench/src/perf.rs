@@ -27,19 +27,21 @@ pub const WIDTH: u32 = 320;
 pub const HEIGHT: u32 = 240;
 
 /// Which optimization tier a profile run measures. Every tier produces
-/// bit-identical masks — the grid k-NN, the blocked scan and the SIMD
-/// kernels are all exact — so the tiers differ only in timing.
+/// bit-identical masks — the detector fast paths and the SIMD kernels are
+/// exact — so the tiers differ only in timing. The matcher (register-
+/// blocked scalar scan) and transfer (linear k-NN) have one path, shared
+/// by every tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileMode {
-    /// Every removed hot path restored: linear k-NN depth lookups and the
-    /// clamped reference ORB detector, one thread.
+    /// The clamped reference ORB detector, one thread. It differs from
+    /// [`Self::OptimizedSerialNoSimd`] only by the detector; its label
+    /// keeps the historical `_linear_knn` suffix.
     BaselineSerial,
-    /// All algorithmic fast paths on but the SIMD kernels pinned off —
-    /// the pre-SIMD optimized pipeline.
+    /// The detector fast paths on but the SIMD kernels pinned off — the
+    /// pre-SIMD optimized pipeline.
     OptimizedSerialNoSimd,
-    /// All fast paths plus the default-on SIMD kernels (detect / blur /
-    /// BRIEF; the matcher's vector scan stays off per its default), one
-    /// thread.
+    /// The detector fast paths plus the default-on SIMD kernels (blur,
+    /// FAST pre-test, BRIEF), one thread.
     OptimizedSerial,
     /// The [`Self::OptimizedSerial`] configuration at the default thread
     /// count.
@@ -193,16 +195,7 @@ pub fn profile(mode: ProfileMode, frames: usize) -> ProfileRun {
     let camera = Camera::with_hfov(1.2, WIDTH, HEIGHT);
     let mut cfg = EdgeIsConfig::full(camera, SEED);
     cfg.vo.orb.use_fast_paths = mode.optimized();
-    cfg.vo.transfer.use_anchor_index = mode.optimized();
-    cfg.vo.matching.use_blocked_scan = mode.optimized();
-    cfg.vo.map_matching.use_blocked_scan = mode.optimized();
     cfg.vo.orb.use_simd = mode.simd();
-    // The matcher's vector scan defaults off — the scalar blocked scan's
-    // hardware popcount measures faster on the reference host (DESIGN.md
-    // §14) — so the SIMD tiers here measure the *shipped* configuration:
-    // vector detect/blur/BRIEF over the scalar matcher.
-    cfg.vo.matching.use_simd = false;
-    cfg.vo.map_matching.use_simd = false;
     let pipe = PipelineConfig {
         fps: FPS,
         frames,

@@ -50,20 +50,14 @@ fn fleet_serving_trace_identical_across_thread_counts() {
 
 #[test]
 fn fast_paths_trace_identical_to_reference_shape() {
-    // PR 2's exact-preserving fast paths, end to end through the full
-    // system: toggling every one of them off must not move a single
-    // trace field on any frame.
+    // The detector's exact-preserving fast paths, end to end through the
+    // full system: switching them off must not move a single trace field
+    // on any frame.
     let reference = record_single_with("fastpath_diff", 45, 11, None, |cfg| {
         cfg.vo.orb.use_fast_paths = false;
-        cfg.vo.matching.use_blocked_scan = false;
-        cfg.vo.map_matching.use_blocked_scan = false;
-        cfg.vo.transfer.use_anchor_index = false;
     });
     let fast = record_single_with("fastpath_diff", 45, 11, None, |cfg| {
         cfg.vo.orb.use_fast_paths = true;
-        cfg.vo.matching.use_blocked_scan = true;
-        cfg.vo.map_matching.use_blocked_scan = true;
-        cfg.vo.transfer.use_anchor_index = true;
     });
     expect_identical(
         "fast_paths",

@@ -10,26 +10,13 @@
 //!
 //! - the `use_simd` config toggles (per-subsystem, per-run), and
 //! - `simd::force_caps(SCALAR)`, the feature-absent dispatch fallback,
-//!   which is process-global and therefore serialized on a lock.
+//!   which is process-global and therefore serialized on its lock.
 
 use edgeis::{EdgeIsConfig, ServingConfig};
 use edgeis_conformance::diff::diff_traces;
 use edgeis_conformance::scenario::{faulted_schedule, record_fleet_with, record_single_with};
 use edgeis_conformance::{write_divergence_report, Divergence};
 use edgeis_imaging::SimdCaps;
-use std::sync::Mutex;
-
-/// Serializes the `force_caps` test against anything else that pins the
-/// global SIMD capability set.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores capability detection even when the test body panics.
-struct CapsGuard;
-impl Drop for CapsGuard {
-    fn drop(&mut self) {
-        edgeis_imaging::simd::force_caps(None);
-    }
-}
 
 fn expect_identical(context: &str, d: Option<Divergence>) {
     if let Some(d) = d {
@@ -41,16 +28,12 @@ fn expect_identical(context: &str, d: Option<Divergence>) {
 /// Forces every SIMD kernel off through the config toggles.
 fn scalar_tweak(cfg: &mut EdgeIsConfig) {
     cfg.vo.orb.use_simd = false;
-    cfg.vo.matching.use_simd = false;
-    cfg.vo.map_matching.use_simd = false;
 }
 
 /// Forces every SIMD kernel on (the defaults, stated explicitly so the
 /// test keeps meaning even if defaults change).
 fn simd_tweak(cfg: &mut EdgeIsConfig) {
     cfg.vo.orb.use_simd = true;
-    cfg.vo.matching.use_simd = true;
-    cfg.vo.map_matching.use_simd = true;
 }
 
 #[test]
@@ -116,9 +99,7 @@ fn forced_scalar_dispatch_trace_identical_to_native() {
     // concurrent test can never see a forced window it didn't create.
     let native = record_single_with("simd_diff_caps", 60, 1, None, simd_tweak);
     let forced = {
-        let _lock = FORCE_LOCK.lock().unwrap();
-        let _guard = CapsGuard;
-        edgeis_imaging::simd::force_caps(Some(SimdCaps::SCALAR));
+        let _caps = edgeis_imaging::simd::force_caps(SimdCaps::SCALAR);
         record_single_with("simd_diff_caps", 60, 1, None, simd_tweak)
     };
     expect_identical(

@@ -22,21 +22,15 @@ pub struct CfrsConfig {
     /// Hard ceiling between transmissions in frames (keeps annotations
     /// fresh even in static scenes).
     pub max_interval_frames: u64,
-    /// Minimal spacing between transmissions in frames (rate limit).
+    /// Minimal spacing between transmissions in frames (rate limit). It
+    /// also spaces bootstrap transmissions while the map is not
+    /// initialized: a few frames of spacing gives the init pair a
+    /// triangulation baseline, and initializing on the shortest possible
+    /// baseline measurably degrades the map (crowd preset: −0.15 mean
+    /// IoU). When initialization is *failing* on this cadence,
+    /// [`CfrsPlanner::set_bootstrap_urgency`] overrides it to every frame
+    /// until a map exists.
     pub min_interval_frames: u64,
-    /// Minimal transmission spacing while the map is *not* initialized.
-    /// The default matches `min_interval_frames`: a few frames of spacing
-    /// gives the init pair triangulation baseline, and initializing on the
-    /// shortest possible baseline measurably degrades the map (crowd
-    /// preset: −0.15 mean IoU). When initialization is *failing* on this
-    /// cadence, [`CfrsPlanner::set_bootstrap_urgency`] overrides it to
-    /// every-frame until a map exists.
-    pub bootstrap_min_interval_frames: u64,
-    /// The spacing [`CfrsPlanner::set_bootstrap_urgency`] escalates to
-    /// while initialization is failing. Equal to
-    /// `bootstrap_min_interval_frames` this disables escalation entirely
-    /// (the legacy golden recorders pin that).
-    pub bootstrap_urgent_interval_frames: u64,
     /// Tile side length in pixels.
     pub tile_size: u32,
 }
@@ -48,8 +42,6 @@ impl Default for CfrsConfig {
             motion_threshold: 0.12,
             max_interval_frames: 30,
             min_interval_frames: 3,
-            bootstrap_min_interval_frames: 3,
-            bootstrap_urgent_interval_frames: 1,
             tile_size: 32,
         }
     }
@@ -113,7 +105,7 @@ impl CfrsPlanner {
     /// extra frame of spacing only widens the baseline further, so the
     /// planner transmits every frame until a pair close enough to
     /// initialize from comes back annotated (fast ego-motion needs this;
-    /// see `bootstrap_min_interval_frames`).
+    /// see `CfrsConfig::min_interval_frames`).
     pub fn set_bootstrap_urgency(&mut self, urgent: bool) {
         self.bootstrap_urgent = urgent;
     }
@@ -150,12 +142,10 @@ impl CfrsPlanner {
             .last_tx_frame
             .map(|f| frame_idx.saturating_sub(f))
             .unwrap_or(u64::MAX);
-        let min_interval = if initialized {
-            self.config.min_interval_frames
-        } else if self.bootstrap_urgent {
-            self.config.bootstrap_urgent_interval_frames
+        let min_interval = if !initialized && self.bootstrap_urgent {
+            1
         } else {
-            self.config.bootstrap_min_interval_frames
+            self.config.min_interval_frames
         };
         if since < min_interval {
             return CfrsDecision::Hold;

@@ -1114,7 +1114,7 @@ impl SegmentationSystem for EdgeIsSystem {
         // Escalate the bootstrap cadence while two-frame initialization is
         // failing: each failed attempt means the annotated pairs are
         // already too far apart to match, so the planner must offer
-        // closer ones (see `CfrsConfig::bootstrap_min_interval_frames`).
+        // closer ones (see `CfrsConfig::min_interval_frames`).
         if let MobileTracker::Vo { vo, .. } = &self.tracker {
             self.planner.set_bootstrap_urgency(vo.init_struggling());
         }

@@ -901,9 +901,10 @@ mod tests {
         // portable behavior on hosts without the CPU features).
         let img = textured_image(160, 160, 1.0);
         let with_simd = detect_orb(&img, &OrbConfig::default());
-        crate::simd::force_caps(Some(crate::simd::SimdCaps::SCALAR));
-        let forced = detect_orb(&img, &OrbConfig::default());
-        crate::simd::force_caps(None);
+        let forced = {
+            let _caps = crate::simd::force_caps(crate::simd::SimdCaps::SCALAR);
+            detect_orb(&img, &OrbConfig::default())
+        };
         assert_eq!(with_simd, forced);
     }
 

@@ -23,22 +23,6 @@ pub struct MatchConfig {
     pub ratio: f32,
     /// Require the match to also be the best in the reverse direction.
     pub cross_check: bool,
-    /// Register-block the forward best-two scan (load each train
-    /// descriptor once per block of 8 queries). `false` runs the one-query-
-    /// at-a-time scalar scan — kept so the perf harness can measure the
-    /// pre-optimization matcher; the matches are identical either way.
-    pub use_blocked_scan: bool,
-    /// Use the SIMD 256-bit Hamming popcount (AVX2 nibble-LUT, upgraded
-    /// to AVX-512 `vpopcntq` when the CPU has it) inside the blocked
-    /// forward scan — see [`crate::simd::best_two_blocked_simd`]. Only
-    /// consulted when `use_blocked_scan` is on; falls back to the scalar
-    /// popcount when the features are absent. Distances are exact
-    /// integers either way, so the match set is identical
-    /// (test-enforced). Default **off**: on the reference host the
-    /// scalar blocked scan (four hardware `popcnt`s per pair) measures
-    /// 2–4× faster than either vector tier, so the vector scan is a
-    /// tested opt-in for hosts where it wins (DESIGN.md §14).
-    pub use_simd: bool,
 }
 
 impl Default for MatchConfig {
@@ -47,12 +31,12 @@ impl Default for MatchConfig {
             max_distance: 64,
             ratio: 0.8,
             cross_check: true,
-            use_blocked_scan: true,
-            use_simd: false,
         }
     }
 }
 
+/// One query's `(train_idx, best, second_best)` Hamming distances; ties
+/// keep the lowest train index. The reference the blocked scan must equal.
 fn best_two(query: &Descriptor, train: &[Descriptor]) -> Option<(usize, u32, u32)> {
     let mut best = None;
     let mut best_d = u32::MAX;
@@ -154,17 +138,7 @@ pub fn match_descriptors(
     }
     edgeis_parallel::par_collect_ranges(query.len(), 16, |range| {
         let qs = &query[range.clone()];
-        let forward = if config.use_blocked_scan {
-            if config.use_simd {
-                crate::simd::best_two_blocked_simd(qs, train)
-                    .unwrap_or_else(|| best_two_blocked(qs, train))
-            } else {
-                best_two_blocked(qs, train)
-            }
-        } else {
-            qs.iter().map(|q| best_two(q, train)).collect()
-        };
-        forward
+        best_two_blocked(qs, train)
             .into_iter()
             .enumerate()
             .filter_map(|(k, fwd)| accept_match(range.start + k, fwd?, query, train, config))
@@ -372,39 +346,38 @@ mod tests {
     }
 
     #[test]
-    fn simd_matcher_is_identical() {
-        // SIMD popcounts, the scalar blocked scan and the one-query scan
-        // must produce the same match set — including the forced
-        // feature-absent fallback of the SIMD path.
-        for seed in [3u64, 17, 91] {
-            let train: Vec<Descriptor> = (seed..seed + 120).map(desc).collect();
-            let query: Vec<Descriptor> =
-                (0..60).map(|i| flip_bits(&train[i * 2], i % 20)).collect();
-            let simd = match_descriptors(&query, &train, &MatchConfig::default());
-            let blocked = match_descriptors(
-                &query,
-                &train,
-                &MatchConfig {
-                    use_simd: false,
-                    ..Default::default()
-                },
-            );
-            let scalar = match_descriptors(
-                &query,
-                &train,
-                &MatchConfig {
-                    use_simd: false,
-                    use_blocked_scan: false,
-                    ..Default::default()
-                },
-            );
-            crate::simd::force_caps(Some(crate::simd::SimdCaps::SCALAR));
-            let fallback = match_descriptors(&query, &train, &MatchConfig::default());
-            crate::simd::force_caps(None);
-            assert_eq!(simd, blocked, "seed {seed}");
-            assert_eq!(simd, scalar, "seed {seed}");
-            assert_eq!(simd, fallback, "seed {seed}");
-        }
+    fn blocked_scan_equals_per_query_best_two() {
+        // Every query of the register-blocked scan sees the same train
+        // descriptors in the same order with the same update rule, so the
+        // triples equal the one-query scan's, ties included.
+        edgeis_rng::for_each_case(|rng| {
+            let mut random = || {
+                let mut d = [0u64; 4];
+                for w in &mut d {
+                    // Sparse words make equal distances (ties) common.
+                    *w = rng.random_range(0..=u64::MAX) & rng.random_range(0..=u64::MAX);
+                }
+                Descriptor(d)
+            };
+            let mut train: Vec<Descriptor> = (0..40).map(|_| random()).collect();
+            train.push(train[3]);
+            train.push(Descriptor([0; 4]));
+            train.push(Descriptor([u64::MAX; 4]));
+            let mut qs: Vec<Descriptor> = (0..27).map(|_| random()).collect();
+            qs.extend([
+                train[3],
+                train[3],
+                Descriptor([0; 4]),
+                Descriptor([u64::MAX; 4]),
+            ]);
+            for n_train in [0, 1, 2, train.len()] {
+                for n_q in [0, 7, 8, qs.len()] {
+                    let (qs, train) = (&qs[..n_q], &train[..n_train]);
+                    let reference: Vec<_> = qs.iter().map(|q| best_two(q, train)).collect();
+                    assert_eq!(best_two_blocked(qs, train), reference, "{n_q}x{n_train}");
+                }
+            }
+        });
     }
 
     #[test]
@@ -428,7 +401,6 @@ mod tests {
             ratio: 0.5,
             cross_check: false,
             max_distance: 256,
-            ..Default::default()
         };
         assert!(match_descriptors(&query, &train, &cfg).is_empty());
     }
@@ -444,7 +416,6 @@ mod tests {
             cross_check: true,
             ratio: 1.0,
             max_distance: 256,
-            ..Default::default()
         };
         let m = match_descriptors(&[q0, q1], &train, &cfg);
         // Only q1 survives cross-check against t0.
@@ -474,7 +445,6 @@ mod tests {
             max_distance: 256,
             ratio: 0.95,
             cross_check: true,
-            ..Default::default()
         };
         for seed in [7u64, 1234, 987_654] {
             let train: Vec<Descriptor> = (0..400).map(|i| desc(seed ^ i)).collect();
@@ -531,7 +501,6 @@ mod tests {
             max_distance: 64,
             ratio: 0.9,
             cross_check: true,
-            ..Default::default()
         };
         let m = match_descriptors_spatial(&query, &qp, &train, &tp, &cfg, 15.0);
         assert!(m.len() > 180, "only {} matches", m.len());

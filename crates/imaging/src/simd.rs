@@ -1,8 +1,9 @@
 //! Explicit SIMD hot-path kernels (x86_64 `core::arch` intrinsics with
-//! runtime feature detection) for the four detector/matcher inner loops:
-//! the pyramid box blur's column-sum row kernel, the FAST compass
-//! pre-test, the BRIEF rotate/sample arithmetic and the Hamming matcher's
-//! popcount best-two scan.
+//! runtime feature detection) for the three detector inner loops: the
+//! pyramid box blur's column-sum row kernel, the FAST compass pre-test and
+//! the BRIEF rotate/sample arithmetic. (The Hamming matcher stays scalar:
+//! four hardware `popcnt`s per pair beat AVX2 and AVX-512 popcount scans,
+//! DESIGN.md §14.)
 //!
 //! Every kernel here is **bit-identical** to its scalar counterpart, by
 //! construction rather than by tolerance:
@@ -18,33 +19,27 @@
 //! - *BRIEF*: lanewise f64 mul/add/sub/addsub perform the same
 //!   individually-rounded IEEE operations as the scalar expressions, in
 //!   the same per-element order, so every intermediate bit matches.
-//! - *Matcher*: Hamming distances are exact integers whichever popcount
-//!   (scalar `count_ones`, AVX2 nibble-LUT, AVX-512 `vpopcntq`) computes
-//!   them, and the best/second-best update rule is copied verbatim.
 //!
 //! Dispatch is per-call-site on [`caps`] (detected once, cacheable,
 //! overridable from tests via [`force_caps`] to exercise the
 //! feature-absent fallbacks on any host). On non-x86_64 targets every
 //! entry point reports unavailable and callers keep the scalar paths.
 
-use crate::features::Descriptor;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which instruction-set extensions the dispatcher may use. SSE2 is part
 /// of the x86_64 baseline, so `blur`/`fast`/`sample` only need the
-/// architecture; `sse3` gates the BRIEF rotate (`addsub_pd`), `avx2` the
-/// nibble-LUT popcount and wider blur rows, and `avx512_vpopcnt`
-/// (avx512vpopcntdq + avx512vl) the vectorized 64-bit popcount matcher.
+/// architecture; `sse3` gates the BRIEF rotate (`addsub_pd`) and `avx2`
+/// the wider blur rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimdCaps {
     /// x86_64 baseline lanes (SSE2) usable at all.
     pub x86_baseline: bool,
     /// SSE3 `addsub_pd` for the BRIEF rotate phase.
     pub sse3: bool,
-    /// AVX2 for the nibble-LUT popcount and 256-bit blur rows.
+    /// AVX2 for the 256-bit blur rows.
     pub avx2: bool,
-    /// AVX-512VL + VPOPCNTDQ for the vectorized popcount matcher.
-    pub avx512_vpopcnt: bool,
 }
 
 impl SimdCaps {
@@ -53,18 +48,16 @@ impl SimdCaps {
         x86_baseline: false,
         sse3: false,
         avx2: false,
-        avx512_vpopcnt: false,
     };
 }
 
 // Bit layout of the cached capability byte: bit7 = initialized, bit6 =
-// forced override active, bits 0..=3 mirror the SimdCaps fields.
+// forced override active, bits 0..=2 mirror the SimdCaps fields.
 const CAP_INIT: u8 = 0x80;
 const CAP_FORCED: u8 = 0x40;
 const CAP_BASE: u8 = 0x01;
 const CAP_SSE3: u8 = 0x02;
 const CAP_AVX2: u8 = 0x04;
-const CAP_AVX512: u8 = 0x08;
 
 static CAPS: AtomicU8 = AtomicU8::new(0);
 
@@ -72,7 +65,6 @@ fn encode(caps: SimdCaps) -> u8 {
     (caps.x86_baseline as u8 * CAP_BASE)
         | (caps.sse3 as u8 * CAP_SSE3)
         | (caps.avx2 as u8 * CAP_AVX2)
-        | (caps.avx512_vpopcnt as u8 * CAP_AVX512)
 }
 
 fn decode(bits: u8) -> SimdCaps {
@@ -80,7 +72,6 @@ fn decode(bits: u8) -> SimdCaps {
         x86_baseline: bits & CAP_BASE != 0,
         sse3: bits & CAP_SSE3 != 0,
         avx2: bits & CAP_AVX2 != 0,
-        avx512_vpopcnt: bits & CAP_AVX512 != 0,
     }
 }
 
@@ -90,8 +81,6 @@ fn detect() -> SimdCaps {
         x86_baseline: true,
         sse3: is_x86_feature_detected!("sse3"),
         avx2: is_x86_feature_detected!("avx2"),
-        avx512_vpopcnt: is_x86_feature_detected!("avx512vpopcntdq")
-            && is_x86_feature_detected!("avx512vl"),
     }
 }
 
@@ -119,16 +108,35 @@ pub fn caps() -> SimdCaps {
     decode(CAPS.load(Ordering::Relaxed))
 }
 
+/// Serializes every [`force_caps`] section in the process.
+static FORCE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Holds the dispatcher pinned by [`force_caps`]; dropping it restores
+/// detection and releases the process-wide lock.
+#[doc(hidden)]
+#[must_use = "the capability override ends when the guard drops"]
+pub struct CapsGuard {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for CapsGuard {
+    fn drop(&mut self) {
+        CAPS.store(0, Ordering::SeqCst);
+    }
+}
+
 /// Test hook: pin the dispatcher to `caps` (e.g. [`SimdCaps::SCALAR`] to
 /// prove the feature-absent fallback is bit-identical on a host that
-/// *does* have the features), or pass `None` to restore detection.
-/// Affects the whole process — only use from single-purpose tests.
+/// *does* have the features) until the returned guard drops. The guard
+/// holds one process-wide lock, so concurrent forced sections serialize
+/// instead of resetting each other; a thread must not nest them.
 #[doc(hidden)]
-pub fn force_caps(caps: Option<SimdCaps>) {
-    match caps {
-        Some(c) => CAPS.store(CAP_INIT | CAP_FORCED | encode(c), Ordering::SeqCst),
-        None => CAPS.store(0, Ordering::SeqCst),
-    }
+pub fn force_caps(caps: SimdCaps) -> CapsGuard {
+    // The lock guards no data, and a holder that panicked restored
+    // detection in its guard's drop, so a poisoned lock is safe to take.
+    let lock = FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    CAPS.store(CAP_INIT | CAP_FORCED | encode(caps), Ordering::SeqCst);
+    CapsGuard { _lock: lock }
 }
 
 /// Magic multiplier for the exact SIMD division by 9: for every
@@ -568,156 +576,6 @@ fn brief_sample_pairs_sse2(data: &[u8], w: usize, coords: &[f64; 1024], vals: &m
     }
 }
 
-// ---------------------------------------------------------------------
-// Hamming matcher best-two scan.
-// ---------------------------------------------------------------------
-
-/// Whether [`best_two_blocked_simd`] has a vector implementation (AVX2
-/// nibble-LUT popcount, upgraded to AVX-512 `vpopcntq` when available).
-pub fn matcher_available() -> bool {
-    let c = caps();
-    c.avx2 || c.avx512_vpopcnt
-}
-
-/// Forward best-two scan for a slice of queries with SIMD 256-bit
-/// Hamming distances: the register-blocked loop of the scalar
-/// `best_two_blocked` with the popcount vectorized. Distances are exact
-/// integers and the best/second-best update rule is identical, so the
-/// returned `(train_idx, best, second_best)` triples match the scalar
-/// scan bit for bit. Returns `None` when no SIMD tier is available and
-/// the caller should use the scalar path.
-pub fn best_two_blocked_simd(
-    qs: &[Descriptor],
-    train: &[Descriptor],
-) -> Option<Vec<Option<(usize, u32, u32)>>> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let c = caps();
-        if c.avx512_vpopcnt {
-            // SAFETY: avx512vl + avx512vpopcntdq runtime-detected.
-            return Some(unsafe { best_two_blocked_avx512(qs, train) });
-        }
-        if c.avx2 {
-            // SAFETY: avx2 runtime-detected.
-            return Some(unsafe { best_two_blocked_avx2(qs, train) });
-        }
-    }
-    let _ = (qs, train);
-    None
-}
-
-/// Scalar best-two used for the sub-block remainder inside the SIMD
-/// scans — the same update rule as `matching::best_two`.
-#[cfg(target_arch = "x86_64")]
-fn best_two_tail(query: &Descriptor, train: &[Descriptor]) -> Option<(usize, u32, u32)> {
-    let mut best = None;
-    let mut best_d = u32::MAX;
-    let mut second_d = u32::MAX;
-    for (j, t) in train.iter().enumerate() {
-        let d = query.distance(t);
-        if d < best_d {
-            second_d = best_d;
-            best_d = d;
-            best = Some(j);
-        } else if d < second_d {
-            second_d = d;
-        }
-    }
-    best.map(|j| (j, best_d, second_d))
-}
-
-/// Generates the register-blocked best-two scan body for one popcount
-/// flavor: B = 8 queries per block, every query sees every train
-/// descriptor in index order with the scalar update rule.
-#[cfg(target_arch = "x86_64")]
-macro_rules! blocked_scan_body {
-    ($qs:ident, $train:ident, $dist:ident) => {{
-        use core::arch::x86_64::*;
-        const B: usize = 8;
-        let mut out = Vec::with_capacity($qs.len());
-        let mut chunks = $qs.chunks_exact(B);
-        for chunk in &mut chunks {
-            let mut qv = [_mm256_setzero_si256(); B];
-            for (k, q) in chunk.iter().enumerate() {
-                qv[k] = _mm256_loadu_si256(q.0.as_ptr() as *const __m256i);
-            }
-            let mut best = [usize::MAX; B];
-            let mut best_d = [u32::MAX; B];
-            let mut second_d = [u32::MAX; B];
-            for (j, t) in $train.iter().enumerate() {
-                let tv = _mm256_loadu_si256(t.0.as_ptr() as *const __m256i);
-                for k in 0..B {
-                    let d = $dist(qv[k], tv);
-                    if d < best_d[k] {
-                        second_d[k] = best_d[k];
-                        best_d[k] = d;
-                        best[k] = j;
-                    } else if d < second_d[k] {
-                        second_d[k] = d;
-                    }
-                }
-            }
-            for k in 0..B {
-                out.push((best[k] != usize::MAX).then(|| (best[k], best_d[k], second_d[k])));
-            }
-        }
-        for q in chunks.remainder() {
-            out.push(best_two_tail(q, $train));
-        }
-        out
-    }};
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn best_two_blocked_avx2(
-    qs: &[Descriptor],
-    train: &[Descriptor],
-) -> Vec<Option<(usize, u32, u32)>> {
-    use core::arch::x86_64::*;
-    /// 256-bit Hamming distance via the SSSE3-style nibble LUT: per-byte
-    /// popcounts summed by `sad_epu8` into four u64 lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn dist(a: __m256i, b: __m256i) -> u32 {
-        let x = _mm256_xor_si256(a, b);
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
-            3, 3, 4,
-        );
-        let lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(x, low_mask));
-        let hi = _mm256_shuffle_epi8(lut, _mm256_and_si256(_mm256_srli_epi16(x, 4), low_mask));
-        let sums = _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
-        let lo128 = _mm256_castsi256_si128(sums);
-        let hi128 = _mm256_extracti128_si256(sums, 1);
-        let s = _mm_add_epi64(lo128, hi128);
-        (_mm_cvtsi128_si64(s) + _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s))) as u32
-    }
-    blocked_scan_body!(qs, train, dist)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx512vpopcntdq")]
-unsafe fn best_two_blocked_avx512(
-    qs: &[Descriptor],
-    train: &[Descriptor],
-) -> Vec<Option<(usize, u32, u32)>> {
-    use core::arch::x86_64::*;
-    /// 256-bit Hamming distance via the AVX-512VL vectorized 64-bit
-    /// popcount on the xor.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512vl,avx512vpopcntdq")]
-    unsafe fn dist(a: __m256i, b: __m256i) -> u32 {
-        let counts = _mm256_popcnt_epi64(_mm256_xor_si256(a, b));
-        let lo128 = _mm256_castsi256_si128(counts);
-        let hi128 = _mm256_extracti128_si256(counts, 1);
-        let s = _mm_add_epi64(lo128, hi128);
-        (_mm_cvtsi128_si64(s) + _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s))) as u32
-    }
-    blocked_scan_body!(qs, train, dist)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,41 +694,14 @@ mod tests {
     }
 
     #[test]
-    fn blocked_simd_scan_matches_scalar_update_rule() {
-        let mut s = 1u64;
-        let mut desc = || {
-            let mut d = [0u64; 4];
-            for w in &mut d {
-                *w = xorshift(&mut s);
-            }
-            Descriptor(d)
-        };
-        let train: Vec<Descriptor> = (0..97).map(|_| desc()).collect();
-        let mut qs: Vec<Descriptor> = (0..43).map(|_| desc()).collect();
-        // Edge cases: all-zeros and all-ones descriptors, duplicates (tie
-        // on distance must keep the lowest train index).
-        qs.push(Descriptor([0; 4]));
-        qs.push(Descriptor([u64::MAX; 4]));
-        qs.push(train[5]);
-        qs.push(train[5]);
-        let reference: Vec<Option<(usize, u32, u32)>> =
-            qs.iter().map(|q| best_two_tail(q, &train)).collect();
-        match best_two_blocked_simd(&qs, &train) {
-            Some(simd) => assert_eq!(simd, reference),
-            None => assert!(!matcher_available()),
-        }
-    }
-
-    #[test]
     fn forced_scalar_caps_disable_every_kernel() {
-        force_caps(Some(SimdCaps::SCALAR));
+        let guard = force_caps(SimdCaps::SCALAR);
         assert!(!blur_available());
         assert!(!fast_available());
         assert!(!brief_available());
-        assert!(!matcher_available());
-        assert!(best_two_blocked_simd(&[], &[]).is_none());
-        force_caps(None);
-        #[cfg(target_arch = "x86_64")]
-        assert!(blur_available());
+        drop(guard);
+        // Forcing needs the lock, so holding it pins the restored state.
+        let _lock = FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(caps(), detect());
     }
 }

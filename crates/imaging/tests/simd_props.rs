@@ -1,34 +1,24 @@
 //! Property-based SIMD-vs-scalar equivalence: for random images and
 //! descriptor sets, every SIMD kernel must produce output bit-identical
 //! to its scalar reference — same keypoints, same descriptors, same
-//! matches, same blurred bytes. CI runs this suite under the default
-//! thread count *and* `EDGEIS_THREADS=1`, so the parallel merge cannot
-//! mask (or cause) a divergence.
+//! blurred bytes — and the matcher must report exact Hamming nearest
+//! neighbours. CI runs this suite under the default thread count *and*
+//! `EDGEIS_THREADS=1`, so the parallel merge cannot mask (or cause) a
+//! divergence.
 //!
 //! The `force_caps` tests additionally pin the dispatcher to
 //! [`SimdCaps::SCALAR`], proving the feature-absent fallback — not just
 //! the `use_simd: false` config path — is equivalent. Forcing is
-//! process-global, so those tests serialize on a lock and restore
-//! detection on exit; the toggle-equivalence properties stay valid even
-//! if they observe a forced-scalar window (both arms degrade together).
+//! process-global: `force_caps` serializes forced sections on one lock
+//! and its guard restores detection on exit. The toggle-equivalence
+//! properties stay valid even if they observe a forced-scalar window
+//! (both arms degrade together).
 
 use edgeis_imaging::{
     detect_orb, match_descriptors, Descriptor, GrayImage, MatchConfig, OrbConfig, ScratchArena,
     SimdCaps,
 };
 use edgeis_rng::{for_each_case, StdRng};
-use std::sync::Mutex;
-
-/// Serializes tests that pin the global SIMD capability set.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores capability detection even when the test body panics.
-struct CapsGuard;
-impl Drop for CapsGuard {
-    fn drop(&mut self) {
-        edgeis_imaging::simd::force_caps(None);
-    }
-}
 
 /// A deterministic textured image: smooth gradients (blur-friendly
 /// content) plus hash noise (dense FAST corners), fully determined by
@@ -118,47 +108,6 @@ fn blur_simd_matches_reference() {
 }
 
 #[test]
-fn matcher_simd_matches_scalar() {
-    for_each_case(|rng| {
-        let query = descriptors(rng, 0..48);
-        let train = descriptors(rng, 0..48);
-        let simd = MatchConfig {
-            use_simd: true,
-            ..MatchConfig::default()
-        };
-        let blocked = MatchConfig {
-            use_simd: false,
-            ..MatchConfig::default()
-        };
-        let plain = MatchConfig {
-            use_blocked_scan: false,
-            ..blocked
-        };
-        let m_simd = match_descriptors(&query, &train, &simd);
-        let m_blocked = match_descriptors(&query, &train, &blocked);
-        let m_plain = match_descriptors(&query, &train, &plain);
-        assert_eq!(m_simd.len(), m_blocked.len());
-        for (a, b) in m_simd.iter().zip(&m_blocked) {
-            assert!(
-                a.query_idx == b.query_idx
-                    && a.train_idx == b.train_idx
-                    && a.distance == b.distance,
-                "simd vs blocked-scalar matcher diverged"
-            );
-        }
-        assert_eq!(m_blocked.len(), m_plain.len());
-        for (a, b) in m_blocked.iter().zip(&m_plain) {
-            assert!(
-                a.query_idx == b.query_idx
-                    && a.train_idx == b.train_idx
-                    && a.distance == b.distance,
-                "blocked vs one-at-a-time scalar matcher diverged"
-            );
-        }
-    });
-}
-
-#[test]
 fn matcher_distances_are_exact_hamming() {
     for_each_case(|rng| {
         let query = descriptors(rng, 1..24);
@@ -166,11 +115,8 @@ fn matcher_distances_are_exact_hamming() {
         // Independent oracle: every reported distance must equal the
         // plain popcount Hamming distance of the named pair, and the
         // named train index must be the true argmin for that query.
-        // Run on the vector scan (opt-in) — the scalar scan is itself
-        // the reference the other properties compare against.
         let config = MatchConfig {
             cross_check: false,
-            use_simd: true,
             ..MatchConfig::default()
         };
         for m in match_descriptors(&query, &train, &config) {
@@ -196,9 +142,7 @@ fn forced_scalar_caps_fall_back_identically() {
         // With detection pinned to no-SIMD, `use_simd: true` must silently
         // produce the scalar result — the feature-absent fallback.
         let scalar = {
-            let _lock = FORCE_LOCK.lock().unwrap();
-            let _guard = CapsGuard;
-            edgeis_imaging::simd::force_caps(Some(SimdCaps::SCALAR));
+            let _caps = edgeis_imaging::simd::force_caps(SimdCaps::SCALAR);
             detect_orb(&img, &orb_config(true))
         };
         let native = detect_orb(&img, &orb_config(false));

@@ -68,11 +68,6 @@ pub struct TransferConfig {
     /// Minimum fraction of contour points that must project in front of the
     /// camera for the transfer to be considered valid.
     pub min_valid_fraction: f64,
-    /// Use the bucket-grid [`AnchorIndex`] for k-NN depth lookups. `false`
-    /// falls back to the O(anchors) linear scan per contour pixel — kept
-    /// only so the perf harness can measure the pre-grid baseline
-    /// end-to-end; both paths return bit-identical depths.
-    pub use_anchor_index: bool,
 }
 
 impl Default for TransferConfig {
@@ -82,7 +77,6 @@ impl Default for TransferConfig {
             depth_stat: DepthStat::Mean,
             max_contour_points: 160,
             min_valid_fraction: 0.6,
-            use_anchor_index: true,
         }
     }
 }
@@ -116,11 +110,6 @@ pub fn transfer_mask(
     let mut total_pts = 0usize;
     let mut valid_pts = 0usize;
 
-    // One spatial index per call amortizes over every contour point of
-    // every component; the polygon and candidate buffers are hoisted so
-    // the per-contour loop allocates nothing in steady state.
-    let index = config.use_anchor_index.then(|| AnchorIndex::build(anchors));
-    let mut knn_scratch: Vec<(f64, u32)> = Vec::new();
     let mut polygon: Vec<(f64, f64)> = Vec::new();
 
     for contour in &contours {
@@ -133,12 +122,7 @@ pub fn transfer_mask(
         for &(sx, sy) in &contour.points {
             total_pts += 1;
             let s = Vec2::new(sx as f64, sy as f64);
-            let depth = match &index {
-                Some(index) => {
-                    index.knn_depth_stat(s, config.k_nearest, config.depth_stat, &mut knn_scratch)
-                }
-                None => knn_depth_linear_stat(s, anchors, config.k_nearest, config.depth_stat),
-            };
+            let depth = knn_depth_linear_stat(s, anchors, config.k_nearest, config.depth_stat);
             if depth <= 1e-9 {
                 continue;
             }
@@ -165,9 +149,8 @@ pub fn transfer_mask(
     out.filter(|m| !m.is_empty())
 }
 
-/// Mean depth of the `k` anchors nearest to `pixel` — reference O(n·log n)
-/// implementation. Kept public for the micro-benchmarks and as the
-/// equivalence oracle for [`AnchorIndex::knn_depth`].
+/// Mean depth of the `k` anchors nearest to `pixel`, O(n·log n) in the
+/// anchor count. Ties on distance rank by anchor index (stable sort).
 pub fn knn_depth_linear(pixel: Vec2, anchors: &[DepthAnchor], k: usize) -> f64 {
     knn_depth_linear_stat(pixel, anchors, k, DepthStat::Mean)
 }
@@ -189,150 +172,6 @@ pub fn knn_depth_linear_stat(
     dists.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
     let depths: Vec<f64> = dists.iter().take(k).map(|&(_, d)| d).collect();
     stat.fold(&depths)
-}
-
-/// A uniform bucket grid over depth anchors, replacing the per-contour-
-/// point O(anchors) scan of [`knn_depth_linear`] with an expanding ring
-/// search over cells.
-///
-/// Results are **bit-identical** to the linear scan: candidates are ranked
-/// by `(distance, anchor index)` — exactly the order the linear version's
-/// stable sort produces — the search only stops once no unscanned cell can
-/// hold a strictly closer (or equal-distance, lower-index) anchor, and the
-/// selected depths are summed in that same rank order.
-#[derive(Debug, Clone)]
-pub struct AnchorIndex<'a> {
-    anchors: &'a [DepthAnchor],
-    cell: f64,
-    x0: f64,
-    y0: f64,
-    cols: usize,
-    rows: usize,
-    buckets: Vec<Vec<u32>>,
-}
-
-impl<'a> AnchorIndex<'a> {
-    /// Builds the grid; cell size targets ~1 anchor per cell.
-    pub fn build(anchors: &'a [DepthAnchor]) -> Self {
-        debug_assert!(!anchors.is_empty());
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for a in anchors {
-            min_x = min_x.min(a.pixel.x);
-            min_y = min_y.min(a.pixel.y);
-            max_x = max_x.max(a.pixel.x);
-            max_y = max_y.max(a.pixel.y);
-        }
-        let span_x = (max_x - min_x).max(1.0);
-        let span_y = (max_y - min_y).max(1.0);
-        let cell = (span_x * span_y / anchors.len() as f64).sqrt().max(1.0);
-        let cols = ((span_x / cell).floor() as usize + 1).max(1);
-        let rows = ((span_y / cell).floor() as usize + 1).max(1);
-        let mut buckets = vec![Vec::new(); cols * rows];
-        for (i, a) in anchors.iter().enumerate() {
-            let cx = (((a.pixel.x - min_x) / cell).floor() as usize).min(cols - 1);
-            let cy = (((a.pixel.y - min_y) / cell).floor() as usize).min(rows - 1);
-            buckets[cy * cols + cx].push(i as u32);
-        }
-        Self {
-            anchors,
-            cell,
-            x0: min_x,
-            y0: min_y,
-            cols,
-            rows,
-            buckets,
-        }
-    }
-
-    /// Mean depth of the `k` nearest anchors; `scratch` is a reusable
-    /// candidate buffer (cleared on entry).
-    pub fn knn_depth(&self, pixel: Vec2, k: usize, scratch: &mut Vec<(f64, u32)>) -> f64 {
-        self.knn_depth_stat(pixel, k, DepthStat::Mean, scratch)
-    }
-
-    /// [`Self::knn_depth`] with a selectable fold over the k depths.
-    /// `DepthStat::Mean` stays allocation-free and bit-identical to the
-    /// linear oracle; `Median` copies the ≤ k selected depths.
-    pub fn knn_depth_stat(
-        &self,
-        pixel: Vec2,
-        k: usize,
-        stat: DepthStat,
-        scratch: &mut Vec<(f64, u32)>,
-    ) -> f64 {
-        let k = k.max(1).min(self.anchors.len());
-        scratch.clear();
-        let ccx = (((pixel.x - self.x0) / self.cell).floor().max(0.0) as usize).min(self.cols - 1);
-        let ccy = (((pixel.y - self.y0) / self.cell).floor().max(0.0) as usize).min(self.rows - 1);
-        // Enough rings to cover the whole grid from any start cell.
-        let max_ring = self.cols.max(self.rows);
-        let rank = |a: &(f64, u32), b: &(f64, u32)| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        };
-        for r in 0..=max_ring {
-            self.visit_ring(ccx, ccy, r, |idx| {
-                let a = &self.anchors[idx as usize];
-                scratch.push((a.pixel.distance(pixel), idx));
-            });
-            if scratch.len() >= k {
-                let (_, kth, _) = scratch.select_nth_unstable_by(k - 1, rank);
-                // Cells on rings > r hold anchors at distance >= r·cell
-                // from `pixel` (clamping the start cell only widens the
-                // true gap). Strict `<` keeps equal-distance ties exact:
-                // an unscanned tie could still win on index order.
-                if kth.0 < r as f64 * self.cell {
-                    break;
-                }
-            }
-        }
-        scratch.sort_unstable_by(rank);
-        match stat {
-            DepthStat::Mean => {
-                scratch
-                    .iter()
-                    .take(k)
-                    .map(|&(_, i)| self.anchors[i as usize].depth)
-                    .sum::<f64>()
-                    / k as f64
-            }
-            DepthStat::Median => {
-                let depths: Vec<f64> = scratch
-                    .iter()
-                    .take(k)
-                    .map(|&(_, i)| self.anchors[i as usize].depth)
-                    .collect();
-                stat.fold(&depths)
-            }
-        }
-    }
-
-    /// Calls `f` with every anchor index in cells at Chebyshev ring `r`
-    /// around `(ccx, ccy)`.
-    fn visit_ring(&self, ccx: usize, ccy: usize, r: usize, mut f: impl FnMut(u32)) {
-        let (ccx, ccy, r) = (ccx as i64, ccy as i64, r as i64);
-        let mut visit_cell = |gx: i64, gy: i64| {
-            if gx >= 0 && gy >= 0 && (gx as usize) < self.cols && (gy as usize) < self.rows {
-                for &idx in &self.buckets[gy as usize * self.cols + gx as usize] {
-                    f(idx);
-                }
-            }
-        };
-        if r == 0 {
-            visit_cell(ccx, ccy);
-            return;
-        }
-        for gx in (ccx - r)..=(ccx + r) {
-            visit_cell(gx, ccy - r);
-            visit_cell(gx, ccy + r);
-        }
-        for gy in (ccy - r + 1)..=(ccy + r - 1) {
-            visit_cell(ccx - r, gy);
-            visit_cell(ccx + r, gy);
-        }
-    }
 }
 
 fn union(mut a: Mask, b: Mask) -> Mask {
@@ -415,25 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_fallback_transfers_identically() {
-        let (mask, anchors) = square_fixture(3.0);
-        let t_rel = SE3::new(SO3::identity(), Vec3::new(-0.25, 0.0, 0.0));
-        let grid = transfer_mask(&cam(), &mask, &anchors, &t_rel, &TransferConfig::default());
-        let linear = transfer_mask(
-            &cam(),
-            &mask,
-            &anchors,
-            &t_rel,
-            &TransferConfig {
-                use_anchor_index: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(grid, linear);
-        assert!(grid.is_some());
-    }
-
-    #[test]
     fn no_anchors_gives_none() {
         let (mask, _) = square_fixture(3.0);
         assert!(transfer_mask(
@@ -475,9 +295,6 @@ mod tests {
         ];
         let d = knn_depth_linear(Vec2::new(0.5, 0.0), &anchors, 2);
         assert!((d - 1.5).abs() < 1e-12);
-        let index = AnchorIndex::build(&anchors);
-        let g = index.knn_depth(Vec2::new(0.5, 0.0), 2, &mut Vec::new());
-        assert_eq!(d, g);
     }
 
     #[test]
@@ -487,11 +304,6 @@ mod tests {
             depth: 4.0,
         }];
         assert_eq!(knn_depth_linear(Vec2::new(3.0, 3.0), &anchors, 5), 4.0);
-        let index = AnchorIndex::build(&anchors);
-        assert_eq!(
-            index.knn_depth(Vec2::new(3.0, 3.0), 5, &mut Vec::new()),
-            4.0
-        );
     }
 
     /// A deterministic pseudo-random anchor cloud (no external RNG so the
@@ -510,36 +322,6 @@ mod tests {
                 depth: 0.5 + next() * 9.5,
             })
             .collect()
-    }
-
-    #[test]
-    fn grid_knn_bit_identical_to_linear_across_seeds() {
-        // The grid must replicate the linear scan exactly — ranking,
-        // tie-breaking and floating-point summation order included.
-        for seed in [11u64, 222, 3333] {
-            for n in [1usize, 7, 60, 400] {
-                let anchors = anchor_cloud(seed ^ n as u64, n);
-                let index = AnchorIndex::build(&anchors);
-                let mut scratch = Vec::new();
-                for qi in 0..120 {
-                    // Queries cover inside, boundary and far outside the
-                    // anchor bounding box.
-                    let q = Vec2::new(
-                        -80.0 + (qi % 12) as f64 * 42.0,
-                        -60.0 + (qi / 12) as f64 * 33.0,
-                    );
-                    for k in [1usize, 5, 9] {
-                        let lin = knn_depth_linear(q, &anchors, k);
-                        let grid = index.knn_depth(q, k, &mut scratch);
-                        assert_eq!(
-                            lin.to_bits(),
-                            grid.to_bits(),
-                            "seed {seed}, n {n}, query {q:?}, k {k}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -566,37 +348,21 @@ mod tests {
     }
 
     #[test]
-    fn grid_median_matches_linear_across_seeds() {
-        for seed in [17u64, 404] {
-            for n in [3usize, 40, 200] {
-                let anchors = anchor_cloud(seed ^ n as u64, n);
-                let index = AnchorIndex::build(&anchors);
-                let mut scratch = Vec::new();
-                for qi in 0..60 {
-                    let q = Vec2::new((qi % 10) as f64 * 31.0, (qi / 10) as f64 * 37.0);
-                    for k in [1usize, 4, 7] {
-                        let lin = knn_depth_linear_stat(q, &anchors, k, DepthStat::Median);
-                        let grid = index.knn_depth_stat(q, k, DepthStat::Median, &mut scratch);
-                        assert_eq!(lin.to_bits(), grid.to_bits(), "seed {seed} n {n} k {k}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn grid_knn_handles_duplicate_positions() {
-        // Coincident anchors exercise the (distance, index) tie-break.
+    fn knn_handles_duplicate_positions() {
+        // Coincident anchors tie on distance: the lower index ranks first,
+        // and the tied pair is summed in index order.
         let mut anchors = anchor_cloud(5, 30);
         for i in 0..10 {
-            anchors.push(anchors[i]);
+            anchors.push(DepthAnchor {
+                depth: anchors[i].depth + 1.0,
+                ..anchors[i]
+            });
         }
-        let index = AnchorIndex::build(&anchors);
-        let mut scratch = Vec::new();
-        for i in 0..30 {
+        for i in 0..10 {
             let q = anchors[i].pixel;
-            let lin = knn_depth_linear(q, &anchors, 5);
-            assert_eq!(lin.to_bits(), index.knn_depth(q, 5, &mut scratch).to_bits());
+            assert_eq!(knn_depth_linear(q, &anchors, 1), anchors[i].depth);
+            let pair = (anchors[i].depth + anchors[30 + i].depth) / 2.0;
+            assert_eq!(knn_depth_linear(q, &anchors, 2).to_bits(), pair.to_bits());
         }
     }
 

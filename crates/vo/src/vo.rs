@@ -26,7 +26,9 @@ pub struct VoConfig {
     /// Descriptor matching parameters against the map. More permissive
     /// than frame-to-frame matching: the projection gate (guided search
     /// window) removes aliases that a ratio/cross-check test would
-    /// otherwise have to catch, so recall can be prioritized.
+    /// otherwise have to catch, so recall can be prioritized. Two-frame
+    /// initialization retries with these parameters when strict matching
+    /// finds fewer than `min_init_matches` pairs.
     pub map_matching: MatchConfig,
     /// RANSAC parameters for two-frame initialization.
     pub ransac: RansacConfig,
@@ -62,15 +64,6 @@ pub struct VoConfig {
     /// 320-px reference so the legacy value (48) is applied *exactly* at
     /// the resolution every committed golden was recorded at.
     pub projection_gate_px_at_320: f64,
-    /// Retry two-frame initialization with the permissive
-    /// [`Self::map_matching`] parameters when strict frame-to-frame
-    /// matching finds fewer than `min_init_matches` pairs. Fast
-    /// ego-motion starves the strict matcher (ratio + cross-check) well
-    /// before co-visibility actually runs out; the RANSAC and
-    /// reprojection gates behind initialization filter the aliases a
-    /// permissive matcher admits, the same contract guided map matching
-    /// relies on. Off reproduces the legacy strict-only behaviour.
-    pub init_match_fallback: bool,
     /// Consecutive pose-less frames tolerated in the tracking state before
     /// the engine declares the map lost and re-enters initialization.
     /// Fast ego-motion can move every map-point projection outside the
@@ -92,7 +85,6 @@ impl Default for VoConfig {
                 max_distance: 80,
                 ratio: 0.85,
                 cross_check: false,
-                ..Default::default()
             },
             ransac: RansacConfig {
                 max_iterations: 150,
@@ -110,7 +102,6 @@ impl Default for VoConfig {
             min_triangulation_angle: 0.015,
             init_feature_selection: false,
             projection_gate_px_at_320: 48.0,
-            init_match_fallback: true,
             track_loss_reset_frames: 12,
         }
     }
@@ -757,7 +748,6 @@ impl VisualOdometry {
         // kept whenever it suffices so well-conditioned scenes initialize
         // from the cleanest correspondences.
         let matches = if matches.len() < self.config.min_init_matches
-            && self.config.init_match_fallback
             && !self.config.init_feature_selection
         {
             match_descriptors(&f0.descriptors, &f1.descriptors, &self.config.map_matching)

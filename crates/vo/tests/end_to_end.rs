@@ -2,7 +2,7 @@
 //! annotated frames, continuous tracking and mask transfer quality.
 
 use edgeis_geometry::Camera;
-use edgeis_imaging::iou;
+use edgeis_imaging::{detect_orb, iou, match_descriptors};
 use edgeis_scene::datasets;
 use edgeis_scene::trajectory::{MotionSpeed, Trajectory};
 use edgeis_vo::vo::AnnotationOutcome;
@@ -82,6 +82,42 @@ fn initializes_from_two_annotated_frames() {
     assert!(vo.is_tracking());
     // Objects with enough points are tracked.
     assert!(vo.objects().count() >= 1, "no objects registered");
+}
+
+#[test]
+fn initializes_at_jog_speed_through_the_permissive_match_fallback() {
+    // Three frames (0.1 s) of jog-speed urban_rush ego-motion starve the
+    // strict frame-to-frame matcher below `min_init_matches`; two-view
+    // initialization must still succeed by retrying with the map-matching
+    // parameters, filtered by RANSAC and the triangulation gates.
+    let world = datasets::urban_rush(1);
+    let cam = camera();
+    let config = VoConfig::default();
+    let render = |i: usize| {
+        let t = i as f64 / FPS;
+        let frame = world.scene.render_at(&cam, &world.trajectory.pose_at(t), t);
+        (t, frame)
+    };
+    let (t0, f0) = render(0);
+    let (t1, f1) = render(3);
+    let (_, d0) = detect_orb(&f0.image, &config.orb);
+    let (_, d1) = detect_orb(&f1.image, &config.orb);
+    let strict = match_descriptors(&d0, &d1, &config.matching).len();
+    assert!(
+        strict < config.min_init_matches,
+        "strict matching alone suffices ({strict} pairs); the fixture no longer exercises the fallback"
+    );
+
+    let mut vo = VisualOdometry::new(cam, config);
+    let id0 = vo.process_frame(&f0.image, t0).frame_id;
+    let id1 = vo.process_frame(&f1.image, t1).frame_id;
+    vo.apply_edge_masks(id0, &f0.labels).unwrap();
+    let outcome = vo.apply_edge_masks(id1, &f1.labels).unwrap();
+    assert!(
+        matches!(outcome, AnnotationOutcome::Initialized { .. }),
+        "jog-speed pair failed to initialize: {outcome:?}"
+    );
+    assert!(vo.is_tracking());
 }
 
 #[test]

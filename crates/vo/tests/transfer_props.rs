@@ -1,12 +1,11 @@
 //! Property tests for §III-C depth borrowing: every contour pixel takes
 //! the mean depth of its k nearest in-mask features (paper: k = 5). The
 //! estimate must always be a finite depth inside the anchors' range, must
-//! not depend on the order features happened to be extracted in, and the
-//! bucket-grid index must reproduce the linear scan bit-for-bit.
+//! not depend on the order features happened to be extracted in.
 
 use edgeis_geometry::Vec2;
 use edgeis_rng::{for_each_case, StdRng};
-use edgeis_vo::transfer::{knn_depth_linear, AnchorIndex, DepthAnchor};
+use edgeis_vo::transfer::{knn_depth_linear, DepthAnchor};
 
 /// 1 to 39 anchors scattered over a 160×120 image.
 fn anchors(rng: &mut StdRng) -> Vec<DepthAnchor> {
@@ -84,26 +83,6 @@ fn knn_depth_is_permutation_invariant() {
             knn_depth_linear(pixel, &rotated, 5).to_bits(),
             "depth changed under rotation by {rot}: {reference} vs {}",
             knn_depth_linear(pixel, &rotated, 5)
-        );
-    });
-}
-
-#[test]
-fn anchor_index_matches_linear_scan_bitwise() {
-    for_each_case(|rng| {
-        let (anchors, pixel, k) = (anchors(rng), query(rng), rng.random_range(1usize..9));
-        // The documented contract of the fast path — same ranking, same
-        // summation order, bit-identical result — including with tied
-        // distances, where both break ties by anchor index.
-        let index = AnchorIndex::build(&anchors);
-        let mut scratch = Vec::new();
-        let fast = index.knn_depth(pixel, k, &mut scratch);
-        let slow = knn_depth_linear(pixel, &anchors, k);
-        assert_eq!(
-            fast.to_bits(),
-            slow.to_bits(),
-            "k={k}, {} anchors: index {fast} vs linear {slow}",
-            anchors.len()
         );
     });
 }
