@@ -66,7 +66,11 @@ fn main() -> ExitCode {
         (Some(name), None) => {
             // The headline demo: long enough that urban_rush's map
             // death/rebirth cycle repeats on the recording.
-            let frames = frames.or(if name == "urban_rush" { Some(240) } else { None });
+            let frames = frames.or(if name == "urban_rush" {
+                Some(240)
+            } else {
+                None
+            });
             match ops::diagnose_matrix(&name, frames) {
                 Ok(d) => d,
                 Err(e) => {

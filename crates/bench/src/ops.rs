@@ -322,7 +322,10 @@ pub fn diagnose(
     burn_alerts: Vec<BurnAlert>,
     burn_gauges: Vec<BurnGauge>,
 ) -> Diagnosis {
-    let all_ious: Vec<f64> = samples.iter().flat_map(|s| s.ious.iter().copied()).collect();
+    let all_ious: Vec<f64> = samples
+        .iter()
+        .flat_map(|s| s.ious.iter().copied())
+        .collect();
     let mean = |xs: &[f64]| {
         if xs.is_empty() {
             0.0
@@ -331,7 +334,10 @@ pub fn diagnose(
         }
     };
     let mean_iou = mean(&all_ious);
-    let latencies: Vec<f64> = samples.iter().filter_map(|s| s.response_latency_ms).collect();
+    let latencies: Vec<f64> = samples
+        .iter()
+        .filter_map(|s| s.response_latency_ms)
+        .collect();
     let p99 = if latencies.is_empty() {
         0.0
     } else {
@@ -341,7 +347,11 @@ pub fn diagnose(
     let latency_ok = p99 <= slo.max_p99_ms;
 
     // Worst relative miss wins the headline.
-    let iou_miss = if iou_ok { 0.0 } else { (slo.min_iou - mean_iou) / slo.min_iou.max(1e-9) };
+    let iou_miss = if iou_ok {
+        0.0
+    } else {
+        (slo.min_iou - mean_iou) / slo.min_iou.max(1e-9)
+    };
     let lat_miss = if latency_ok {
         0.0
     } else {
@@ -606,7 +616,11 @@ mod tests {
         let d = diagnose("t", &slo, &samples, Vec::new(), Vec::new());
         assert!((d.reference_iou - 0.8).abs() < 1e-12);
         assert!((d.total_shortfall - (0.8 + 0.4)).abs() < 1e-12);
-        let lost = d.attribution.iter().find(|a| a.label == "tracking_lost").unwrap();
+        let lost = d
+            .attribution
+            .iter()
+            .find(|a| a.label == "tracking_lost")
+            .unwrap();
         assert!((lost.share - 0.8 / 1.2).abs() < 1e-12);
         // Canonical order: tracking_lost before reinit before healthy.
         let labels: Vec<&str> = d.attribution.iter().map(|a| a.label.as_str()).collect();
@@ -631,7 +645,13 @@ mod tests {
             Vec::new(),
         );
         assert_eq!(d.top_violation, "iou");
-        let d = diagnose("t", &slo, &[sample("healthy", &[0.9])], Vec::new(), Vec::new());
+        let d = diagnose(
+            "t",
+            &slo,
+            &[sample("healthy", &[0.9])],
+            Vec::new(),
+            Vec::new(),
+        );
         assert_eq!(d.top_violation, "none");
     }
 
@@ -663,7 +683,13 @@ mod tests {
             "{\"type\":\"event\",\"trace_id\":\"00ab\",\"parent_id\":null,\"device\":1,\"name\":\"health.transition\",\"ts_ms\":900.0,\"args\":{}}\n",
         );
         let alerts = parse_burn_events(spans).expect("parse");
-        assert_eq!(alerts, vec![BurnAlert { device: 1, ts_ms: 850.5 }]);
+        assert_eq!(
+            alerts,
+            vec![BurnAlert {
+                device: 1,
+                ts_ms: 850.5
+            }]
+        );
 
         let prom = "# HELP edgeis_slo_burn_rate h\n# TYPE edgeis_slo_burn_rate gauge\n\
                     edgeis_slo_burn_rate{device=\"0\"} 3.25\n\

@@ -96,7 +96,10 @@ fn diagnosis_round_trips_through_frames_jsonl() {
     assert_eq!(back.len(), samples.len());
     // Floats travel at fixed precision; identity and labels are exact.
     for (a, b) in samples.iter().zip(&back) {
-        assert_eq!((a.device, a.frame, &a.outcome), (b.device, b.frame, &b.outcome));
+        assert_eq!(
+            (a.device, a.frame, &a.outcome),
+            (b.device, b.frame, &b.outcome)
+        );
         assert_eq!(a.ious.len(), b.ious.len());
     }
 

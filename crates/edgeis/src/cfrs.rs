@@ -351,6 +351,36 @@ mod tests {
     }
 
     #[test]
+    fn tile_plan_margin_reaches_across_a_tile_border() {
+        // The 2 px dilation margin: a mask whose last pixel sits 1 or 2 px
+        // short of the border at 32 (so at x/y = 31 or 30) raises the
+        // neighbouring tile to High; 3 px short (29) does not.
+        let p = planner();
+        let grid = TileGrid::new(32, 128, 96);
+        for (last, raised) in [(31u32, true), (30, true), (29, false)] {
+            let mut right = Mask::new(128, 96);
+            right.fill_rect(10, 40, last - 9, 10);
+            let mut below = Mask::new(128, 96);
+            below.fill_rect(40, 10, 10, last - 9);
+            let mut corner = Mask::new(128, 96);
+            corner.set(last, last, true);
+            for (mask, neighbour) in [
+                (right, grid.tile_of(32, 40)),
+                (below, grid.tile_of(40, 32)),
+                (corner, grid.tile_of(32, 32)),
+            ] {
+                let plan = p.tile_plan(128, 96, &[(1, mask)], &[]);
+                let expected = if raised {
+                    QualityLevel::High
+                } else {
+                    QualityLevel::Low
+                };
+                assert_eq!(plan.levels[neighbour], expected, "last pixel at {last}");
+            }
+        }
+    }
+
+    #[test]
     fn guidance_boxes_carry_classes() {
         let p = planner();
         let mut mask = Mask::new(128, 128);

@@ -285,8 +285,8 @@ impl EdgeFleet {
                 (0..self.edges.len())
                     .map(|e| {
                         let label = e.to_string();
-                        let gauge = registry
-                            .gauge("edgeis_slo_burn_rate", &[("edge", label.as_str())]);
+                        let gauge =
+                            registry.gauge("edgeis_slo_burn_rate", &[("edge", label.as_str())]);
                         (BurnTracker::new(cfg.clone()), gauge)
                     })
                     .collect(),

@@ -17,10 +17,13 @@ pub struct StageBreakdownMs {
     pub ba: f64,
     /// Per-object tracking + mask transfer (includes per-object BA).
     pub transfer: f64,
-    /// Tile-plan encoding of the offloaded frame.
+    /// Choosing what to send and encoding it: the CFRS tile plan (with its
+    /// dilated object masks), the CIIA guidance and the tile encoding of
+    /// the offloaded frame.
     pub encode: f64,
-    /// Edge-side model inference (request submission through the simulated
-    /// edge server, which runs the actual segnet model).
+    /// Host cost of simulating the edge: building the ground-truth
+    /// observation of the frame and submitting the request through the
+    /// simulated edge server, which runs the actual segnet model.
     pub edge_infer: f64,
     /// Decoding responses off the wire and applying masks to the tracker
     /// (measured at the start of the frame, covering everything that
@@ -564,8 +567,10 @@ impl Report {
                     .iter()
                     .flat_map(|r| r.ious.iter().map(|&(_, v)| v))
                     .collect();
-                let latencies: Vec<f64> =
-                    frames.iter().filter_map(|r| r.response_latency_ms).collect();
+                let latencies: Vec<f64> = frames
+                    .iter()
+                    .filter_map(|r| r.response_latency_ms)
+                    .collect();
                 let mean = |s: &[f64]| {
                     if s.is_empty() {
                         0.0
@@ -578,9 +583,7 @@ impl Report {
                     frames: frames.len() as u64,
                     iou_samples: ious.len() as u64,
                     mean_iou: mean(&ious),
-                    mean_mobile_ms: mean(
-                        &frames.iter().map(|r| r.mobile_ms).collect::<Vec<f64>>(),
-                    ),
+                    mean_mobile_ms: mean(&frames.iter().map(|r| r.mobile_ms).collect::<Vec<f64>>()),
                     mean_response_latency_ms: mean(&latencies),
                 })
             })

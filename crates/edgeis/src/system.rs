@@ -1178,6 +1178,9 @@ impl SegmentationSystem for EdgeIsSystem {
                 }
                 _ => {}
             }
+            // The encode stage covers choosing what to send (tile plan and
+            // CIIA guidance) as well as the encoding itself.
+            let encode_start = Instant::now();
             let w = self.config.camera.width;
             let h = self.config.camera.height;
             // Lost objects' last known regions are treated as new areas:
@@ -1214,9 +1217,7 @@ impl SegmentationSystem for EdgeIsSystem {
             } else {
                 self.planner.tile_plan(w, h, &masks, &area_pixels)
             };
-            let encode_start = Instant::now();
             let encoded = encode_with_scratch(&input.frame.image, &plan, &mut self.encode_scratch);
-            stages.encode = elapsed_ms(encode_start);
             tx_bytes = encoded.total_bytes();
             let counts = plan.level_counts();
             tile_levels = [
@@ -1227,18 +1228,6 @@ impl SegmentationSystem for EdgeIsSystem {
             ];
             uplink_digest = digest_uplink(counts, &encoded.tile_bytes);
 
-            // Edge-side observation: ground-truth labels through the
-            // encoding quality of each instance's region.
-            let mut quality = BTreeMap::new();
-            for id in input.frame.labels.instance_ids() {
-                let gt_mask = input.frame.labels.instance_mask(id);
-                quality.insert(id, encoded.instance_quality(&gt_mask));
-            }
-            let obs = FrameObservation {
-                labels: input.frame.labels.clone(),
-                classes: input.classes.clone(),
-                quality,
-            };
             // Periodic / bootstrap / recovery refreshes scan the full frame
             // so objects the mobile cache lost entirely can be rediscovered;
             // guided anchors only cover cached and new regions.
@@ -1263,6 +1252,24 @@ impl SegmentationSystem for EdgeIsSystem {
             } else {
                 None
             };
+            stages.encode = elapsed_ms(encode_start);
+
+            // The edge_infer stage is the host cost of simulating the edge:
+            // its observation (ground-truth labels through the encoding
+            // quality of each instance's region) and the submit call, which
+            // runs the actual segnet model (the link simulation around it
+            // is negligible).
+            let infer_start = Instant::now();
+            let mut quality = BTreeMap::new();
+            for id in input.frame.labels.instance_ids() {
+                let gt_mask = input.frame.labels.instance_mask(id);
+                quality.insert(id, encoded.instance_quality(&gt_mask));
+            }
+            let obs = FrameObservation {
+                labels: input.frame.labels.clone(),
+                classes: input.classes.clone(),
+                quality,
+            };
 
             // The request rides the faulty link: it can be lost outright
             // (outage at send time) or arrive mangled — the mobile side
@@ -1276,9 +1283,6 @@ impl SegmentationSystem for EdgeIsSystem {
                 // permanently.
                 sent_ms + self.config.resilience.response_deadline_ms * 4.0
             };
-            // The submit call runs the actual segnet model, so this timer
-            // captures the edge inference compute (the link simulation
-            // around it is negligible).
             // The trace context rides the request as a fixed 40-byte
             // observability envelope (wire.rs) so the edge can parent its
             // queue/inference spans under this frame's trace. Envelope
@@ -1286,7 +1290,6 @@ impl SegmentationSystem for EdgeIsSystem {
             // must not perturb the simulated link (see DESIGN.md §12).
             let envelope =
                 frame_ctx.map(|ctx| RequestEnvelope::from_context(&ctx, vo_frame_id).encode());
-            let infer_start = Instant::now();
             let response = match self
                 .link
                 .transmit_faulty(tx_bytes, sent_ms, Direction::Uplink)

@@ -113,24 +113,24 @@ impl Mask {
 
     /// Tight bounding box `(x0, y0, x1, y1)` with exclusive max, or `None`
     /// for an empty mask.
+    ///
+    /// Empty rows are skipped with slice scans, and after the first set
+    /// row only the columns outside the current box are searched.
     pub fn bounding_box(&self) -> Option<(u32, u32, u32, u32)> {
-        let mut min_x = u32::MAX;
-        let mut min_y = u32::MAX;
-        let mut max_x = 0u32;
-        let mut max_y = 0u32;
-        let mut any = false;
-        for y in 0..self.height {
-            for x in 0..self.width {
-                if self.bits[self.idx(x, y)] {
-                    any = true;
-                    min_x = min_x.min(x);
-                    min_y = min_y.min(y);
-                    max_x = max_x.max(x);
-                    max_y = max_y.max(y);
-                }
+        let w = self.width as usize;
+        let occupied = |row: &[bool]| row.contains(&true);
+        let y0 = self.bits.chunks_exact(w).position(occupied)?;
+        let y1 = self.bits.chunks_exact(w).rposition(occupied)? + 1;
+        let (mut x0, mut x1) = (w, 0);
+        for row in self.bits.chunks_exact(w).take(y1).skip(y0) {
+            if let Some(x) = row[..x0].iter().position(|&b| b) {
+                x0 = x;
+            }
+            if let Some(dx) = row[x1..].iter().rposition(|&b| b) {
+                x1 += dx + 1;
             }
         }
-        any.then_some((min_x, min_y, max_x + 1, max_y + 1))
+        Some((x0 as u32, y0 as u32, x1 as u32, y1 as u32))
     }
 
     /// Centroid of the set pixels, or `None` for an empty mask.
@@ -151,43 +151,78 @@ impl Mask {
     }
 
     /// Morphological dilation by a square structuring element of the given
-    /// radius.
+    /// radius: a pixel is set when any pixel within Chebyshev distance
+    /// `radius` is set (pixels outside the image count as unset).
+    ///
+    /// Runs as two separable passes, a row pass then a column pass, over
+    /// the bounding box grown by `radius`, so it costs
+    /// O((box + radius)² · radius) rather than O(frame · radius²).
     pub fn dilate(&self, radius: u32) -> Mask {
         let mut out = Mask::new(self.width, self.height);
-        let r = radius as i64;
-        for y in 0..self.height as i64 {
-            for x in 0..self.width as i64 {
-                'search: for dy in -r..=r {
-                    for dx in -r..=r {
-                        if self.get_or_false(x + dx, y + dy) {
-                            out.set(x as u32, y as u32, true);
-                            break 'search;
-                        }
-                    }
-                }
+        let Some((x0, y0, x1, y1)) = self.bounding_box() else {
+            return out;
+        };
+        let (w, h, r) = (self.width as usize, self.height as usize, radius as usize);
+        let (x0, y0, x1, y1) = (x0 as usize, y0 as usize, x1 as usize, y1 as usize);
+        let (ox0, ox1) = (x0.saturating_sub(r), x1.saturating_add(r).min(w));
+        let span = ox1 - ox0;
+        // Row pass: the box's rows, dilated horizontally into a band of
+        // columns `ox0..ox1`.
+        let mut band = vec![false; (y1 - y0) * span];
+        for (y, dst) in (y0..y1).zip(band.chunks_exact_mut(span)) {
+            for_each_run(&self.bits[y * w + x0..y * w + x1], |s, e| {
+                let lo = (x0 + s).saturating_sub(r) - ox0;
+                let hi = (x0 + e).saturating_add(r).min(ox1) - ox0;
+                dst[lo..hi].fill(true);
+            });
+        }
+        // Column pass: each output row ORs the band rows within `radius`.
+        for y in y0.saturating_sub(r)..y1.saturating_add(r).min(h) {
+            let dst = &mut out.bits[y * w + ox0..y * w + ox1];
+            for src in band
+                .chunks_exact(span)
+                .take(y.saturating_add(r).min(y1 - 1) + 1 - y0)
+                .skip(y.saturating_sub(r).max(y0) - y0)
+            {
+                dst.iter_mut().zip(src).for_each(|(d, &s)| *d |= s);
             }
         }
         out
     }
 
-    /// Morphological erosion by a square structuring element.
+    /// Morphological erosion by a square structuring element: a pixel
+    /// stays set when every pixel within Chebyshev distance `radius` is
+    /// set. Pixels outside the image count as unset, so erosion clears a
+    /// `radius`-wide border.
+    ///
+    /// Runs as two separable passes restricted to the bounding box (the
+    /// result never leaves it).
     pub fn erode(&self, radius: u32) -> Mask {
         let mut out = Mask::new(self.width, self.height);
-        let r = radius as i64;
-        for y in 0..self.height as i64 {
-            for x in 0..self.width as i64 {
-                let mut all = true;
-                'win: for dy in -r..=r {
-                    for dx in -r..=r {
-                        if !self.get_or_false(x + dx, y + dy) {
-                            all = false;
-                            break 'win;
-                        }
-                    }
+        let Some((x0, y0, x1, y1)) = self.bounding_box() else {
+            return out;
+        };
+        let (w, r) = (self.width as usize, radius as usize);
+        let (x0, y0, x1, y1) = (x0 as usize, y0 as usize, x1 as usize, y1 as usize);
+        let span = x1 - x0;
+        // Row pass: each run of the box's rows shrinks by `radius` per side.
+        let mut band = vec![false; (y1 - y0) * span];
+        for (y, dst) in (y0..y1).zip(band.chunks_exact_mut(span)) {
+            for_each_run(&self.bits[y * w + x0..y * w + x1], |s, e| {
+                let (lo, hi) = (s.saturating_add(r), e.saturating_sub(r));
+                if lo < hi {
+                    dst[lo..hi].fill(true);
                 }
-                if all {
-                    out.set(x as u32, y as u32, true);
-                }
+            });
+        }
+        // Column pass: rows within `radius` of the box's edge see an unset
+        // row (or the image border) and stay clear.
+        for y in y0.saturating_add(r)..y1.saturating_sub(r) {
+            let dst = &mut out.bits[y * w + x0..y * w + x1];
+            let mut rows = band.chunks_exact(span).skip(y - r - y0).take(2 * r + 1);
+            dst.copy_from_slice(rows.next().expect("window holds its centre row"));
+            for src in rows {
+                dst.iter_mut().zip(src).for_each(|(d, &s)| *d &= s);
             }
         }
         out
@@ -322,6 +357,20 @@ pub fn iou(a: &Mask, b: &Mask) -> f64 {
     a.intersection_area(b) as f64 / union as f64
 }
 
+/// Calls `f(start, end)` for each maximal run of set pixels in `row`.
+fn for_each_run(row: &[bool], mut f: impl FnMut(usize, usize)) {
+    let mut x = 0;
+    while let Some(dx) = row[x..].iter().position(|&b| b) {
+        let start = x + dx;
+        let end = row[start..]
+            .iter()
+            .position(|&b| !b)
+            .map_or(row.len(), |n| start + n);
+        f(start, end);
+        x = end;
+    }
+}
+
 /// A run-length-encoded mask: alternating false/true run lengths starting
 /// with false. This is the wire format for mask transmission between the
 /// edge and the mobile device.
@@ -454,24 +503,33 @@ impl LabelMap {
     }
 
     /// The sorted list of distinct non-background labels present.
+    ///
+    /// One pass over the map marks each label in a 64 Ki-bit seen-table;
+    /// reading the table back in order yields the ids sorted.
     pub fn instance_ids(&self) -> Vec<u16> {
-        let mut ids: Vec<u16> = self.labels.iter().copied().filter(|&l| l != 0).collect();
-        ids.sort_unstable();
-        ids.dedup();
+        let mut seen = [0u64; 1 << 10];
+        for &l in &self.labels {
+            seen[usize::from(l >> 6)] |= 1 << (l & 63);
+        }
+        seen[0] &= !1; // background
+        let mut ids = Vec::new();
+        for (word, &bits) in (0u16..).zip(&seen) {
+            let mut bits = bits;
+            while bits != 0 {
+                ids.push(word << 6 | bits.trailing_zeros() as u16);
+                bits &= bits - 1;
+            }
+        }
         ids
     }
 
     /// Extracts the binary mask of one instance.
     pub fn instance_mask(&self, label: u16) -> Mask {
-        let mut m = Mask::new(self.width, self.height);
-        for y in 0..self.height {
-            for x in 0..self.width {
-                if self.get(x, y) == label {
-                    m.set(x, y, true);
-                }
-            }
+        Mask {
+            width: self.width,
+            height: self.height,
+            bits: self.labels.iter().map(|&l| l == label).collect(),
         }
-        m
     }
 
     /// Fraction of pixels that are non-background.

@@ -275,7 +275,10 @@ pub fn validate_prometheus(s: &str) -> Result<usize, String> {
                 let name = parts.next().unwrap_or("");
                 let kind = parts.next().unwrap_or("");
                 if name.is_empty()
-                    || !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped")
+                    || !matches!(
+                        kind,
+                        "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                    )
                 {
                     return Err(format!("line {lineno}: bad TYPE declaration {decl:?}"));
                 }
@@ -325,9 +328,8 @@ pub fn validate_prometheus(s: &str) -> Result<usize, String> {
                         le = Some(if edge == "+Inf" {
                             f64::INFINITY
                         } else {
-                            edge.parse::<f64>().map_err(|_| {
-                                format!("line {lineno}: bad le edge {edge:?}")
-                            })?
+                            edge.parse::<f64>()
+                                .map_err(|_| format!("line {lineno}: bad le edge {edge:?}"))?
                         });
                     } else {
                         other_labels.push_str(pair);
@@ -675,7 +677,9 @@ mod tests {
         // Edge spans render under the synthetic edge process, and both
         // processes carry name metadata.
         assert!(doc.contains(&format!("\"name\":\"edge.queue\",\"cat\":\"edgeis\",\"ph\":\"X\",\"ts\":3000.000,\"dur\":1000.000,\"pid\":{CHROME_EDGE_PID}")));
-        assert!(doc.contains("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"device-1\"}"));
+        assert!(doc.contains(
+            "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"device-1\"}"
+        ));
         assert!(doc.contains(&format!(
             "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{CHROME_EDGE_PID},\"args\":{{\"name\":\"edge\"}}"
         )));

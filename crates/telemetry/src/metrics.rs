@@ -497,9 +497,7 @@ fn help_for(name: &str) -> &'static str {
         "edgeis_edge_queue_wait_ms" => "Edge queue wait before GPU start, ms",
         "edgeis_response_latency_ms" => "Request to response round trip, ms",
         "edgeis_tier_latency_ms" => "Edge inference latency per zoo tier, ms",
-        "edgeis_link_health" => {
-            "Link-health state (0 Healthy, 1 Recovering, 2 Degraded, 3 Outage)"
-        }
+        "edgeis_link_health" => "Link-health state (0 Healthy, 1 Recovering, 2 Degraded, 3 Outage)",
         "edgeis_slo_burn_rate" => {
             "Fast-window SLO error-budget burn rate (1.0 = sustainable spend)"
         }
