@@ -1,25 +1,21 @@
 //! Stage-level performance profile of the frame pipeline.
 //!
-//! Runs one fixed, seeded workload through the full edgeIS system in four
+//! Runs one fixed, seeded workload through the full edgeIS system in three
 //! configurations (see [`edgeis_bench::perf::ProfileMode`]) and writes
 //! `results/BENCH_pipeline.json`:
 //!
-//! - `baseline_serial_linear_knn` — one thread, the clamped reference ORB
-//!   detector. It differs from `optimized_serial_no_simd` only by the
-//!   detector; the label keeps its historical `_linear_knn` suffix (the
-//!   linear k-NN is now the only transfer path, in every run).
-//! - `optimized_serial_no_simd` — one thread, the detector fast paths on,
-//!   SIMD kernels pinned off: the pre-SIMD optimized pipeline.
+//! - `optimized_serial_no_simd` — one thread, the SIMD dispatcher forced
+//!   to scalar (`simd::force_caps(SCALAR)`).
 //! - `optimized_serial` — one thread (`EDGEIS_THREADS=1` equivalent),
 //!   SIMD kernels on.
 //! - `optimized_parallel` — default thread count.
 //!
-//! All four configurations produce bit-identical masks (the parallel
-//! merge, the detector fast paths and the SIMD kernels are exact), so the
-//! profile only moves timing fields. Per-stage p50/p95/mean, end-to-end
-//! frame time, wall-clock fps and the peak scratch bytes (allocation
-//! proxy) are recorded per run, plus the headline baseline-vs-optimized
-//! speedup.
+//! All three configurations produce bit-identical masks (the parallel
+//! merge and the SIMD kernels are exact; the run asserts equal mean IoU),
+//! so the profile only moves timing fields. Per-stage p50/p95/mean,
+//! end-to-end frame time, wall-clock fps and the peak scratch bytes
+//! (allocation proxy) are recorded per run, plus the headline
+//! `optimized_serial_no_simd` → `optimized_parallel` speedup.
 
 use edgeis::metrics::percentile;
 use edgeis_bench::json;
@@ -86,7 +82,6 @@ fn main() {
     );
 
     let runs = [
-        perf::profile(ProfileMode::BaselineSerial, FRAMES),
         perf::profile(ProfileMode::OptimizedSerialNoSimd, FRAMES),
         perf::profile(ProfileMode::OptimizedSerial, FRAMES),
         perf::profile(ProfileMode::OptimizedParallel, FRAMES),
@@ -121,8 +116,10 @@ fn main() {
     let baseline = runs[0].frame_ms_mean();
     let optimized = runs.last().expect("runs").frame_ms_mean();
     println!(
-        "\nend-to-end frame time: baseline {:.2} ms -> optimized {:.2} ms ({:.2}x)",
+        "\nend-to-end frame time: {} {:.2} ms -> {} {:.2} ms ({:.2}x)",
+        runs[0].label,
         baseline,
+        runs.last().expect("runs").label,
         optimized,
         if optimized > 0.0 {
             baseline / optimized

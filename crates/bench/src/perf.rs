@@ -11,6 +11,7 @@ use edgeis::metrics::{percentile, Report};
 use edgeis::pipeline::{class_map, run_pipeline, PipelineConfig};
 use edgeis::system::{EdgeIsConfig, EdgeIsSystem};
 use edgeis_geometry::Camera;
+use edgeis_imaging::simd;
 use edgeis_netsim::LinkKind;
 use edgeis_scene::datasets;
 use std::time::Instant;
@@ -27,21 +28,17 @@ pub const WIDTH: u32 = 320;
 pub const HEIGHT: u32 = 240;
 
 /// Which optimization tier a profile run measures. Every tier produces
-/// bit-identical masks — the detector fast paths and the SIMD kernels are
-/// exact — so the tiers differ only in timing. The matcher (register-
-/// blocked scalar scan) and transfer (linear k-NN) have one path, shared
-/// by every tier.
+/// bit-identical masks — the SIMD kernels and the parallel merge are
+/// exact — so the tiers differ only in timing. The detector fast paths,
+/// the matcher (register-blocked scalar scan) and transfer (linear k-NN)
+/// have one path, shared by every tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileMode {
-    /// The clamped reference ORB detector, one thread. It differs from
-    /// [`Self::OptimizedSerialNoSimd`] only by the detector; its label
-    /// keeps the historical `_linear_knn` suffix.
-    BaselineSerial,
-    /// The detector fast paths on but the SIMD kernels pinned off — the
-    /// pre-SIMD optimized pipeline.
+    /// One thread with the SIMD dispatcher forced to scalar
+    /// (`simd::force_caps(SCALAR)`), as on a CPU without the features.
     OptimizedSerialNoSimd,
-    /// The detector fast paths plus the default-on SIMD kernels (blur,
-    /// FAST pre-test, BRIEF), one thread.
+    /// One thread, each SIMD kernel (blur, FAST pre-test, BRIEF) running
+    /// where the CPU has its feature.
     OptimizedSerial,
     /// The [`Self::OptimizedSerial`] configuration at the default thread
     /// count.
@@ -52,7 +49,6 @@ impl ProfileMode {
     /// Stable label used in JSON artifacts and baselines.
     pub fn label(self) -> &'static str {
         match self {
-            Self::BaselineSerial => "baseline_serial_linear_knn",
             Self::OptimizedSerialNoSimd => "optimized_serial_no_simd",
             Self::OptimizedSerial => "optimized_serial",
             Self::OptimizedParallel => "optimized_parallel",
@@ -65,10 +61,6 @@ impl ProfileMode {
             Self::OptimizedParallel => edgeis_parallel::num_threads(),
             _ => 1,
         }
-    }
-
-    fn optimized(self) -> bool {
-        !matches!(self, Self::BaselineSerial)
     }
 
     fn simd(self) -> bool {
@@ -193,15 +185,20 @@ pub fn profile(mode: ProfileMode, frames: usize) -> ProfileRun {
     let world = datasets::indoor_simple(SEED);
     let classes = class_map(&world);
     let camera = Camera::with_hfov(1.2, WIDTH, HEIGHT);
-    let mut cfg = EdgeIsConfig::full(camera, SEED);
-    cfg.vo.orb.use_fast_paths = mode.optimized();
-    cfg.vo.orb.use_simd = mode.simd();
+    let cfg = EdgeIsConfig::full(camera, SEED);
     let pipe = PipelineConfig {
         fps: FPS,
         frames,
         min_scored_area: 80,
         warmup_frames: 30,
     };
+    // Dispatch pinned for the whole run; the guard's lock keeps any other
+    // forced section in the process from changing it mid-run.
+    let _caps = simd::force_caps(if mode.simd() {
+        simd::detected_caps()
+    } else {
+        simd::SimdCaps::SCALAR
+    });
     edgeis_parallel::with_threads(mode.threads(), || {
         let mut system = EdgeIsSystem::new(cfg.clone(), LinkKind::Wifi5);
         let start = Instant::now();

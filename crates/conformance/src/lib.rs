@@ -14,8 +14,9 @@
 //! * **Differential oracles** — [`diff`] compares two traces (or two raw
 //!   result slices) and reports the *first diverging frame and field
 //!   with both values*, instead of a bare `assert_eq!`. Used for serial
-//!   vs `EDGEIS_THREADS=N`, `use_fast_paths` on/off, and `serial_fifo`
-//!   vs the batched/sharded serving backends.
+//!   vs `EDGEIS_THREADS=N`, the shipped ORB detector vs its clamped
+//!   reference oracle ([`scenario::detector_divergence`]), and
+//!   `serial_fifo` vs the batched/sharded serving backends.
 //! * **Metamorphic oracles** — invariants from the paper that need no
 //!   reference run: mask-transfer equivariance under rigid motion, CFRS
 //!   quality monotonicity, RoI-pruning dominance soundness (§IV), NMS

@@ -5,6 +5,7 @@
 //! recorded today and a trace recorded after any refactor are comparable
 //! frame-by-frame.
 
+use crate::diff::Divergence;
 use crate::trace::Trace;
 use edgeis::multi::{run_multi_device, MultiDeviceConfig};
 use edgeis::pipeline::{class_map, run_pipeline, PipelineConfig};
@@ -77,29 +78,79 @@ pub fn record_fleet(
     frames: usize,
     serving: Option<ServingConfig>,
 ) -> Trace {
-    record_fleet_with(name, devices, frames, serving, |_| {})
-}
-
-/// [`record_fleet`] with a per-device config tweak, the fleet-side
-/// counterpart of [`record_single_with`]. The tweak must be a plain `fn`
-/// (it is applied to every device through [`MultiDeviceConfig::vo_tweak`]).
-pub fn record_fleet_with(
-    name: &str,
-    devices: usize,
-    frames: usize,
-    serving: Option<ServingConfig>,
-    tweak: fn(&mut EdgeIsConfig),
-) -> Trace {
     let config = MultiDeviceConfig {
         camera: camera(),
         devices,
         frames,
         serving,
-        vo_tweak: Some(tweak),
         ..Default::default()
     };
     let reports = run_multi_device(datasets::indoor_simple, &config);
     Trace::from_reports(name, &reports)
+}
+
+/// Runs the shipped ORB detector (one scratch reused across frames, as the
+/// VO front end does) and the clamped reference oracle
+/// ([`edgeis_imaging::features::reference`]) over every frame of the
+/// `indoor_simple` render that [`record_single_with`] runs, with the
+/// system's own detector config, and returns the first frame and field
+/// where they disagree. Every trace field downstream of VO is a function
+/// of these outputs, so this is the detector half of the trace oracle.
+pub fn detector_divergence(frames: usize, seed: u64) -> Option<Divergence> {
+    use edgeis_imaging::{detect_orb_with_scratch, features::reference, OrbScratch};
+
+    let world = datasets::indoor_simple(seed);
+    let camera = camera();
+    let orb = EdgeIsConfig::full(camera, seed).vo.orb;
+    let fps = PipelineConfig::default().fps;
+    let mut scratch = OrbScratch::default();
+    let diverged = |frame: usize, field: String, lhs: String, rhs: String| Divergence {
+        left: "reference".into(),
+        right: "shipped".into(),
+        device: 0,
+        frame: frame as u64,
+        field,
+        lhs,
+        rhs,
+    };
+    for i in 0..frames {
+        let t = i as f64 / fps;
+        let image = world
+            .scene
+            .render_at(&camera, &world.trajectory.pose_at(t), t)
+            .image;
+        let (ref_kps, ref_descs) = reference::detect_orb(&image, &orb);
+        let (kps, descs) = detect_orb_with_scratch(&image, &orb, &mut scratch);
+        if ref_kps.len() != kps.len() {
+            return Some(diverged(
+                i,
+                "keypoint_count".into(),
+                ref_kps.len().to_string(),
+                kps.len().to_string(),
+            ));
+        }
+        for (k, (a, b)) in ref_kps.iter().zip(&kps).enumerate() {
+            if a != b {
+                return Some(diverged(
+                    i,
+                    format!("keypoints[{k}]"),
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                ));
+            }
+        }
+        for (k, (a, b)) in ref_descs.iter().zip(&descs).enumerate() {
+            if a != b {
+                return Some(diverged(
+                    i,
+                    format!("descriptors[{k}]"),
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                ));
+            }
+        }
+    }
+    None
 }
 
 /// Records the multi-edge failover scenario: a 3-edge fleet, 3 devices,

@@ -6,17 +6,18 @@
 //! paths never move a bit through the full system, so the committed
 //! goldens stay valid on machines with and without AVX.
 //!
-//! Two forcing mechanisms are covered:
-//!
-//! - the `use_simd` config toggles (per-subsystem, per-run), and
-//! - `simd::force_caps(SCALAR)`, the feature-absent dispatch fallback,
-//!   which is process-global and therefore serialized on its lock.
+//! Scalar is forced with `simd::force_caps(SCALAR)`, the feature-absent
+//! dispatch fallback. Forcing is process-global, so the native arm holds
+//! the same lock, pinned to the detected capabilities: a scalar window
+//! opened by a concurrent test can never turn it into a second scalar
+//! run that passes by comparing scalar with scalar.
 
-use edgeis::{EdgeIsConfig, ServingConfig};
+use edgeis::ServingConfig;
 use edgeis_conformance::diff::diff_traces;
-use edgeis_conformance::scenario::{faulted_schedule, record_fleet_with, record_single_with};
+use edgeis_conformance::scenario::{faulted_schedule, record_fleet, record_single_with};
+use edgeis_conformance::trace::Trace;
 use edgeis_conformance::{write_divergence_report, Divergence};
-use edgeis_imaging::SimdCaps;
+use edgeis_imaging::simd::{self, force_caps, SimdCaps};
 
 fn expect_identical(context: &str, d: Option<Divergence>) {
     if let Some(d) = d {
@@ -25,85 +26,41 @@ fn expect_identical(context: &str, d: Option<Divergence>) {
     }
 }
 
-/// Forces every SIMD kernel off through the config toggles.
-fn scalar_tweak(cfg: &mut EdgeIsConfig) {
-    cfg.vo.orb.use_simd = false;
-}
-
-/// Forces every SIMD kernel on (the defaults, stated explicitly so the
-/// test keeps meaning even if defaults change).
-fn simd_tweak(cfg: &mut EdgeIsConfig) {
-    cfg.vo.orb.use_simd = true;
+/// Records `record` once with the dispatcher pinned to the host's
+/// detected capabilities and once forced to scalar, and diffs the traces.
+fn scalar_vs_native(context: &str, record: impl Fn() -> Trace) {
+    let native = {
+        let _caps = force_caps(simd::detected_caps());
+        // Every x86_64 CPU has the baseline lanes, so there the native
+        // arm really runs vector kernels.
+        #[cfg(target_arch = "x86_64")]
+        assert!(simd::blur_available(), "native arm is not running SIMD");
+        record()
+    };
+    let scalar = {
+        let _caps = force_caps(SimdCaps::SCALAR);
+        record()
+    };
+    expect_identical(context, diff_traces("scalar", &scalar, "simd", &native));
 }
 
 #[test]
 fn single_cfrs_scalar_trace_identical_to_simd() {
-    let scalar = record_single_with("simd_diff_cfrs", 60, 1, None, scalar_tweak);
-    let simd = record_single_with("simd_diff_cfrs", 60, 1, None, simd_tweak);
-    expect_identical(
-        "simd_single_cfrs",
-        diff_traces("scalar", &scalar, "simd", &simd),
-    );
+    scalar_vs_native("simd_single_cfrs", || {
+        record_single_with("simd_diff_cfrs", 60, 1, None, |_| {})
+    });
 }
 
 #[test]
 fn single_faulted_scalar_trace_identical_to_simd() {
-    let scalar = record_single_with(
-        "simd_diff_faulted",
-        90,
-        2,
-        Some(faulted_schedule()),
-        scalar_tweak,
-    );
-    let simd = record_single_with(
-        "simd_diff_faulted",
-        90,
-        2,
-        Some(faulted_schedule()),
-        simd_tweak,
-    );
-    expect_identical(
-        "simd_single_faulted",
-        diff_traces("scalar", &scalar, "simd", &simd),
-    );
+    scalar_vs_native("simd_single_faulted", || {
+        record_single_with("simd_diff_faulted", 90, 2, Some(faulted_schedule()), |_| {})
+    });
 }
 
 #[test]
 fn fleet_serving_scalar_trace_identical_to_simd() {
-    let scalar = record_fleet_with(
-        "simd_diff_fleet",
-        2,
-        48,
-        Some(ServingConfig::default()),
-        scalar_tweak,
-    );
-    let simd = record_fleet_with(
-        "simd_diff_fleet",
-        2,
-        48,
-        Some(ServingConfig::default()),
-        simd_tweak,
-    );
-    expect_identical(
-        "simd_fleet_serving",
-        diff_traces("scalar", &scalar, "simd", &simd),
-    );
-}
-
-#[test]
-fn forced_scalar_dispatch_trace_identical_to_native() {
-    // Same oracle through the other forcing mechanism: pin the runtime
-    // capability set to scalar (as on a CPU with no SIMD tiers) while the
-    // config still *asks* for SIMD. The dispatcher must fall back without
-    // moving a bit. The native arm runs first, outside the lock, so a
-    // concurrent test can never see a forced window it didn't create.
-    let native = record_single_with("simd_diff_caps", 60, 1, None, simd_tweak);
-    let forced = {
-        let _caps = edgeis_imaging::simd::force_caps(SimdCaps::SCALAR);
-        record_single_with("simd_diff_caps", 60, 1, None, simd_tweak)
-    };
-    expect_identical(
-        "simd_forced_caps",
-        diff_traces("native", &native, "forced-scalar", &forced),
-    );
+    scalar_vs_native("simd_fleet_serving", || {
+        record_fleet("simd_diff_fleet", 2, 48, Some(ServingConfig::default()))
+    });
 }

@@ -462,40 +462,13 @@ impl SharedEdge {
         }
     }
 
-    /// Submits a request with no device identity (single-device callers):
-    /// equivalent to [`Self::submit_from`] with device 0.
-    pub fn submit(
-        &self,
-        frame_id: u64,
-        obs: &FrameObservation,
-        guidance: Option<&Guidance>,
-        arrival_ms: SimMs,
-        link: &mut Link,
-    ) -> Option<PendingResponse> {
-        self.submit_from(0, frame_id, obs, guidance, arrival_ms, link)
-    }
-
     /// Submits a request from `device`. The serial backend serves FIFO
     /// across devices; the serving backend uses the device for lane
-    /// affinity, per-request seeding and the guidance cache.
-    pub fn submit_from(
-        &self,
-        device: u64,
-        frame_id: u64,
-        obs: &FrameObservation,
-        guidance: Option<&Guidance>,
-        arrival_ms: SimMs,
-        link: &mut Link,
-    ) -> Option<PendingResponse> {
-        self.submit_traced_from(
-            device, frame_id, obs, guidance, arrival_ms, link, None, None,
-        )
-    }
-
-    /// [`Self::submit_from`] with an optional observability envelope so
-    /// edge-side spans attach to the originating mobile frame's trace, and
-    /// an optional zoo tier cap (`Some(0)` demands the full model — used
-    /// by CFRS recovery keyframes; ignored by backends without a zoo).
+    /// affinity, per-request seeding and the guidance cache. The optional
+    /// observability envelope attaches edge-side spans to the originating
+    /// mobile frame's trace, and the optional zoo tier cap (`Some(0)`
+    /// demands the full model — used by CFRS recovery keyframes; ignored
+    /// by backends without a zoo).
     #[allow(clippy::too_many_arguments)]
     pub fn submit_traced_from(
         &self,

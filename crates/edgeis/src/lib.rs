@@ -58,7 +58,7 @@ pub use metrics::{
     percentile, FrameOutcome, FrameRecord, OutcomeSummary, Report, ResilienceStats,
     StageBreakdownMs, StageSummary,
 };
-pub use pipeline::{run_pipeline, run_pipeline_with_telemetry};
+pub use pipeline::run_pipeline;
 pub use serving::{ServingConfig, ServingRuntime, ServingStats};
 pub use slo::{ScenarioSlo, SloOutcome};
 pub use system::{

@@ -8,13 +8,11 @@
 
 use crate::edge::{EdgeFaultConfig, EdgeServer, SharedEdge};
 use crate::fleet::{EdgeFleet, FleetConfig, FleetStats};
-use crate::metrics::{FrameOutcome, FrameRecord, Report, StageBreakdownMs};
-use crate::pipeline::class_map;
+use crate::metrics::{FrameOutcome, Report};
+use crate::pipeline::{class_map, DeviceFrames, PipelineConfig};
 use crate::serving::{ServingConfig, ServingRuntime, ServingStats};
-use crate::system::{EdgeIsConfig, EdgeIsSystem, FrameInput, SegmentationSystem};
-use crate::trace::FrameTrace;
+use crate::system::{EdgeIsConfig, EdgeIsSystem, SegmentationSystem};
 use edgeis_geometry::Camera;
-use edgeis_imaging::iou;
 use edgeis_netsim::{FaultSchedule, LinkKind};
 use edgeis_scene::World;
 use edgeis_segnet::{EdgeModel, ModelKind};
@@ -64,13 +62,6 @@ pub struct MultiDeviceConfig {
     /// Disabled by default; the caller owns the hub and exports it after
     /// the run (`Telemetry::export_all`).
     pub telemetry: edgeis_telemetry::Telemetry,
-    /// Hook applied to every device's [`EdgeIsConfig`] right after
-    /// construction, before the system is built — the multi-device
-    /// counterpart of the tweak closure in single-device differential
-    /// runs (ablation toggles, forced-scalar kernels). A plain `fn`
-    /// pointer so the config stays `Clone + Debug`; `None` keeps the
-    /// stock full-system config.
-    pub vo_tweak: Option<fn(&mut EdgeIsConfig)>,
 }
 
 impl Default for MultiDeviceConfig {
@@ -90,7 +81,6 @@ impl Default for MultiDeviceConfig {
             fleet: None,
             per_device_link_faults: std::collections::BTreeMap::new(),
             telemetry: edgeis_telemetry::Telemetry::disabled(),
-            vo_tweak: None,
         }
     }
 }
@@ -160,24 +150,22 @@ where
         }
     }
 
-    struct Device {
-        system: EdgeIsSystem,
-        world: World,
-        classes: std::collections::BTreeMap<u16, u8>,
-        records: Vec<FrameRecord>,
-        last_masks: Vec<(u16, edgeis_imaging::Mask)>,
-        backlog: f64,
-        stale: usize,
-    }
-
-    let mut devices: Vec<Device> = (0..config.devices)
-        .map(|d| {
-            let world = make_world(config.seed + d as u64);
-            let classes = class_map(&world);
-            let mut sys_cfg = EdgeIsConfig::full(config.camera, config.seed + d as u64);
-            if let Some(tweak) = config.vo_tweak {
-                tweak(&mut sys_cfg);
-            }
+    let worlds: Vec<World> = (0..config.devices)
+        .map(|d| make_world(config.seed + d as u64))
+        .collect();
+    let classes: Vec<_> = worlds.iter().map(class_map).collect();
+    let pipeline = PipelineConfig {
+        fps: config.fps,
+        frames: config.frames,
+        min_scored_area: config.min_scored_area,
+        warmup_frames: config.warmup_frames,
+    };
+    let mut devices: Vec<(DeviceFrames, EdgeIsSystem)> = worlds
+        .iter()
+        .zip(&classes)
+        .enumerate()
+        .map(|(d, (world, classes))| {
+            let sys_cfg = EdgeIsConfig::full(config.camera, config.seed + d as u64);
             let mut system = EdgeIsSystem::with_shared_edge(sys_cfg, config.link, shared.clone());
             system.set_device_id(d as u64);
             if config.telemetry.is_enabled() {
@@ -190,115 +178,16 @@ where
             if let Some(faults) = faults {
                 system.install_link_faults(faults.reseeded(config.seed ^ ((d as u64) << 8)));
             }
-            Device {
-                system,
-                world,
-                classes,
-                records: Vec::with_capacity(config.frames),
-                last_masks: Vec::new(),
-                backlog: 0.0,
-                stale: 0,
-            }
+            let frames = DeviceFrames::new(world, config.camera, classes, pipeline, d as u64);
+            (frames, system)
         })
         .collect();
 
-    let interval = 1000.0 / config.fps;
+    // Lock-step on the shared clock, devices in index order within a
+    // frame: that order is the order their requests reach the edge.
     for i in 0..config.frames {
-        let t = i as f64 / config.fps;
-        let now = t * 1000.0;
-        for dev in &mut devices {
-            let pose = dev.world.trajectory.pose_at(t);
-            let frame = dev.world.scene.render_at(&config.camera, &pose, t);
-            let input = FrameInput {
-                index: i as u64,
-                time_ms: now,
-                frame: &frame,
-                classes: &dev.classes,
-            };
-
-            let (
-                mobile_ms,
-                tx_bytes,
-                transmitted,
-                stages,
-                edge_queue_wait_ms,
-                response_latency_ms,
-                trace,
-                outcome,
-            ) = if dev.backlog >= interval {
-                dev.backlog -= interval;
-                dev.stale += 1;
-                if config.telemetry.is_enabled() {
-                    config.telemetry.emit_event_current(
-                        "frame.dropped",
-                        dev.system.device_id(),
-                        now,
-                        vec![
-                            ("frame", edgeis_telemetry::ArgValue::U64(i as u64)),
-                            ("backlog_ms", edgeis_telemetry::ArgValue::F64(dev.backlog)),
-                        ],
-                    );
-                }
-                (
-                    interval,
-                    0,
-                    false,
-                    StageBreakdownMs::default(),
-                    None,
-                    None,
-                    FrameTrace::default(),
-                    // A dropped frame re-renders `stale`-frames-old masks.
-                    FrameOutcome::StaleGuidance {
-                        age_ms: dev.stale as f64 * interval,
-                    },
-                )
-            } else {
-                let out = dev.system.process_frame(&input, now);
-                dev.backlog = (dev.backlog + out.mobile_ms - interval).max(0.0);
-                dev.last_masks = out.masks;
-                dev.stale = 0;
-                (
-                    out.mobile_ms,
-                    out.tx_bytes,
-                    out.transmitted,
-                    out.stages,
-                    out.edge_queue_wait_ms,
-                    out.response_latency_ms,
-                    out.trace,
-                    out.outcome,
-                )
-            };
-
-            let mut ious = Vec::new();
-            if i >= config.warmup_frames {
-                for id in frame.labels.instance_ids() {
-                    let gt = frame.labels.instance_mask(id);
-                    if gt.area() < config.min_scored_area {
-                        continue;
-                    }
-                    let score = dev
-                        .last_masks
-                        .iter()
-                        .find(|(l, _)| *l == id)
-                        .map(|(_, m)| iou(&gt, m))
-                        .unwrap_or(0.0);
-                    ious.push((id, score));
-                }
-            }
-            dev.records.push(FrameRecord {
-                frame: i as u64,
-                time_ms: now,
-                ious,
-                mobile_ms,
-                tx_bytes,
-                transmitted,
-                stale_frames: dev.stale,
-                stages,
-                edge_queue_wait_ms,
-                response_latency_ms,
-                trace,
-                outcome,
-            });
+        for (frames, system) in &mut devices {
+            frames.step(system, i, &config.telemetry);
         }
     }
 
@@ -315,10 +204,10 @@ where
             .map(|f| f.handoff_cooldown_ms)
             .unwrap_or(250.0);
         for h in &stats.handoff_log {
-            let Some(dev) = devices.get_mut(h.device as usize) else {
+            let Some((frames, _)) = devices.get_mut(h.device as usize) else {
                 continue;
             };
-            for rec in &mut dev.records {
+            for rec in &mut frames.records {
                 if rec.time_ms >= h.at_ms
                     && rec.time_ms < h.at_ms + window_ms
                     && rec.outcome == FrameOutcome::Healthy
@@ -332,11 +221,11 @@ where
     let reports = devices
         .into_iter()
         .enumerate()
-        .map(|(d, dev)| Report {
+        .map(|(d, (frames, system))| Report {
             system: format!("edgeIS (device {d})"),
-            scenario: dev.world.name,
-            records: dev.records,
-            resilience: dev.system.resilience_stats().cloned().unwrap_or_default(),
+            scenario: worlds[d].name.clone(),
+            records: frames.records,
+            resilience: system.resilience_stats().cloned().unwrap_or_default(),
         })
         .collect();
     (reports, shared.serving_stats(), shared.fleet_stats())

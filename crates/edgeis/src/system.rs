@@ -248,8 +248,7 @@ impl EdgeIsConfig {
         // the far surface drag the contour point), while the median sticks
         // to the majority surface. Measured on the scenario matrix it is
         // worth +0.01–0.04 mean IoU on every preset (see DESIGN.md §16);
-        // the legacy golden recorders pin `Mean` to keep their committed
-        // traces valid (crates/conformance/src/scenario.rs).
+        // every committed golden is recorded with it.
         let mut vo = VoConfig::default();
         vo.transfer.depth_stat = edgeis_vo::transfer::DepthStat::Median;
         Self {

@@ -70,24 +70,6 @@ pub struct OrbConfig {
     pub n_levels: u8,
     /// Suppression radius in pixels for greedy non-maximum suppression.
     pub nms_radius: u32,
-    /// Use the direct-indexing detector fast paths: the 4-pixel compass
-    /// pre-test with precomputed circle offsets in the FAST scan, row-extent
-    /// orientation sums, and margin-gated unclamped bilinear sampling in
-    /// BRIEF. `false` runs the straightforward clamped reference
-    /// implementations — kept so the perf harness can measure the
-    /// pre-optimization detector; the output is bit-identical either way
-    /// (test-enforced).
-    pub use_fast_paths: bool,
-    /// Use the explicit SIMD kernels (runtime-dispatched x86_64
-    /// intrinsics, see [`crate::simd`]) on top of the fast paths: the
-    /// vectorized blur row, the 16-lane FAST compass pre-test and the
-    /// two-lane BRIEF rotate/sample arithmetic. Only consulted when
-    /// `use_fast_paths` is on (the reference path keeps its pre-PR-2
-    /// shape either way); each kernel additionally requires its CPU
-    /// feature at runtime and falls back to the scalar fast path when
-    /// absent. Output is bit-identical in every cell of the toggle
-    /// matrix (test-enforced).
-    pub use_simd: bool,
 }
 
 impl Default for OrbConfig {
@@ -97,8 +79,6 @@ impl Default for OrbConfig {
             max_features: 500,
             n_levels: 3,
             nms_radius: 4,
-            use_fast_paths: true,
-            use_simd: true,
         }
     }
 }
@@ -123,63 +103,8 @@ const FAST_CIRCLE: [(i64, i64); 16] = [
     (-1, -3),
 ];
 
-/// Longest circular run of `true` over the 16 circle flags.
-fn longest_arc(flags: &[bool; 16]) -> usize {
-    let mut best = 0;
-    let mut run = 0;
-    for i in 0..32 {
-        if flags[i % 16] {
-            run += 1;
-            best = best.max(run);
-            if best >= 16 {
-                break;
-            }
-        } else {
-            run = 0;
-        }
-    }
-    best.min(16)
-}
-
-/// Shared FAST-9 decision on the loaded circle: compass quick-reject, then
-/// the ≥ 9 contiguous arc test, then the SAD response.
-fn fast9_decide(brighter: &[bool; 16], darker: &[bool; 16], diffs: &[i32; 16]) -> Option<f32> {
-    // Quick reject using the 4 compass points: a contiguous arc of 9 always
-    // covers at least 2 of the 4 points spaced 4 apart.
-    let compass = [0usize, 4, 8, 12];
-    let nb = compass.iter().filter(|&&i| brighter[i]).count();
-    let nd = compass.iter().filter(|&&i| darker[i]).count();
-    if nb < 2 && nd < 2 {
-        return None;
-    }
-    if longest_arc(brighter) >= 9 || longest_arc(darker) >= 9 {
-        let response: i32 = diffs.iter().map(|d| d.abs()).sum();
-        Some(response as f32)
-    } else {
-        None
-    }
-}
-
-/// FAST-9 corner test: returns the response if ≥ 9 contiguous circle pixels
-/// are all brighter or all darker than center ± threshold. Reference
-/// implementation: loads the full 16-pixel circle through the clamping
-/// accessor before deciding.
-fn fast9_response(img: &GrayImage, x: u32, y: u32, threshold: u8) -> Option<f32> {
-    let c = img.get(x, y) as i32;
-    let t = threshold as i32;
-    let mut brighter = [false; 16];
-    let mut darker = [false; 16];
-    let mut diffs = [0i32; 16];
-    for (i, &(dx, dy)) in FAST_CIRCLE.iter().enumerate() {
-        let v = img.get_clamped(x as i64 + dx, y as i64 + dy) as i32;
-        diffs[i] = v - c;
-        brighter[i] = v > c + t;
-        darker[i] = v < c - t;
-    }
-    fast9_decide(&brighter, &darker, &diffs)
-}
-
-/// [`fast9_response`] for interior pixels: the scan border (16 px) exceeds
+/// The FAST-9 test for interior pixels (the clamped form is
+/// `reference::fast9_response`): the scan border (16 px) exceeds
 /// the circle radius (3 px), so every circle pixel is in-bounds and the
 /// clamped loads reduce to direct indexing with per-level linear offsets.
 /// Only the 4 compass pixels are loaded on the reject path (the
@@ -247,26 +172,8 @@ fn has_circular_run9(mask: u16) -> bool {
     acc & 0xFFFF != 0
 }
 
-/// Intensity-centroid orientation in a circular patch of radius `r`.
-/// Reference implementation: scans the bounding square and skips pixels
-/// outside the disc, loading through the clamping accessor.
-fn orientation(img: &GrayImage, x: u32, y: u32, r: i64) -> f32 {
-    let mut m01 = 0.0f64;
-    let mut m10 = 0.0f64;
-    for dy in -r..=r {
-        for dx in -r..=r {
-            if dx * dx + dy * dy > r * r {
-                continue;
-            }
-            let v = img.get_clamped(x as i64 + dx, y as i64 + dy) as f64;
-            m10 += dx as f64 * v;
-            m01 += dy as f64 * v;
-        }
-    }
-    m01.atan2(m10) as f32
-}
-
-/// [`orientation`] for keypoints at least `r` pixels from every border
+/// Intensity-centroid orientation in a circular patch of radius `r`, for
+/// keypoints at least `r` pixels from every border
 /// (guaranteed by the scan border, 16 ≥ r = 7): walks each row only across
 /// its in-disc extent with direct loads. The pixels visited, their visit
 /// order and the f64 accumulation are exactly those of the reference loop,
@@ -487,6 +394,12 @@ pub fn detect_orb(img: &GrayImage, config: &OrbConfig) -> (Vec<Keypoint>, Vec<De
 }
 
 /// [`detect_orb`] with caller-owned scratch buffers, reused across frames.
+///
+/// Each SIMD kernel (blur row, FAST compass pre-test, BRIEF rotate/sample)
+/// runs when its CPU feature is present and falls back to the scalar fast
+/// path otherwise; [`crate::simd::force_caps`] pins the fallback. Every
+/// combination is bit-identical to the clamped [`reference`] detector
+/// (test-enforced).
 pub fn detect_orb_with_scratch(
     img: &GrayImage,
     config: &OrbConfig,
@@ -495,23 +408,13 @@ pub fn detect_orb_with_scratch(
     if scratch.pattern.is_empty() {
         scratch.pattern = brief_pattern();
     }
-    let fast_paths = config.use_fast_paths;
-    // SIMD rides on top of the fast paths: the reference shape ignores
-    // it, and each kernel also needs its CPU feature at runtime.
-    let simd_blur = fast_paths && config.use_simd && crate::simd::blur_available();
-    let simd_fast = fast_paths && config.use_simd && crate::simd::fast_available();
-    let simd_brief = fast_paths && config.use_simd && crate::simd::brief_available();
+    let simd_fast = crate::simd::fast_available();
+    let simd_brief = crate::simd::brief_available();
     let n_levels = (config.n_levels as usize).max(1);
     while scratch.levels.len() < n_levels {
         scratch.levels.push(GrayImage::new(1, 1));
     }
-    if simd_blur {
-        img.box_blur3_simd_into(&mut scratch.levels[0], &scratch.arena);
-    } else if fast_paths {
-        img.box_blur3_fast_arena_into(&mut scratch.levels[0], &scratch.arena);
-    } else {
-        img.box_blur3_into(&mut scratch.levels[0]);
-    }
+    img.box_blur3_simd_into(&mut scratch.levels[0], &scratch.arena);
     // Suppression plane sized once for the largest (first) level; smaller
     // levels reuse its prefix.
     scratch.suppressed.resize(
@@ -537,7 +440,7 @@ pub fn detect_orb_with_scratch(
         // y-then-x loop exactly.
         scratch.candidates.clear();
         {
-            let level_ref = &scratch.levels[level as usize];
+            let data = scratch.levels[level as usize].as_bytes();
             let threshold = config.fast_threshold;
             // Circle pixel positions as linear offsets into this level's
             // row-major buffer, for the direct-indexing scan.
@@ -545,17 +448,16 @@ pub fn detect_orb_with_scratch(
                 FAST_CIRCLE.map(|(dx, dy)| (dy * width as i64 + dx) as isize);
             let found = edgeis_parallel::par_collect_ranges(scan_rows, 8, |range| {
                 let mut out: Vec<(u32, u32, f32)> = Vec::new();
+                let end = (width - border) as usize;
                 for y in (border + range.start as u32)..(border + range.end as u32) {
+                    let row = y as usize * width as usize;
+                    let mut x = border as usize;
                     if simd_fast {
                         // 16 scan positions at a time: the SIMD compass
                         // pre-test rejects exactly the pixels the scalar
                         // compass rejects; survivors (rare) run the
                         // unchanged scalar decision in ascending-x order,
                         // so the candidate stream is identical.
-                        let data = level_ref.as_bytes();
-                        let row = y as usize * width as usize;
-                        let end = (width - border) as usize;
-                        let mut x = border as usize;
                         while x + 16 <= end {
                             let mut survivors = crate::simd::fast_compass_mask(
                                 data,
@@ -578,34 +480,12 @@ pub fn detect_orb_with_scratch(
                             }
                             x += 16;
                         }
-                        for x in x..end {
-                            if let Some(resp) = fast9_response_fast(
-                                data,
-                                row + x,
-                                threshold as i32,
-                                &circle_offsets,
-                            ) {
-                                out.push((x as u32, y, resp));
-                            }
-                        }
-                    } else if fast_paths {
-                        let data = level_ref.as_bytes();
-                        let row = y as usize * width as usize;
-                        for x in border..width - border {
-                            if let Some(resp) = fast9_response_fast(
-                                data,
-                                row + x as usize,
-                                threshold as i32,
-                                &circle_offsets,
-                            ) {
-                                out.push((x, y, resp));
-                            }
-                        }
-                    } else {
-                        for x in border..width - border {
-                            if let Some(resp) = fast9_response(level_ref, x, y, threshold) {
-                                out.push((x, y, resp));
-                            }
+                    }
+                    for x in x..end {
+                        if let Some(resp) =
+                            fast9_response_fast(data, row + x, threshold as i32, &circle_offsets)
+                        {
+                            out.push((x as u32, y, resp));
                         }
                     }
                 }
@@ -614,54 +494,28 @@ pub fn detect_orb_with_scratch(
             scratch.candidates.extend(found);
         }
 
-        // Greedy NMS: strongest first, suppress a disc around each winner.
-        // Inherently sequential (each winner changes the suppression state
-        // seen by later candidates), so it stays serial; the stable sort
-        // keeps scan order among equal responses.
-        scratch
-            .candidates
-            .sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
         let plane = (width * height) as usize;
-        let suppressed = &mut scratch.suppressed[..plane];
-        suppressed.fill(false);
-        let r = config.nms_radius as i64;
-        let w = width as i64;
-        let h = height as i64;
-        for &(x, y, resp) in &scratch.candidates {
-            if suppressed[(y as i64 * w + x as i64) as usize] {
-                continue;
-            }
-            for dy in -r..=r {
-                for dx in -r..=r {
-                    let nx = x as i64 + dx;
-                    let ny = y as i64 + dy;
-                    if nx >= 0 && ny >= 0 && nx < w && ny < h {
-                        suppressed[(ny * w + nx) as usize] = true;
-                    }
-                }
-            }
-            scratch.winners.push((x, y, resp, level));
-        }
+        suppress_non_maxima(
+            &mut scratch.candidates,
+            &mut scratch.suppressed[..plane],
+            (width, height),
+            config.nms_radius,
+            level,
+            &mut scratch.winners,
+        );
 
         if (level as usize) + 1 < n_levels {
             let (built, rest) = scratch.levels.split_at_mut(level as usize + 1);
-            if fast_paths {
-                built[level as usize].downsample_half_fast_into(&mut rest[0]);
-            } else {
-                built[level as usize].downsample_half_into(&mut rest[0]);
-            }
+            built[level as usize].downsample_half_fast_into(&mut rest[0]);
         }
     }
 
     // Keep the strongest max_features across all levels: the same stable
     // response ranking the reference flow applies after computing every
     // descriptor — hoisting it before the descriptor pass only skips work
-    // for keypoints that were going to be dropped anyway. The reference
-    // path (`use_fast_paths: false`) keeps the original order of
-    // operations — descriptors for every winner, selection last — so the
-    // perf harness baseline pays the pre-optimization cost.
+    // for keypoints that were going to be dropped anyway.
     scratch.selected.clear();
-    if fast_paths && scratch.winners.len() > config.max_features {
+    if scratch.winners.len() > config.max_features {
         let mut order = scratch.arena.take::<usize>(0);
         order.extend(0..scratch.winners.len());
         order.sort_by(|&a, &b| {
@@ -686,25 +540,19 @@ pub fn detect_orb_with_scratch(
         let pattern = &scratch.pattern;
         edgeis_parallel::par_map(&scratch.selected, 4, |&(x, y, _, level)| {
             let level_ref = &levels[level as usize];
-            if fast_paths {
-                let angle = orientation_fast(level_ref, x, y, 7);
-                let interior = x >= BRIEF_FAST_MARGIN
-                    && y >= BRIEF_FAST_MARGIN
-                    && x + BRIEF_FAST_MARGIN < level_ref.width()
-                    && y + BRIEF_FAST_MARGIN < level_ref.height();
-                let desc = if interior && simd_brief {
-                    brief_descriptor_simd(level_ref, x as f64, y as f64, angle, pattern)
-                } else if interior {
-                    brief_descriptor_fast(level_ref, x as f64, y as f64, angle, pattern)
-                } else {
-                    brief_descriptor(level_ref, x as f64, y as f64, angle, pattern)
-                };
-                (angle, desc)
+            let angle = orientation_fast(level_ref, x, y, 7);
+            let interior = x >= BRIEF_FAST_MARGIN
+                && y >= BRIEF_FAST_MARGIN
+                && x + BRIEF_FAST_MARGIN < level_ref.width()
+                && y + BRIEF_FAST_MARGIN < level_ref.height();
+            let desc = if interior && simd_brief {
+                brief_descriptor_simd(level_ref, x as f64, y as f64, angle, pattern)
+            } else if interior {
+                brief_descriptor_fast(level_ref, x as f64, y as f64, angle, pattern)
             } else {
-                let angle = orientation(level_ref, x, y, 7);
-                let desc = brief_descriptor(level_ref, x as f64, y as f64, angle, pattern);
-                (angle, desc)
-            }
+                brief_descriptor(level_ref, x as f64, y as f64, angle, pattern)
+            };
+            (angle, desc)
         })
     };
 
@@ -723,24 +571,198 @@ pub fn detect_orb_with_scratch(
         });
         descriptors.push(desc);
     }
-
-    // Reference path: selection was not hoisted, so apply it here after
-    // the full descriptor pass, exactly as the pre-optimization flow did.
-    if keypoints.len() > config.max_features {
-        let mut order: Vec<usize> = (0..keypoints.len()).collect();
-        order.sort_by(|&a, &b| {
-            keypoints[b]
-                .response
-                .partial_cmp(&keypoints[a].response)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        order.truncate(config.max_features);
-        order.sort_unstable();
-        let kps = order.iter().map(|&i| keypoints[i]).collect();
-        let descs = order.iter().map(|&i| descriptors[i]).collect();
-        return (kps, descs);
-    }
     (keypoints, descriptors)
+}
+
+/// Greedy NMS over one level's FAST candidates: strongest first, suppress
+/// a disc around each winner and append it to `winners`. Inherently
+/// sequential (each winner changes the suppression state seen by later
+/// candidates), so it stays serial; the stable sort keeps scan order among
+/// equal responses. `suppressed` is the level's `width × height` plane.
+fn suppress_non_maxima(
+    candidates: &mut [(u32, u32, f32)],
+    suppressed: &mut [bool],
+    (width, height): (u32, u32),
+    radius: u32,
+    level: u8,
+    winners: &mut Vec<(u32, u32, f32, u8)>,
+) {
+    candidates.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+    suppressed.fill(false);
+    let r = radius as i64;
+    let w = width as i64;
+    let h = height as i64;
+    for &(x, y, resp) in candidates.iter() {
+        if suppressed[(y as i64 * w + x as i64) as usize] {
+            continue;
+        }
+        for dy in -r..=r {
+            for dx in -r..=r {
+                let nx = x as i64 + dx;
+                let ny = y as i64 + dy;
+                if nx >= 0 && ny >= 0 && nx < w && ny < h {
+                    suppressed[(ny * w + nx) as usize] = true;
+                }
+            }
+        }
+        winners.push((x, y, resp, level));
+    }
+}
+
+/// The clamped pre-optimization ORB detector: the oracle the shipped fast
+/// paths and SIMD kernels are proven bit-identical against (the unit tests
+/// below, the conformance differential and its broken-fast-path canary).
+/// Not a production path; hidden from docs.
+#[doc(hidden)]
+pub mod reference {
+    use super::{
+        brief_descriptor, brief_pattern, suppress_non_maxima, Descriptor, GrayImage, Keypoint,
+        OrbConfig, FAST_CIRCLE,
+    };
+
+    /// [`super::detect_orb`] in its original shape, serial: nine-load
+    /// clamped blur and 2×2 clamped downsample, a FAST-9 scan that loads
+    /// the whole clamped circle at every pixel, bounding-square
+    /// orientation, clamped BRIEF sampling for every NMS winner, and the
+    /// `max_features` selection applied after the descriptors.
+    pub fn detect_orb(img: &GrayImage, config: &OrbConfig) -> (Vec<Keypoint>, Vec<Descriptor>) {
+        let pattern = brief_pattern();
+        let mut level_img = img.box_blur3();
+        let mut keypoints = Vec::new();
+        let mut descriptors = Vec::new();
+        let mut scale = 1.0f64;
+        for level in 0..config.n_levels {
+            let (width, height) = (level_img.width(), level_img.height());
+            if width < 32 || height < 32 {
+                break;
+            }
+            let border = 16u32;
+            let mut candidates = Vec::new();
+            for y in border..height - border {
+                for x in border..width - border {
+                    if let Some(resp) = fast9_response(&level_img, x, y, config.fast_threshold) {
+                        candidates.push((x, y, resp));
+                    }
+                }
+            }
+            let mut suppressed = vec![false; (width * height) as usize];
+            let mut winners = Vec::new();
+            suppress_non_maxima(
+                &mut candidates,
+                &mut suppressed,
+                (width, height),
+                config.nms_radius,
+                level,
+                &mut winners,
+            );
+            for (x, y, response, level) in winners {
+                let angle = orientation(&level_img, x, y, 7);
+                keypoints.push(Keypoint {
+                    x: x as f64 * scale,
+                    y: y as f64 * scale,
+                    level,
+                    response,
+                    angle,
+                });
+                descriptors.push(brief_descriptor(
+                    &level_img, x as f64, y as f64, angle, &pattern,
+                ));
+            }
+            level_img = level_img.downsample_half();
+            scale *= 2.0;
+        }
+
+        if keypoints.len() > config.max_features {
+            let mut order: Vec<usize> = (0..keypoints.len()).collect();
+            order.sort_by(|&a, &b| {
+                keypoints[b]
+                    .response
+                    .partial_cmp(&keypoints[a].response)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            order.truncate(config.max_features);
+            order.sort_unstable();
+            let kps = order.iter().map(|&i| keypoints[i]).collect();
+            let descs = order.iter().map(|&i| descriptors[i]).collect();
+            return (kps, descs);
+        }
+        (keypoints, descriptors)
+    }
+
+    /// Longest circular run of `true` over the 16 circle flags.
+    pub(super) fn longest_arc(flags: &[bool; 16]) -> usize {
+        let mut best = 0;
+        let mut run = 0;
+        for i in 0..32 {
+            if flags[i % 16] {
+                run += 1;
+                best = best.max(run);
+                if best >= 16 {
+                    break;
+                }
+            } else {
+                run = 0;
+            }
+        }
+        best.min(16)
+    }
+
+    /// Shared FAST-9 decision on the loaded circle: compass quick-reject, then
+    /// the ≥ 9 contiguous arc test, then the SAD response.
+    fn fast9_decide(brighter: &[bool; 16], darker: &[bool; 16], diffs: &[i32; 16]) -> Option<f32> {
+        // Quick reject using the 4 compass points: a contiguous arc of 9 always
+        // covers at least 2 of the 4 points spaced 4 apart.
+        let compass = [0usize, 4, 8, 12];
+        let nb = compass.iter().filter(|&&i| brighter[i]).count();
+        let nd = compass.iter().filter(|&&i| darker[i]).count();
+        if nb < 2 && nd < 2 {
+            return None;
+        }
+        if longest_arc(brighter) >= 9 || longest_arc(darker) >= 9 {
+            let response: i32 = diffs.iter().map(|d| d.abs()).sum();
+            Some(response as f32)
+        } else {
+            None
+        }
+    }
+
+    /// FAST-9 corner test: returns the response if ≥ 9 contiguous circle pixels
+    /// are all brighter or all darker than center ± threshold. Reference
+    /// implementation: loads the full 16-pixel circle through the clamping
+    /// accessor before deciding.
+    fn fast9_response(img: &GrayImage, x: u32, y: u32, threshold: u8) -> Option<f32> {
+        let c = img.get(x, y) as i32;
+        let t = threshold as i32;
+        let mut brighter = [false; 16];
+        let mut darker = [false; 16];
+        let mut diffs = [0i32; 16];
+        for (i, &(dx, dy)) in FAST_CIRCLE.iter().enumerate() {
+            let v = img.get_clamped(x as i64 + dx, y as i64 + dy) as i32;
+            diffs[i] = v - c;
+            brighter[i] = v > c + t;
+            darker[i] = v < c - t;
+        }
+        fast9_decide(&brighter, &darker, &diffs)
+    }
+
+    /// Intensity-centroid orientation in a circular patch of radius `r`.
+    /// Reference implementation: scans the bounding square and skips pixels
+    /// outside the disc, loading through the clamping accessor.
+    fn orientation(img: &GrayImage, x: u32, y: u32, r: i64) -> f32 {
+        let mut m01 = 0.0f64;
+        let mut m10 = 0.0f64;
+        for dy in -r..=r {
+            for dx in -r..=r {
+                if dx * dx + dy * dy > r * r {
+                    continue;
+                }
+                let v = img.get_clamped(x as i64 + dx, y as i64 + dy) as f64;
+                m10 += dx as f64 * v;
+                m01 += dy as f64 * v;
+            }
+        }
+        m01.atan2(m10) as f32
+    }
 }
 
 #[cfg(test)]
@@ -858,54 +880,35 @@ mod tests {
     #[test]
     fn fast_paths_off_detects_identically() {
         // The direct-indexing scan/orientation/BRIEF fast paths must be
-        // bit-identical to the clamped reference implementations —
-        // keypoints, responses, angles and descriptor bits alike.
+        // bit-identical to the clamped reference detector — keypoints,
+        // responses, angles and descriptor bits alike.
         for phase in [0.0, 1.0, 3.0] {
             let img = textured_image(160, 160, phase);
             let fast = detect_orb(&img, &OrbConfig::default());
-            let slow = detect_orb(
-                &img,
-                &OrbConfig {
-                    use_fast_paths: false,
-                    ..Default::default()
-                },
-            );
+            let slow = reference::detect_orb(&img, &OrbConfig::default());
             assert_eq!(fast, slow, "phase {phase}");
         }
     }
 
     #[test]
-    fn simd_off_detects_identically() {
-        // The SIMD kernels (blur row, FAST compass pre-test, BRIEF
-        // rotate/sample) must be bit-identical to the scalar fast paths:
-        // keypoints, responses, angles and descriptor bits alike.
+    fn simd_feature_absent_fallback_detects_identically() {
+        // Pin the dispatcher to no-SIMD: every kernel (blur row, FAST
+        // compass pre-test, BRIEF rotate/sample) must fall back to the
+        // scalar fast paths with identical output — the portable behavior
+        // on hosts without the CPU features.
         for phase in [0.0, 1.0, 3.0] {
             let img = textured_image(160, 160, phase);
-            let simd = detect_orb(&img, &OrbConfig::default());
-            let scalar = detect_orb(
-                &img,
-                &OrbConfig {
-                    use_simd: false,
-                    ..Default::default()
-                },
-            );
-            assert!(!simd.0.is_empty());
-            assert_eq!(simd, scalar, "phase {phase}");
+            // Both arms hold the forcing lock, so a concurrent forced
+            // section cannot turn the native arm scalar.
+            let detect_with = |caps| {
+                let _caps = crate::simd::force_caps(caps);
+                detect_orb(&img, &OrbConfig::default())
+            };
+            let native = detect_with(crate::simd::detected_caps());
+            let forced = detect_with(crate::simd::SimdCaps::SCALAR);
+            assert!(!native.0.is_empty());
+            assert_eq!(native, forced, "phase {phase}");
         }
-    }
-
-    #[test]
-    fn simd_feature_absent_fallback_detects_identically() {
-        // Pin the dispatcher to no-SIMD: `use_simd: true` must silently
-        // fall back to the scalar fast paths with identical output (the
-        // portable behavior on hosts without the CPU features).
-        let img = textured_image(160, 160, 1.0);
-        let with_simd = detect_orb(&img, &OrbConfig::default());
-        let forced = {
-            let _caps = crate::simd::force_caps(crate::simd::SimdCaps::SCALAR);
-            detect_orb(&img, &OrbConfig::default())
-        };
-        assert_eq!(with_simd, forced);
     }
 
     #[test]
@@ -923,13 +926,7 @@ mod tests {
             }
         }
         let fast = detect_orb(&img, &OrbConfig::default());
-        let slow = detect_orb(
-            &img,
-            &OrbConfig {
-                use_fast_paths: false,
-                ..Default::default()
-            },
-        );
+        let slow = reference::detect_orb(&img, &OrbConfig::default());
         assert!(!fast.0.is_empty(), "border fixture detected nothing");
         assert_eq!(fast, slow);
     }
@@ -1012,7 +1009,7 @@ mod tests {
             }
             assert_eq!(
                 has_circular_run9(mask as u16),
-                longest_arc(&flags) >= 9,
+                reference::longest_arc(&flags) >= 9,
                 "mask {mask:04x}"
             );
         }

@@ -20,7 +20,6 @@
 
 pub mod arena;
 pub mod contour;
-pub mod debug;
 pub mod features;
 pub mod image;
 pub mod integral;
@@ -53,7 +52,6 @@ pub mod test_hooks {
 
 pub use arena::ScratchArena;
 pub use contour::{extract_contours, fill_polygon, Contour};
-pub use debug::{write_overlay_ppm, write_pgm};
 pub use features::{
     detect_orb, detect_orb_with_scratch, Descriptor, Keypoint, OrbConfig, OrbScratch,
 };

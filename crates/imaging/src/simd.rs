@@ -108,6 +108,13 @@ pub fn caps() -> SimdCaps {
     decode(CAPS.load(Ordering::Relaxed))
 }
 
+/// The capability set this CPU has, whatever override is active: pin it
+/// with [`force_caps`] to run a "native" arm that a concurrent forced
+/// section cannot degrade.
+pub fn detected_caps() -> SimdCaps {
+    detect()
+}
+
 /// Serializes every [`force_caps`] section in the process.
 static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -702,6 +709,6 @@ mod tests {
         drop(guard);
         // Forcing needs the lock, so holding it pins the restored state.
         let _lock = FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        assert_eq!(caps(), detect());
+        assert_eq!(caps(), detected_caps());
     }
 }

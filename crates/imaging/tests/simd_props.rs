@@ -6,17 +6,18 @@
 //! `EDGEIS_THREADS=1`, so the parallel merge cannot mask (or cause) a
 //! divergence.
 //!
-//! The `force_caps` tests additionally pin the dispatcher to
-//! [`SimdCaps::SCALAR`], proving the feature-absent fallback — not just
-//! the `use_simd: false` config path — is equivalent. Forcing is
-//! process-global: `force_caps` serializes forced sections on one lock
-//! and its guard restores detection on exit. The toggle-equivalence
-//! properties stay valid even if they observe a forced-scalar window
-//! (both arms degrade together).
+//! The detector properties pin the dispatcher with `force_caps`: the
+//! native arm to the detected capabilities, the scalar arm to
+//! [`SimdCaps::SCALAR`] (the feature-absent fallback). Forcing is
+//! process-global, so both arms take the same lock and a concurrent
+//! forced section can never turn the native arm scalar; the guard
+//! restores detection on exit.
 
+use edgeis_imaging::features::reference;
+use edgeis_imaging::simd::{detected_caps, force_caps};
 use edgeis_imaging::{
-    detect_orb, match_descriptors, Descriptor, GrayImage, MatchConfig, OrbConfig, ScratchArena,
-    SimdCaps,
+    detect_orb, match_descriptors, Descriptor, GrayImage, Keypoint, MatchConfig, OrbConfig,
+    ScratchArena, SimdCaps,
 };
 use edgeis_rng::{for_each_case, StdRng};
 
@@ -54,19 +55,19 @@ fn descriptors(rng: &mut StdRng, n: core::ops::Range<usize>) -> Vec<Descriptor> 
         .collect()
 }
 
-fn orb_config(use_simd: bool) -> OrbConfig {
-    OrbConfig {
-        use_simd,
-        ..OrbConfig::default()
-    }
+type Detections = (Vec<Keypoint>, Vec<Descriptor>);
+
+/// Detects on `img` with the dispatcher pinned to `caps`.
+fn detect_with(img: &GrayImage, caps: SimdCaps) -> Detections {
+    let _caps = force_caps(caps);
+    detect_orb(img, &OrbConfig::default())
 }
 
-fn assert_detections_equal(img: &GrayImage, a: &OrbConfig, b: &OrbConfig, what: &str) {
-    let (kps_a, descs_a) = detect_orb(img, a);
-    let (kps_b, descs_b) = detect_orb(img, b);
+fn assert_detections_equal(a: &Detections, b: &Detections, what: &str) {
+    let ((kps_a, descs_a), (kps_b, descs_b)) = (a, b);
     assert_eq!(descs_a, descs_b, "{what}: descriptors diverged");
     assert_eq!(kps_a.len(), kps_b.len(), "{what}: keypoint count diverged");
-    for (p, q) in kps_a.iter().zip(&kps_b) {
+    for (p, q) in kps_a.iter().zip(kps_b) {
         // Bit-exact, not approximate: the SIMD kernels promise identical
         // IEEE operation order.
         assert!(
@@ -85,10 +86,9 @@ fn orb_simd_matches_scalar() {
     for_each_case(|rng| {
         let img = image(rng);
         assert_detections_equal(
-            &img,
-            &orb_config(true),
-            &orb_config(false),
-            "use_simd on/off",
+            &detect_with(&img, detected_caps()),
+            &detect_with(&img, SimdCaps::SCALAR),
+            "native vs forced-scalar dispatch",
         );
     });
 }
@@ -139,17 +139,14 @@ fn matcher_distances_are_exact_hamming() {
 fn forced_scalar_caps_fall_back_identically() {
     for_each_case(|rng| {
         let img = image(rng);
-        // With detection pinned to no-SIMD, `use_simd: true` must silently
-        // produce the scalar result — the feature-absent fallback.
-        let scalar = {
-            let _caps = edgeis_imaging::simd::force_caps(SimdCaps::SCALAR);
-            detect_orb(&img, &orb_config(true))
-        };
-        let native = detect_orb(&img, &orb_config(false));
-        assert_eq!(
-            scalar.1, native.1,
-            "forced-scalar dispatch diverged from scalar config"
+        // With detection pinned to no-SIMD the scalar fast paths run
+        // alone; they must reproduce the clamped reference detector on
+        // every shape, odd sizes (the downsample's clamped fallback)
+        // included.
+        assert_detections_equal(
+            &detect_with(&img, SimdCaps::SCALAR),
+            &reference::detect_orb(&img, &OrbConfig::default()),
+            "forced-scalar dispatch vs reference detector",
         );
-        assert_eq!(scalar.0.len(), native.0.len());
     });
 }
