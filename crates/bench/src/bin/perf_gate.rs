@@ -28,7 +28,7 @@
 //!   (dropping no host entries). Run on the reference machine only (see
 //!   EXPERIMENTS.md) — a reference baseline blessed on a slower host
 //!   would let real regressions through.
-//! - `--smoke` — single repetition per mode (CI latency budget); the full
+//! - `--smoke` — single repetition (CI latency budget); the full
 //!   gate takes the best of three repetitions to shed scheduler noise.
 //! - `--inject-slowdown <pct>` — scale every measured time metric up (and
 //!   fps down) by `pct` percent *after* measurement. CI's negative check:
@@ -41,9 +41,9 @@ use std::process::ExitCode;
 
 const BASELINE_PATH: &str = "results/perf_baseline.json";
 const VERDICT_PATH: &str = "target/perf_gate/verdict.json";
-/// Gated modes: the SIMD-on serial run carries the per-stage story; the
-/// parallel run carries the end-to-end fps headline.
-const MODES: [ProfileMode; 2] = [ProfileMode::OptimizedSerial, ProfileMode::OptimizedParallel];
+/// Gated mode: the SIMD-on run carries the per-stage story and the
+/// end-to-end fps headline.
+const MODE: ProfileMode = ProfileMode::OptimizedSerial;
 const NOISE_MARGIN: f64 = 0.15;
 
 /// Best-of-`reps` measurement: per metric, keep the fastest (highest for
@@ -69,17 +69,15 @@ fn measure(reps: usize) -> Vec<Metric> {
         }
     };
     for rep in 0..reps {
-        for mode in MODES {
-            let run = perf::profile(mode, perf::FRAMES);
-            fold(&mut best, gate::run_metrics(&run));
-            println!(
-                "rep {}/{}: measured {} ({} metrics)",
-                rep + 1,
-                reps,
-                mode.label(),
-                best.len()
-            );
-        }
+        let run = perf::profile(MODE, perf::FRAMES);
+        fold(&mut best, gate::run_metrics(&run));
+        println!(
+            "rep {}/{}: measured {} ({} metrics)",
+            rep + 1,
+            reps,
+            MODE.label(),
+            best.len()
+        );
         fold(&mut best, gate::fleet_metrics(&perf::fleet_smoke()));
         println!(
             "rep {}/{}: measured fleet_smoke ({} metrics)",
@@ -132,7 +130,7 @@ fn main() -> ExitCode {
 
     if bless {
         let existing = std::fs::read_to_string(BASELINE_PATH).ok();
-        let threads = edgeis_parallel::num_threads();
+        let threads = perf::THREADS;
         let doc = match &existing {
             // No baseline yet (or a reference re-bless): this measurement
             // becomes the top-level reference, keeping any host entries.

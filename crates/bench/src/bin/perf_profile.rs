@@ -1,25 +1,25 @@
 //! Stage-level performance profile of the frame pipeline.
 //!
-//! Runs one fixed, seeded workload through the full edgeIS system in three
+//! Runs one fixed, seeded workload through the full edgeIS system in two
 //! configurations (see [`edgeis_bench::perf::ProfileMode`]) and writes
 //! `results/BENCH_pipeline.json`:
 //!
-//! - `optimized_serial_no_simd` — one thread, the SIMD dispatcher forced
-//!   to scalar (`simd::force_caps(SCALAR)`).
-//! - `optimized_serial` — one thread (`EDGEIS_THREADS=1` equivalent),
-//!   SIMD kernels on.
-//! - `optimized_parallel` — default thread count.
+//! - `optimized_serial_no_simd` — the SIMD dispatcher forced to scalar
+//!   (`simd::force_caps(SCALAR)`).
+//! - `optimized_serial` — SIMD kernels on.
 //!
-//! All three configurations produce bit-identical masks (the parallel
-//! merge and the SIMD kernels are exact; the run asserts equal mean IoU),
-//! so the profile only moves timing fields. Per-stage p50/p95/mean,
-//! end-to-end frame time, wall-clock fps and the peak scratch bytes
-//! (allocation proxy) are recorded per run, plus the headline
-//! `optimized_serial_no_simd` → `optimized_parallel` speedup.
+//! Both run on one thread (the frame pipeline is single-threaded) and
+//! produce bit-identical masks (the SIMD kernels are exact; the run
+//! asserts equal mean IoU), so the profile only moves timing fields.
+//! Per-stage p50/p95/mean, end-to-end frame time, wall-clock fps and the
+//! peak scratch bytes (allocation proxy) are recorded per run, plus the
+//! headline `optimized_serial_no_simd` → `optimized_serial` speedup.
 
 use edgeis::metrics::percentile;
 use edgeis_bench::json;
-use edgeis_bench::perf::{self, ProfileMode, ProfileRun, FPS, FRAMES, HEIGHT, SEED, WIDTH};
+use edgeis_bench::perf::{
+    self, ProfileMode, ProfileRun, FPS, FRAMES, HEIGHT, SEED, THREADS, WIDTH,
+};
 
 fn to_json(runs: &[ProfileRun]) -> String {
     json::document(|o| {
@@ -31,13 +31,12 @@ fn to_json(runs: &[ProfileRun]) -> String {
             w.int("width", WIDTH as i64);
             w.int("height", HEIGHT as i64);
         });
-        o.int("host_threads", edgeis_parallel::num_threads() as i64);
+        o.int("host_threads", THREADS as i64);
         o.array("runs", |a| {
             for run in runs {
                 let totals = run.frame_totals();
                 a.object(|r| {
                     r.str("label", run.label);
-                    r.int("threads", run.threads as i64);
                     r.inline_object("frame_ms", |f| {
                         f.num("mean", run.frame_ms_mean(), 4);
                         f.num("p50", percentile(&totals, 0.5), 4);
@@ -77,26 +76,23 @@ fn to_json(runs: &[ProfileRun]) -> String {
 fn main() {
     println!(
         "Pipeline stage profile — indoor_simple seed {SEED}, {FRAMES} frames, \
-         {} host thread(s)\n",
-        edgeis_parallel::num_threads()
+         {THREADS} thread\n"
     );
 
     let runs = [
         perf::profile(ProfileMode::OptimizedSerialNoSimd, FRAMES),
         perf::profile(ProfileMode::OptimizedSerial, FRAMES),
-        perf::profile(ProfileMode::OptimizedParallel, FRAMES),
     ];
 
     println!(
-        "{:<28} {:>8} {:>10} {:>10} {:>9} {:>12}",
-        "run", "threads", "frame p50", "frame p95", "fps", "scratch KiB"
+        "{:<28} {:>10} {:>10} {:>9} {:>12}",
+        "run", "frame p50", "frame p95", "fps", "scratch KiB"
     );
     for run in &runs {
         let totals = run.frame_totals();
         println!(
-            "{:<28} {:>8} {:>8.2}ms {:>8.2}ms {:>9.1} {:>12.1}",
+            "{:<28} {:>8.2}ms {:>8.2}ms {:>9.1} {:>12.1}",
             run.label,
-            run.threads,
             percentile(&totals, 0.5),
             percentile(&totals, 0.95),
             run.wall_fps(),
@@ -104,7 +100,7 @@ fn main() {
         );
     }
 
-    println!("\nPer-stage breakdown (optimized_parallel):");
+    println!("\nPer-stage breakdown (optimized_serial):");
     println!("{:<14} {:>10} {:>10} {:>10}", "stage", "p50", "p95", "mean");
     for s in runs.last().expect("runs").report.stage_summaries() {
         println!(

@@ -261,13 +261,13 @@ pub fn compare(baseline: &[Metric], current: &[Metric], noise_margin: f64) -> Ga
     GateReport { noise_margin, rows }
 }
 
-/// One per-host baseline entry: fingerprint, thread count on that host,
+/// One per-host baseline entry: fingerprint, worker thread count,
 /// and the metric set blessed there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostBaseline {
     /// Stable host fingerprint (see [`host_fingerprint`]).
     pub fingerprint: String,
-    /// `edgeis_parallel::num_threads()` on the blessing host.
+    /// Worker threads the blessed runs used ([`crate::perf::THREADS`]).
     pub host_threads: usize,
     /// Metrics blessed on that host.
     pub metrics: Vec<Metric>,
@@ -479,7 +479,7 @@ mod tests {
             Metric::time_ms("optimized_serial.frame_ms_p50", 7.0),
             Metric::time_ms("optimized_serial.stage.detect.p50_ms", 3.2),
             Metric::time_ms("optimized_serial.stage.encode.p50_ms", 0.02),
-            Metric::fps("optimized_parallel.wall_fps", 120.0),
+            Metric::fps("optimized_serial.wall_fps", 120.0),
             Metric::bytes("optimized_serial.scratch_peak_bytes", 500_000.0),
         ]
     }
@@ -520,7 +520,7 @@ mod tests {
             .collect();
         assert!(names.contains(&"optimized_serial.frame_ms_p50"));
         assert!(names.contains(&"optimized_serial.stage.detect.p50_ms"));
-        assert!(names.contains(&"optimized_parallel.wall_fps"));
+        assert!(names.contains(&"optimized_serial.wall_fps"));
         assert!(names.contains(&"optimized_serial.scratch_peak_bytes"));
         // The 0.02 ms stage moved by 0.004 ms — under the noise floor, so
         // it alone can never fail CI.

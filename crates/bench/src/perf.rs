@@ -27,22 +27,23 @@ pub const WIDTH: u32 = 320;
 /// Workload camera height, px.
 pub const HEIGHT: u32 = 240;
 
-/// Which optimization tier a profile run measures. Every tier produces
-/// bit-identical masks — the SIMD kernels and the parallel merge are
-/// exact — so the tiers differ only in timing. The detector fast paths,
-/// the matcher (register-blocked scalar scan) and transfer (linear k-NN)
-/// have one path, shared by every tier.
+/// Worker threads every profile run uses: the frame pipeline is
+/// single-threaded. Recorded as `host_threads` in the bench artifacts.
+pub const THREADS: usize = 1;
+
+/// Which optimization tier a profile run measures. Both tiers produce
+/// bit-identical masks — the SIMD kernels are exact — so they differ
+/// only in timing. The detector fast paths, the matcher
+/// (register-blocked scalar scan) and transfer (linear k-NN) have one
+/// path, shared by both tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileMode {
-    /// One thread with the SIMD dispatcher forced to scalar
-    /// (`simd::force_caps(SCALAR)`), as on a CPU without the features.
+    /// The SIMD dispatcher forced to scalar (`simd::force_caps(SCALAR)`),
+    /// as on a CPU without the features.
     OptimizedSerialNoSimd,
-    /// One thread, each SIMD kernel (blur, FAST pre-test, BRIEF) running
-    /// where the CPU has its feature.
+    /// Each SIMD kernel (blur, FAST pre-test, BRIEF) running where the
+    /// CPU has its feature.
     OptimizedSerial,
-    /// The [`Self::OptimizedSerial`] configuration at the default thread
-    /// count.
-    OptimizedParallel,
 }
 
 impl ProfileMode {
@@ -51,20 +52,7 @@ impl ProfileMode {
         match self {
             Self::OptimizedSerialNoSimd => "optimized_serial_no_simd",
             Self::OptimizedSerial => "optimized_serial",
-            Self::OptimizedParallel => "optimized_parallel",
         }
-    }
-
-    /// Worker threads the run is pinned to (0 = host default).
-    pub fn threads(self) -> usize {
-        match self {
-            Self::OptimizedParallel => edgeis_parallel::num_threads(),
-            _ => 1,
-        }
-    }
-
-    fn simd(self) -> bool {
-        matches!(self, Self::OptimizedSerial | Self::OptimizedParallel)
     }
 }
 
@@ -72,8 +60,6 @@ impl ProfileMode {
 pub struct ProfileRun {
     /// Stable run label (see [`ProfileMode::label`]).
     pub label: &'static str,
-    /// Worker threads the workload actually ran with.
-    pub threads: usize,
     /// The pipeline report (per-frame stage timings, IoU samples).
     pub report: Report,
     /// Host wall-clock for the whole simulated run (includes rendering), ms.
@@ -194,25 +180,18 @@ pub fn profile(mode: ProfileMode, frames: usize) -> ProfileRun {
     };
     // Dispatch pinned for the whole run; the guard's lock keeps any other
     // forced section in the process from changing it mid-run.
-    let _caps = simd::force_caps(if mode.simd() {
-        simd::detected_caps()
-    } else {
-        simd::SimdCaps::SCALAR
+    let _caps = simd::force_caps(match mode {
+        ProfileMode::OptimizedSerial => simd::detected_caps(),
+        ProfileMode::OptimizedSerialNoSimd => simd::SimdCaps::SCALAR,
     });
-    edgeis_parallel::with_threads(mode.threads(), || {
-        let mut system = EdgeIsSystem::new(cfg.clone(), LinkKind::Wifi5);
-        let start = Instant::now();
-        let report = run_pipeline(&mut system, &world, &camera, &classes, &pipe);
-        let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-        ProfileRun {
-            label: mode.label(),
-            // Resolved inside the override scope: the count the workload
-            // actually ran with (the requested value after clamping), not
-            // whatever the caller's environment resolved to.
-            threads: edgeis_parallel::num_threads(),
-            report,
-            wall_ms,
-            scratch_peak_bytes: system.scratch_peak_bytes(),
-        }
-    })
+    let mut system = EdgeIsSystem::new(cfg, LinkKind::Wifi5);
+    let start = Instant::now();
+    let report = run_pipeline(&mut system, &world, &camera, &classes, &pipe);
+    let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
+    ProfileRun {
+        label: mode.label(),
+        report,
+        wall_ms,
+        scratch_peak_bytes: system.scratch_peak_bytes(),
+    }
 }

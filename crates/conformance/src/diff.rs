@@ -11,9 +11,9 @@ use std::path::PathBuf;
 /// The first point where two runs disagree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
-    /// Label of the left run (e.g. `"serial"`).
+    /// Label of the left run (e.g. `"serial_fifo"`).
     pub left: String,
-    /// Label of the right run (e.g. `"threads=4"`).
+    /// Label of the right run (e.g. `"batched"`).
     pub right: String,
     /// Device index (0 for single-device traces; 0 for slices).
     pub device: u64,
@@ -187,9 +187,8 @@ pub fn diff_traces(left: &str, a: &Trace, right: &str, b: &Trace) -> Option<Dive
     diff_canonical(left, &a.canonical_json(), right, &b.canonical_json())
 }
 
-/// First index where two result slices differ (or a length mismatch).
-/// The generic differential helper behind every `bit_identical_to_serial`
-/// style test: `frame` carries the element index.
+/// First index where two result slices differ (or a length mismatch):
+/// `frame` carries the element index.
 pub fn first_slice_divergence<T: PartialEq + fmt::Debug>(
     left: &str,
     right: &str,
@@ -225,7 +224,7 @@ pub fn first_slice_divergence<T: PartialEq + fmt::Debug>(
 
 /// Asserts two result slices are identical, panicking with the first
 /// diverging index and both values. `context` names the comparison
-/// (e.g. `"encode seed 37 threads 8"`).
+/// (e.g. `"fast_nms seed 5 threshold 0.3"`).
 pub fn assert_identical<T: PartialEq + fmt::Debug>(
     context: &str,
     left: &str,
@@ -235,33 +234,6 @@ pub fn assert_identical<T: PartialEq + fmt::Debug>(
 ) {
     if let Some(d) = first_slice_divergence(left, right, a, b) {
         panic!("conformance divergence in {context}: {d}");
-    }
-}
-
-/// Runs `f` once under a single thread and once per entry of
-/// `thread_counts`, panicking with a [`Divergence`] unless every parallel
-/// result is bit-identical to the serial one. This is the shared body of
-/// every `bit_identical_to_serial` test in the workspace.
-pub fn assert_parallel_matches_serial<T, F>(context: &str, thread_counts: &[usize], f: F)
-where
-    T: PartialEq + fmt::Debug,
-    F: Fn() -> T,
-{
-    let serial = edgeis_parallel::with_threads(1, &f);
-    for &threads in thread_counts {
-        let parallel = edgeis_parallel::with_threads(threads, &f);
-        if parallel != serial {
-            let d = Divergence {
-                left: "serial".into(),
-                right: format!("threads={threads}"),
-                device: 0,
-                frame: 0,
-                field: "result".into(),
-                lhs: format!("{serial:?}"),
-                rhs: format!("{parallel:?}"),
-            };
-            panic!("conformance divergence in {context}: {d}");
-        }
     }
 }
 

@@ -13,10 +13,10 @@
 //!   `golden --bless` bin.
 //! * **Differential oracles** — [`diff`] compares two traces (or two raw
 //!   result slices) and reports the *first diverging frame and field
-//!   with both values*, instead of a bare `assert_eq!`. Used for serial
-//!   vs `EDGEIS_THREADS=N`, the shipped ORB detector vs its clamped
-//!   reference oracle ([`scenario::detector_divergence`]), and
-//!   `serial_fifo` vs the batched/sharded serving backends.
+//!   with both values*, instead of a bare `assert_eq!`. Used for the
+//!   shipped ORB detector vs its clamped reference oracle
+//!   ([`scenario::detector_divergence`]), and `serial_fifo` vs the
+//!   batched/sharded serving backends.
 //! * **Metamorphic oracles** — invariants from the paper that need no
 //!   reference run: mask-transfer equivariance under rigid motion, CFRS
 //!   quality monotonicity, RoI-pruning dominance soundness (§IV), NMS
@@ -32,8 +32,7 @@ pub mod scenario;
 pub mod trace;
 
 pub use diff::{
-    assert_identical, assert_parallel_matches_serial, diff_canonical, first_slice_divergence,
-    write_divergence_report, Divergence,
+    assert_identical, diff_canonical, first_slice_divergence, write_divergence_report, Divergence,
 };
 pub use golden::{
     check_golden, golden_dir, golden_path, load_golden, repo_root, save_golden, GoldenVerdict,

@@ -1,52 +1,19 @@
-//! Differential oracles: the same scenario run under different
-//! parallelism and serving configurations must produce bit-identical
-//! traces, and the shipped ORB detector must match its clamped reference
-//! oracle on every frame. Every failure names the first diverging frame
-//! and field with both values.
+//! Differential oracles: the same scenario run under different serving
+//! configurations must produce bit-identical traces, and the shipped ORB
+//! detector must match its clamped reference oracle on every frame.
+//! Every failure names the first diverging frame and field with both
+//! values.
 
 use edgeis::hash::fnv1a64;
 use edgeis::serving::{ServingConfig, ServingRuntime};
-use edgeis_conformance::diff::diff_traces;
-use edgeis_conformance::scenario::{detector_divergence, record_fleet, record_single_with};
+use edgeis_conformance::scenario::detector_divergence;
 use edgeis_conformance::{write_divergence_report, Divergence};
-use edgeis_parallel::with_threads;
 
 fn expect_identical(context: &str, d: Option<Divergence>) {
     if let Some(d) = d {
         let report = write_divergence_report(context, "differential", &d);
         panic!("{context}: {d}\nreport: {}", report.display());
     }
-}
-
-#[test]
-fn single_device_trace_identical_across_thread_counts() {
-    let serial = with_threads(1, || {
-        record_single_with("threads_diff", 45, 11, None, |_| {})
-    });
-    for n in [2usize, 4, 8] {
-        let parallel = with_threads(n, || {
-            record_single_with("threads_diff", 45, 11, None, |_| {})
-        });
-        let label = format!("threads={n}");
-        expect_identical(
-            "single_device_threads",
-            diff_traces("serial", &serial, &label, &parallel),
-        );
-    }
-}
-
-#[test]
-fn fleet_serving_trace_identical_across_thread_counts() {
-    let serial = with_threads(1, || {
-        record_fleet("fleet_diff", 2, 40, Some(ServingConfig::default()))
-    });
-    let parallel = with_threads(4, || {
-        record_fleet("fleet_diff", 2, 40, Some(ServingConfig::default()))
-    });
-    expect_identical(
-        "fleet_serving_threads",
-        diff_traces("serial", &serial, "threads=4", &parallel),
-    );
 }
 
 #[test]

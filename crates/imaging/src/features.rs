@@ -346,9 +346,10 @@ fn brief_descriptor_simd(
 
 /// Reusable buffers for [`detect_orb_with_scratch`]: the BRIEF pattern,
 /// the per-level NMS suppression plane (sized once for level 0, shared by
-/// the smaller levels), the FAST candidate/winner lists and the pyramid
-/// level images. Holding one of these per tracker removes every per-frame
-/// allocation from the detector's steady state.
+/// the smaller levels), the FAST candidate/winner lists, the pyramid
+/// level images, the blur's column sums and the selection order. Holding
+/// one of these per tracker removes every per-frame allocation from the
+/// detector's steady state.
 #[derive(Debug, Default, Clone)]
 pub struct OrbScratch {
     pattern: Vec<BriefPair>,
@@ -357,23 +358,21 @@ pub struct OrbScratch {
     winners: Vec<(u32, u32, f32, u8)>,
     selected: Vec<(u32, u32, f32, u8)>,
     levels: Vec<GrayImage>,
-    /// Pooled transient buffers (per-stripe blur column sums, the
-    /// selection order) that live inside parallel closures and so cannot
-    /// be plain fields; see [`crate::arena`].
-    arena: crate::ScratchArena,
+    colsum: Vec<u16>,
+    order: Vec<usize>,
 }
 
 impl OrbScratch {
     /// Peak scratch footprint in bytes (an allocation proxy for the perf
-    /// harness; counts buffer capacities, not live lengths, and includes
-    /// the arena pools' high-water mark).
+    /// harness; counts buffer capacities, not live lengths).
     pub fn peak_bytes(&self) -> usize {
         self.suppressed.capacity()
             + self.candidates.capacity() * std::mem::size_of::<(u32, u32, f32)>()
             + (self.winners.capacity() + self.selected.capacity())
                 * std::mem::size_of::<(u32, u32, f32, u8)>()
             + self.pattern.capacity() * std::mem::size_of::<BriefPair>()
-            + self.arena.peak_bytes()
+            + self.colsum.capacity() * std::mem::size_of::<u16>()
+            + self.order.capacity() * std::mem::size_of::<usize>()
             + self
                 .levels
                 .iter()
@@ -385,10 +384,7 @@ impl OrbScratch {
 /// Detects ORB features over a pyramid and computes descriptors.
 ///
 /// Returns keypoints (full-resolution coordinates) with aligned descriptors.
-/// Results are deterministic for a given image and configuration — the
-/// FAST scan and the descriptor pass run row-striped across threads with
-/// an ordered merge, so the output is bit-identical for any thread count
-/// (see `edgeis-parallel`).
+/// Results are deterministic for a given image and configuration.
 pub fn detect_orb(img: &GrayImage, config: &OrbConfig) -> (Vec<Keypoint>, Vec<Descriptor>) {
     detect_orb_with_scratch(img, config, &mut OrbScratch::default())
 }
@@ -414,7 +410,7 @@ pub fn detect_orb_with_scratch(
     while scratch.levels.len() < n_levels {
         scratch.levels.push(GrayImage::new(1, 1));
     }
-    img.box_blur3_simd_into(&mut scratch.levels[0], &scratch.arena);
+    img.box_blur3_simd_into(&mut scratch.levels[0], &mut scratch.colsum);
     // Suppression plane sized once for the largest (first) level; smaller
     // levels reuse its prefix.
     scratch.suppressed.resize(
@@ -433,11 +429,8 @@ pub fn detect_orb_with_scratch(
             break;
         }
         let border = 16u32;
-        let scan_rows = (height - 2 * border) as usize;
 
-        // FAST-9 scan, row-striped: each stripe emits candidates in scan
-        // order and stripes are concatenated in order, matching the serial
-        // y-then-x loop exactly.
+        // FAST-9 scan, y-then-x: candidates are pushed in scan order.
         scratch.candidates.clear();
         {
             let data = scratch.levels[level as usize].as_bytes();
@@ -446,52 +439,42 @@ pub fn detect_orb_with_scratch(
             // row-major buffer, for the direct-indexing scan.
             let circle_offsets: [isize; 16] =
                 FAST_CIRCLE.map(|(dx, dy)| (dy * width as i64 + dx) as isize);
-            let found = edgeis_parallel::par_collect_ranges(scan_rows, 8, |range| {
-                let mut out: Vec<(u32, u32, f32)> = Vec::new();
-                let end = (width - border) as usize;
-                for y in (border + range.start as u32)..(border + range.end as u32) {
-                    let row = y as usize * width as usize;
-                    let mut x = border as usize;
-                    if simd_fast {
-                        // 16 scan positions at a time: the SIMD compass
-                        // pre-test rejects exactly the pixels the scalar
-                        // compass rejects; survivors (rare) run the
-                        // unchanged scalar decision in ascending-x order,
-                        // so the candidate stream is identical.
-                        while x + 16 <= end {
-                            let mut survivors = crate::simd::fast_compass_mask(
+            let end = (width - border) as usize;
+            for y in border..height - border {
+                let row = y as usize * width as usize;
+                let mut x = border as usize;
+                if simd_fast {
+                    // 16 scan positions at a time: the SIMD compass
+                    // pre-test rejects exactly the pixels the scalar
+                    // compass rejects; survivors (rare) run the unchanged
+                    // scalar decision in ascending-x order, so the
+                    // candidate stream is identical.
+                    while x + 16 <= end {
+                        let mut survivors =
+                            crate::simd::fast_compass_mask(data, row, x, width as usize, threshold);
+                        while survivors != 0 {
+                            let k = survivors.trailing_zeros() as usize;
+                            survivors &= survivors - 1;
+                            if let Some(resp) = fast9_response_fast(
                                 data,
-                                row,
-                                x,
-                                width as usize,
-                                threshold,
-                            );
-                            while survivors != 0 {
-                                let k = survivors.trailing_zeros() as usize;
-                                survivors &= survivors - 1;
-                                if let Some(resp) = fast9_response_fast(
-                                    data,
-                                    row + x + k,
-                                    threshold as i32,
-                                    &circle_offsets,
-                                ) {
-                                    out.push(((x + k) as u32, y, resp));
-                                }
+                                row + x + k,
+                                threshold as i32,
+                                &circle_offsets,
+                            ) {
+                                scratch.candidates.push(((x + k) as u32, y, resp));
                             }
-                            x += 16;
                         }
-                    }
-                    for x in x..end {
-                        if let Some(resp) =
-                            fast9_response_fast(data, row + x, threshold as i32, &circle_offsets)
-                        {
-                            out.push((x as u32, y, resp));
-                        }
+                        x += 16;
                     }
                 }
-                out
-            });
-            scratch.candidates.extend(found);
+                for x in x..end {
+                    if let Some(resp) =
+                        fast9_response_fast(data, row + x, threshold as i32, &circle_offsets)
+                    {
+                        scratch.candidates.push((x as u32, y, resp));
+                    }
+                }
+            }
         }
 
         let plane = (width * height) as usize;
@@ -516,7 +499,8 @@ pub fn detect_orb_with_scratch(
     // for keypoints that were going to be dropped anyway.
     scratch.selected.clear();
     if scratch.winners.len() > config.max_features {
-        let mut order = scratch.arena.take::<usize>(0);
+        let order = &mut scratch.order;
+        order.clear();
         order.extend(0..scratch.winners.len());
         order.sort_by(|&a, &b| {
             scratch.winners[b]
@@ -533,32 +517,24 @@ pub fn detect_orb_with_scratch(
         scratch.selected.extend_from_slice(&scratch.winners);
     }
 
-    // Pass 2: orientation + descriptor per selected keypoint is pure, so
-    // it parallelizes with an ordered merge.
-    let computed = {
-        let levels = &scratch.levels;
-        let pattern = &scratch.pattern;
-        edgeis_parallel::par_map(&scratch.selected, 4, |&(x, y, _, level)| {
-            let level_ref = &levels[level as usize];
-            let angle = orientation_fast(level_ref, x, y, 7);
-            let interior = x >= BRIEF_FAST_MARGIN
-                && y >= BRIEF_FAST_MARGIN
-                && x + BRIEF_FAST_MARGIN < level_ref.width()
-                && y + BRIEF_FAST_MARGIN < level_ref.height();
-            let desc = if interior && simd_brief {
-                brief_descriptor_simd(level_ref, x as f64, y as f64, angle, pattern)
-            } else if interior {
-                brief_descriptor_fast(level_ref, x as f64, y as f64, angle, pattern)
-            } else {
-                brief_descriptor(level_ref, x as f64, y as f64, angle, pattern)
-            };
-            (angle, desc)
-        })
-    };
-
+    // Pass 2: orientation + descriptor per selected keypoint.
+    let pattern = &scratch.pattern;
     let mut keypoints = Vec::with_capacity(scratch.selected.len());
     let mut descriptors = Vec::with_capacity(scratch.selected.len());
-    for (&(x, y, resp, level), (angle, desc)) in scratch.selected.iter().zip(computed) {
+    for &(x, y, resp, level) in &scratch.selected {
+        let level_ref = &scratch.levels[level as usize];
+        let angle = orientation_fast(level_ref, x, y, 7);
+        let interior = x >= BRIEF_FAST_MARGIN
+            && y >= BRIEF_FAST_MARGIN
+            && x + BRIEF_FAST_MARGIN < level_ref.width()
+            && y + BRIEF_FAST_MARGIN < level_ref.height();
+        let desc = if interior && simd_brief {
+            brief_descriptor_simd(level_ref, x as f64, y as f64, angle, pattern)
+        } else if interior {
+            brief_descriptor_fast(level_ref, x as f64, y as f64, angle, pattern)
+        } else {
+            brief_descriptor(level_ref, x as f64, y as f64, angle, pattern)
+        };
         // Powers of two are exact in f64, so this matches the reference
         // flow's per-level `scale *= 2.0` accumulator bit for bit.
         let scale = (1u64 << level) as f64;
@@ -577,8 +553,8 @@ pub fn detect_orb_with_scratch(
 /// Greedy NMS over one level's FAST candidates: strongest first, suppress
 /// a disc around each winner and append it to `winners`. Inherently
 /// sequential (each winner changes the suppression state seen by later
-/// candidates), so it stays serial; the stable sort keeps scan order among
-/// equal responses. `suppressed` is the level's `width × height` plane.
+/// candidates); the stable sort keeps scan order among equal responses.
+/// `suppressed` is the level's `width × height` plane.
 fn suppress_non_maxima(
     candidates: &mut [(u32, u32, f32)],
     suppressed: &mut [bool],
@@ -955,31 +931,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bit_identical_to_serial_across_seeds() {
-        // Satellite: every parallelized path must be bit-identical to the
-        // one-thread run, across several distinct inputs.
-        let cfg = OrbConfig::default();
-        for phase in [0.0, 1.0, 3.0] {
-            let img = textured_image(160, 160, phase);
-            edgeis_conformance::assert_parallel_matches_serial(
-                &format!("imaging::detect_orb phase {phase}"),
-                &[2, 4, 8],
-                || detect_orb(&img, &cfg),
-            );
-        }
-    }
-
-    #[test]
     fn scratch_reuse_is_transparent() {
-        // The same scratch carried across frames of different content (and
-        // the pyramid buffers it retains) must not leak state into results.
-        let cfg = OrbConfig::default();
+        // The same scratch carried across frames of different content and
+        // size (the pyramid, column-sum and selection-order buffers it
+        // retains must be resized, not reused at a stale length) must not
+        // leak state into results. The capped config makes every frame
+        // run the max_features selection.
+        let capped = OrbConfig {
+            max_features: 24,
+            ..Default::default()
+        };
         let mut scratch = OrbScratch::default();
-        for phase in [2.0, 0.0, 5.0] {
-            let img = textured_image(144, 144, phase);
-            let reused = detect_orb_with_scratch(&img, &cfg, &mut scratch);
-            let fresh = detect_orb(&img, &cfg);
-            assert_eq!(reused, fresh);
+        for cfg in [OrbConfig::default(), capped] {
+            for (size, phase) in [(144, 2.0), (144, 0.0), (200, 5.0), (96, 1.0), (145, 3.0)] {
+                let img = textured_image(size, size, phase);
+                let reused = detect_orb_with_scratch(&img, &cfg, &mut scratch);
+                let fresh = detect_orb(&img, &cfg);
+                assert_eq!(reused, fresh, "{size}x{size} phase {phase}");
+            }
         }
         assert!(scratch.peak_bytes() > 0);
     }

@@ -140,31 +140,24 @@ impl GrayImage {
         out
     }
 
-    /// [`GrayImage::downsample_half`] into a reusable buffer. Output rows
-    /// are independent, so the work is row-striped across threads; the
-    /// integer math per pixel is unchanged, keeping results bit-identical
-    /// to the serial loop for any thread count.
+    /// [`GrayImage::downsample_half`] into a reusable buffer.
     pub fn downsample_half_into(&self, out: &mut GrayImage) {
         let w = (self.width / 2).max(1);
         let h = (self.height / 2).max(1);
         out.reset(w, h);
-        let row_len = w as usize;
-        edgeis_parallel::par_rows_mut(&mut out.data, row_len, 32, |row0, stripe| {
-            for (dy, row) in stripe.chunks_mut(row_len).enumerate() {
-                let y = (row0 + dy) as u32;
-                let sy = (y * 2).min(self.height - 1);
-                let sy1 = (sy + 1).min(self.height - 1);
-                for (x, px) in row.iter_mut().enumerate() {
-                    let sx = (x as u32 * 2).min(self.width - 1);
-                    let sx1 = (sx + 1).min(self.width - 1);
-                    let sum = self.get(sx, sy) as u32
-                        + self.get(sx1, sy) as u32
-                        + self.get(sx, sy1) as u32
-                        + self.get(sx1, sy1) as u32;
-                    *px = (sum / 4) as u8;
-                }
+        for (y, row) in out.data.chunks_mut(w as usize).enumerate() {
+            let sy = (y as u32 * 2).min(self.height - 1);
+            let sy1 = (sy + 1).min(self.height - 1);
+            for (x, px) in row.iter_mut().enumerate() {
+                let sx = (x as u32 * 2).min(self.width - 1);
+                let sx1 = (sx + 1).min(self.width - 1);
+                let sum = self.get(sx, sy) as u32
+                    + self.get(sx1, sy) as u32
+                    + self.get(sx, sy1) as u32
+                    + self.get(sx1, sy1) as u32;
+                *px = (sum / 4) as u8;
             }
-        });
+        }
     }
 
     /// 3×3 box blur; approximates the smoothing applied before BRIEF tests.
@@ -174,25 +167,21 @@ impl GrayImage {
         out
     }
 
-    /// [`GrayImage::box_blur3`] into a reusable buffer, row-striped across
-    /// threads (bit-identical to the serial loop for any thread count).
+    /// [`GrayImage::box_blur3`] into a reusable buffer.
     pub fn box_blur3_into(&self, out: &mut GrayImage) {
         out.reset(self.width, self.height);
-        let row_len = self.width as usize;
-        edgeis_parallel::par_rows_mut(&mut out.data, row_len, 32, |row0, stripe| {
-            for (dy, row) in stripe.chunks_mut(row_len).enumerate() {
-                let y = (row0 + dy) as i64;
-                for (x, px) in row.iter_mut().enumerate() {
-                    let mut sum = 0u32;
-                    for ddy in -1..=1 {
-                        for ddx in -1..=1 {
-                            sum += self.get_clamped(x as i64 + ddx, y + ddy) as u32;
-                        }
+        for (y, row) in out.data.chunks_mut(self.width as usize).enumerate() {
+            let y = y as i64;
+            for (x, px) in row.iter_mut().enumerate() {
+                let mut sum = 0u32;
+                for ddy in -1..=1 {
+                    for ddx in -1..=1 {
+                        sum += self.get_clamped(x as i64 + ddx, y + ddy) as u32;
                     }
-                    *px = (sum / 9) as u8;
                 }
+                *px = (sum / 9) as u8;
             }
-        });
+        }
     }
 
     /// [`GrayImage::downsample_half_into`] with direct row indexing for
@@ -212,65 +201,56 @@ impl GrayImage {
         let sw = self.width as usize;
         let src = &self.data;
         out.reset(self.width / 2, self.height / 2);
-        edgeis_parallel::par_rows_mut(&mut out.data, w, 32, |row0, stripe| {
-            for (dy, row) in stripe.chunks_mut(w).enumerate() {
-                let sy = (row0 + dy) * 2;
-                let r0 = &src[sy * sw..sy * sw + sw];
-                let r1 = &src[(sy + 1) * sw..(sy + 1) * sw + sw];
-                for (px, (a, b)) in row
-                    .iter_mut()
-                    .zip(r0.chunks_exact(2).zip(r1.chunks_exact(2)))
-                {
-                    let sum = a[0] as u32 + a[1] as u32 + b[0] as u32 + b[1] as u32;
-                    *px = (sum / 4) as u8;
-                }
+        for (y, row) in out.data.chunks_mut(w).enumerate() {
+            let sy = y * 2;
+            let r0 = &src[sy * sw..sy * sw + sw];
+            let r1 = &src[(sy + 1) * sw..(sy + 1) * sw + sw];
+            for (px, (a, b)) in row
+                .iter_mut()
+                .zip(r0.chunks_exact(2).zip(r1.chunks_exact(2)))
+            {
+                let sum = a[0] as u32 + a[1] as u32 + b[0] as u32 + b[1] as u32;
+                *px = (sum / 4) as u8;
             }
-        });
+        }
     }
 
     /// [`GrayImage::box_blur3_into`] via per-row column sums: each output
     /// row sums three clamped source rows column-wise, then each pixel sums
     /// three adjacent (clamped) column sums. That is the same nine u8
-    /// values added in u32 — addition is commutative and associative, so
-    /// the `/ 9` result is bit-identical to the nine-load reference loop,
-    /// border clamping included.
-    pub fn box_blur3_fast_into(&self, out: &mut GrayImage) {
-        self.box_blur3_fast_arena_into(out, &crate::arena::ScratchArena::default());
-    }
-
-    /// [`GrayImage::box_blur3_fast_into`] with the per-stripe column-sum
-    /// buffers checked out of `arena` instead of freshly allocated (each
-    /// worker thread takes its own; steady-state reuse makes the blur
-    /// allocation-free).
-    pub fn box_blur3_fast_arena_into(&self, out: &mut GrayImage, arena: &crate::ScratchArena) {
+    /// values added in integers — addition is commutative and associative,
+    /// so the `/ 9` result is bit-identical to the nine-load reference
+    /// loop, border clamping included. A column sum is at most 3 × 255, so
+    /// `colsum` holds u16s; it is caller-owned scratch, resized to the
+    /// image width here, so one buffer serves images of any width.
+    pub fn box_blur3_fast_into(&self, out: &mut GrayImage, colsum: &mut Vec<u16>) {
         out.reset(self.width, self.height);
         let w = self.width as usize;
         let h = self.height as usize;
         let src = &self.data;
-        edgeis_parallel::par_rows_mut(&mut out.data, w, 32, |row0, stripe| {
-            let mut colsum = arena.take::<u32>(w);
-            for (dy, row) in stripe.chunks_mut(w).enumerate() {
-                let y = row0 + dy;
-                let ym = y.saturating_sub(1);
-                let yp = (y + 1).min(h - 1);
-                let ra = &src[ym * w..ym * w + w];
-                let rb = &src[y * w..y * w + w];
-                let rc = &src[yp * w..yp * w + w];
-                for (s, ((a, b), c)) in colsum
-                    .iter_mut()
-                    .zip(ra.iter().zip(rb.iter()).zip(rc.iter()))
-                {
-                    *s = *a as u32 + *b as u32 + *c as u32;
-                }
-                row[0] = ((colsum[0] + colsum[0] + colsum[1.min(w - 1)]) / 9) as u8;
-                for (x, win) in colsum.windows(3).enumerate() {
-                    row[x + 1] = ((win[0] + win[1] + win[2]) / 9) as u8;
-                }
-                if w > 1 {
-                    row[w - 1] = ((colsum[w - 2] + colsum[w - 1] + colsum[w - 1]) / 9) as u8;
-                }
+        colsum.resize(w, 0);
+        // The 3×3 mean from three adjacent column sums.
+        let box_mean = |a: u16, b: u16, c: u16| ((a as u32 + b as u32 + c as u32) / 9) as u8;
+        for (y, row) in out.data.chunks_mut(w).enumerate() {
+            let ym = y.saturating_sub(1);
+            let yp = (y + 1).min(h - 1);
+            let ra = &src[ym * w..ym * w + w];
+            let rb = &src[y * w..y * w + w];
+            let rc = &src[yp * w..yp * w + w];
+            for (s, ((a, b), c)) in colsum
+                .iter_mut()
+                .zip(ra.iter().zip(rb.iter()).zip(rc.iter()))
+            {
+                *s = *a as u16 + *b as u16 + *c as u16;
             }
-        });
+            row[0] = box_mean(colsum[0], colsum[0], colsum[1.min(w - 1)]);
+            for (x, win) in colsum.windows(3).enumerate() {
+                row[x + 1] = box_mean(win[0], win[1], win[2]);
+            }
+            if w > 1 {
+                row[w - 1] = box_mean(colsum[w - 2], colsum[w - 1], colsum[w - 1]);
+            }
+        }
     }
 
     /// [`GrayImage::box_blur3_fast_into`] with the column-sum row kernel
@@ -279,29 +259,26 @@ impl GrayImage {
     /// magic — bit-identical output to the scalar column-sum path (and
     /// thus to the nine-load reference). Falls back to the scalar fast
     /// path when no vector implementation exists on this target.
-    pub fn box_blur3_simd_into(&self, out: &mut GrayImage, arena: &crate::ScratchArena) {
+    pub fn box_blur3_simd_into(&self, out: &mut GrayImage, colsum: &mut Vec<u16>) {
         if !crate::simd::blur_available() {
-            return self.box_blur3_fast_arena_into(out, arena);
+            return self.box_blur3_fast_into(out, colsum);
         }
         out.reset(self.width, self.height);
         let w = self.width as usize;
         let h = self.height as usize;
         let src = &self.data;
-        edgeis_parallel::par_rows_mut(&mut out.data, w, 32, |row0, stripe| {
-            let mut colsum = arena.take::<u16>(w);
-            for (dy, row) in stripe.chunks_mut(w).enumerate() {
-                let y = row0 + dy;
-                let ym = y.saturating_sub(1);
-                let yp = (y + 1).min(h - 1);
-                crate::simd::blur_row(
-                    &src[ym * w..ym * w + w],
-                    &src[y * w..y * w + w],
-                    &src[yp * w..yp * w + w],
-                    &mut colsum,
-                    row,
-                );
-            }
-        });
+        colsum.resize(w, 0);
+        for (y, row) in out.data.chunks_mut(w).enumerate() {
+            let ym = y.saturating_sub(1);
+            let yp = (y + 1).min(h - 1);
+            crate::simd::blur_row(
+                &src[ym * w..ym * w + w],
+                &src[y * w..y * w + w],
+                &src[yp * w..yp * w + w],
+                colsum,
+                row,
+            );
+        }
     }
 
     /// Mean absolute Laplacian response inside a window — a simple
@@ -353,12 +330,14 @@ mod tests {
     #[test]
     fn box_blur3_fast_matches_reference() {
         // Odd, even and degenerate sizes; the column-sum formulation must
-        // reproduce the nine-load clamped loop byte for byte.
+        // reproduce the nine-load clamped loop byte for byte, with one
+        // column-sum buffer reused across the widths.
+        let mut colsum = Vec::new();
         for (w, h) in [(17u32, 13u32), (32, 32), (1, 9), (9, 1), (2, 2)] {
             let img = noise_image(w, h, w * 31 + h);
             let slow = img.box_blur3();
             let mut fast = GrayImage::new(1, 1);
-            img.box_blur3_fast_into(&mut fast);
+            img.box_blur3_fast_into(&mut fast, &mut colsum);
             assert_eq!(slow.as_bytes(), fast.as_bytes(), "{w}x{h}");
         }
     }
@@ -366,8 +345,9 @@ mod tests {
     #[test]
     fn box_blur3_simd_matches_reference() {
         // Vector widths (16/8-lane strides), unaligned tails, degenerate
-        // rows/columns — all byte-identical to the nine-load loop.
-        let arena = crate::ScratchArena::default();
+        // rows/columns — all byte-identical to the nine-load loop. One
+        // column-sum buffer is reused across widths, growing and shrinking.
+        let mut colsum = Vec::new();
         for (w, h) in [
             (17u32, 13u32),
             (32, 32),
@@ -380,10 +360,9 @@ mod tests {
             let img = noise_image(w, h, w * 131 + h);
             let slow = img.box_blur3();
             let mut simd = GrayImage::new(1, 1);
-            img.box_blur3_simd_into(&mut simd, &arena);
+            img.box_blur3_simd_into(&mut simd, &mut colsum);
             assert_eq!(slow.as_bytes(), simd.as_bytes(), "{w}x{h}");
         }
-        assert!(arena.peak_bytes() > 0);
     }
 
     #[test]

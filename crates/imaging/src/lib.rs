@@ -18,7 +18,6 @@
 //! - [`integral`] — integral images and gradient-energy maps used by the
 //!   tile codec.
 
-pub mod arena;
 pub mod contour;
 pub mod features;
 pub mod image;
@@ -50,7 +49,6 @@ pub mod test_hooks {
     }
 }
 
-pub use arena::ScratchArena;
 pub use contour::{extract_contours, fill_polygon, Contour};
 pub use features::{
     detect_orb, detect_orb_with_scratch, Descriptor, Keypoint, OrbConfig, OrbScratch,

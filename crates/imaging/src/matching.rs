@@ -125,9 +125,6 @@ fn accept_match(
 /// the train set has fewer than 2 entries), and an optional cross-check.
 /// Each returned match is unique in `query_idx`; with `cross_check` it is
 /// also unique in `train_idx`.
-///
-/// Queries are independent, so they run in parallel with an ordered merge;
-/// output is bit-identical to the serial loop for any thread count.
 pub fn match_descriptors(
     query: &[Descriptor],
     train: &[Descriptor],
@@ -136,14 +133,11 @@ pub fn match_descriptors(
     if train.is_empty() || query.is_empty() {
         return Vec::new();
     }
-    edgeis_parallel::par_collect_ranges(query.len(), 16, |range| {
-        let qs = &query[range.clone()];
-        best_two_blocked(qs, train)
-            .into_iter()
-            .enumerate()
-            .filter_map(|(k, fwd)| accept_match(range.start + k, fwd?, query, train, config))
-            .collect()
-    })
+    best_two_blocked(query, train)
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, fwd)| accept_match(i, fwd?, query, train, config))
+        .collect()
 }
 
 /// A uniform bucket grid over 2-D keypoint positions, used to restrict
@@ -256,47 +250,45 @@ pub fn match_descriptors_spatial(
         best.map(|j| (j, best_d, second_d))
     };
 
-    edgeis_parallel::par_collect_ranges(query.len(), 16, |range| {
-        let mut cands: Vec<u32> = Vec::new();
-        let mut back: Vec<u32> = Vec::new();
-        let mut out = Vec::new();
-        for i in range {
-            let (qx, qy) = query_pos[i];
-            train_index.candidates_within(qx, qy, radius, &mut cands);
-            let found = if cands.len() >= 2 {
-                best_two_of(&query[i], train, &cands)
+    let mut cands: Vec<u32> = Vec::new();
+    let mut back: Vec<u32> = Vec::new();
+    let mut out = Vec::new();
+    for i in 0..query.len() {
+        let (qx, qy) = query_pos[i];
+        train_index.candidates_within(qx, qy, radius, &mut cands);
+        let found = if cands.len() >= 2 {
+            best_two_of(&query[i], train, &cands)
+        } else {
+            best_two(&query[i], train)
+        };
+        let Some((j, d, d2)) = found else { continue };
+        if d > config.max_distance {
+            continue;
+        }
+        if train.len() >= 2 && (d as f32) >= config.ratio * d2 as f32 {
+            continue;
+        }
+        if config.cross_check {
+            let (tx, ty) = train_pos[j];
+            query_index.candidates_within(tx, ty, radius, &mut back);
+            let reverse = if back.len() >= 2 {
+                best_two_of(&train[j], query, &back)
             } else {
-                best_two(&query[i], train)
+                best_two(&train[j], query)
             };
-            let Some((j, d, d2)) = found else { continue };
-            if d > config.max_distance {
-                continue;
-            }
-            if train.len() >= 2 && (d as f32) >= config.ratio * d2 as f32 {
-                continue;
-            }
-            if config.cross_check {
-                let (tx, ty) = train_pos[j];
-                query_index.candidates_within(tx, ty, radius, &mut back);
-                let reverse = if back.len() >= 2 {
-                    best_two_of(&train[j], query, &back)
-                } else {
-                    best_two(&train[j], query)
-                };
-                if let Some((i_back, _, _)) = reverse {
-                    if i_back != i {
-                        continue;
-                    }
+            if let Some((i_back, _, _)) = reverse {
+                if i_back != i {
+                    continue;
                 }
             }
-            out.push(Match {
-                query_idx: i,
-                train_idx: j,
-                distance: d,
-            });
         }
-        out
-    })
+        out.push(Match {
+            query_idx: i,
+            train_idx: j,
+            distance: d,
+        });
+    }
+    out
 }
 
 #[cfg(test)]
@@ -439,26 +431,6 @@ mod tests {
         assert_eq!(m.len(), 1);
     }
 
-    #[test]
-    fn parallel_bit_identical_to_serial_across_seeds() {
-        let cfg = MatchConfig {
-            max_distance: 256,
-            ratio: 0.95,
-            cross_check: true,
-        };
-        for seed in [7u64, 1234, 987_654] {
-            let train: Vec<Descriptor> = (0..400).map(|i| desc(seed ^ i)).collect();
-            let query: Vec<Descriptor> = (0..300)
-                .map(|i| flip_bits(&train[(i * 7) % train.len()], i % 40))
-                .collect();
-            edgeis_conformance::assert_parallel_matches_serial(
-                &format!("imaging::match_descriptors seed {seed}"),
-                &[2, 4, 16],
-                || match_descriptors(&query, &train, &cfg),
-            );
-        }
-    }
-
     fn grid_positions(n: usize, jitter: u64) -> Vec<(f64, f64)> {
         (0..n)
             .map(|i| {
@@ -505,24 +477,6 @@ mod tests {
         let m = match_descriptors_spatial(&query, &qp, &train, &tp, &cfg, 15.0);
         assert!(m.len() > 180, "only {} matches", m.len());
         assert!(m.iter().all(|mm| mm.query_idx == mm.train_idx));
-    }
-
-    #[test]
-    fn spatial_parallel_bit_identical_to_serial() {
-        for seed in [3u64, 77, 4096] {
-            let train: Vec<Descriptor> = (0..300).map(|i| desc(seed ^ (i * 11))).collect();
-            let query: Vec<Descriptor> = (0..250)
-                .map(|i| flip_bits(&train[i % 300], i % 24))
-                .collect();
-            let tp = grid_positions(train.len(), seed);
-            let qp = grid_positions(query.len(), seed / 2);
-            let cfg = MatchConfig::default();
-            edgeis_conformance::assert_parallel_matches_serial(
-                &format!("imaging::match_descriptors_spatial seed {seed}"),
-                &[2, 8],
-                || match_descriptors_spatial(&query, &qp, &train, &tp, &cfg, 25.0),
-            );
-        }
     }
 
     #[test]

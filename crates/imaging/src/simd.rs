@@ -164,7 +164,7 @@ pub fn blur_available() -> bool {
 /// rb[x] + rc[x]`, then `out[x] = (colsum[x-1] + colsum[x] +
 /// colsum[x+1]) / 9` with the borders mirrored — byte-for-byte the row
 /// body of `GrayImage::box_blur3_fast_into`, vectorized. `colsum` is
-/// caller-provided scratch (arena-backed) of at least `out.len()` u16s.
+/// caller-provided scratch of at least `out.len()` u16s.
 ///
 /// # Panics
 ///

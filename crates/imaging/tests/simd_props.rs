@@ -2,9 +2,7 @@
 //! descriptor sets, every SIMD kernel must produce output bit-identical
 //! to its scalar reference — same keypoints, same descriptors, same
 //! blurred bytes — and the matcher must report exact Hamming nearest
-//! neighbours. CI runs this suite under the default thread count *and*
-//! `EDGEIS_THREADS=1`, so the parallel merge cannot mask (or cause) a
-//! divergence.
+//! neighbours.
 //!
 //! The detector properties pin the dispatcher with `force_caps`: the
 //! native arm to the detected capabilities, the scalar arm to
@@ -17,7 +15,7 @@ use edgeis_imaging::features::reference;
 use edgeis_imaging::simd::{detected_caps, force_caps};
 use edgeis_imaging::{
     detect_orb, match_descriptors, Descriptor, GrayImage, Keypoint, MatchConfig, OrbConfig,
-    ScratchArena, SimdCaps,
+    SimdCaps,
 };
 use edgeis_rng::{for_each_case, StdRng};
 
@@ -97,11 +95,11 @@ fn orb_simd_matches_scalar() {
 fn blur_simd_matches_reference() {
     for_each_case(|rng| {
         let img = image(rng);
-        let arena = ScratchArena::default();
+        let mut colsum = Vec::new();
         let mut simd = GrayImage::new(1, 1);
         let mut fast = GrayImage::new(1, 1);
-        img.box_blur3_simd_into(&mut simd, &arena);
-        img.box_blur3_fast_arena_into(&mut fast, &arena);
+        img.box_blur3_simd_into(&mut simd, &mut colsum);
+        img.box_blur3_fast_into(&mut fast, &mut colsum);
         assert_eq!(&simd, &fast, "simd vs scalar column-sum blur");
         assert_eq!(&simd, &img.box_blur3(), "simd vs nine-load reference blur");
     });

@@ -1,223 +1,21 @@
-//! Deterministic fork-join parallelism for the per-frame hot paths.
+//! Thread-count provenance for the benchmark harness.
 //!
-//! The paper's mobile side must finish MAMT within a frame interval
-//! (~33 ms, §III); the reproduction's hot loops — FAST scans, descriptor
-//! matching, tile encoding, anchor generation — are embarrassingly
-//! parallel. This crate provides the few primitives those loops need,
-//! built on [`std::thread::scope`] so the workspace stays free of external
-//! runtime dependencies.
-//!
-//! # Determinism contract
-//!
-//! Every helper splits work into **contiguous index ranges**, runs each
-//! range on its own thread, and joins the partial results **in range
-//! order**. As long as the per-item closure is a pure function of the item
-//! (no shared mutable state, no RNG), the concatenated output is byte-for-
-//! byte identical to the serial loop — for any thread count, including 1.
-//! Callers that need floating-point bit-identity must also keep the
-//! *reduction order* inside each item unchanged, which range-splitting
-//! guarantees because no item's computation is ever split across threads.
-//!
-//! # Thread-count resolution
-//!
-//! 1. A scoped override installed by [`with_threads`] (used by tests and
-//!    the determinism harness) — thread-local, so parallel test runners
-//!    don't interfere with each other.
-//! 2. The `EDGEIS_THREADS` environment variable (clamped to
-//!    [`MAX_THREADS`]; `0` and unparsable values are ignored).
-//! 3. [`std::thread::available_parallelism`].
+//! The frame pipeline is single-threaded: one MAMT pass per QVGA frame
+//! is too small for fork-join to pay for its threads, so every hot loop
+//! runs inline. This crate keeps only the two functions the standalone
+//! benchmark workspace (`perfbench/`) links: [`with_threads`] scopes its
+//! run and [`num_threads`] reports the thread count into the run's
+//! provenance, which is always 1.
 
-use std::cell::Cell;
-use std::ops::Range;
-
-/// Upper bound on worker threads; spawning beyond physical parallelism
-/// only adds scheduling noise.
-pub const MAX_THREADS: usize = 64;
-
-thread_local! {
-    static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Resolves the worker-thread count for the calling thread.
-///
-/// See the crate docs for the resolution order. Always ≥ 1.
+/// Worker threads the frame pipeline uses: always 1.
 pub fn num_threads() -> usize {
-    if let Some(n) = THREAD_OVERRIDE.with(|c| c.get()) {
-        return n.clamp(1, MAX_THREADS);
-    }
-    if let Ok(v) = std::env::var("EDGEIS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n.min(MAX_THREADS);
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_THREADS)
+    1
 }
 
-/// Runs `f` with the thread count pinned to `n` on the calling thread.
-///
-/// The override is thread-local and restored on exit (including on
-/// panic), so concurrent tests can pin different counts. Worker threads
-/// spawned *inside* the pinned region do not inherit the override, but
-/// none of the helpers in this crate nest parallel regions.
-pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _guard = Restore(THREAD_OVERRIDE.with(|c| c.replace(Some(n.max(1)))));
+/// Runs `f`. The requested count `_n` is ignored because the frame
+/// pipeline never forks.
+pub fn with_threads<R>(_n: usize, f: impl FnOnce() -> R) -> R {
     f()
-}
-
-/// Splits `0..len` into contiguous ranges — at most [`num_threads`] of
-/// them, each at least `min_chunk` items — and returns them in order.
-fn split_ranges(len: usize, min_chunk: usize) -> Vec<Range<usize>> {
-    let min_chunk = min_chunk.max(1);
-    let threads = num_threads();
-    let chunks = if threads <= 1 || len <= min_chunk {
-        1
-    } else {
-        threads.min(len.div_ceil(min_chunk))
-    };
-    let per = len.div_ceil(chunks.max(1)).max(1);
-    (0..chunks)
-        .map(|i| (i * per)..((i + 1) * per).min(len))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
-/// Applies `f` to contiguous sub-ranges of `0..len` on worker threads and
-/// returns the per-range results **in range order**.
-///
-/// The first range runs on the calling thread; worker panics propagate.
-/// With one resolved thread (or `len <= min_chunk`) no thread is spawned
-/// and `f` runs inline, so serial semantics are exact, not emulated.
-pub fn run_chunks<R, F>(len: usize, min_chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    if len == 0 {
-        return Vec::new();
-    }
-    let ranges = split_ranges(len, min_chunk);
-    if ranges.len() <= 1 {
-        return vec![f(0..len)];
-    }
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = ranges[1..]
-            .iter()
-            .cloned()
-            .map(|r| s.spawn(move || f(r)))
-            .collect();
-        let mut out = Vec::with_capacity(ranges.len());
-        out.push(f(ranges[0].clone()));
-        for h in handles {
-            out.push(h.join().expect("parallel worker panicked"));
-        }
-        out
-    })
-}
-
-/// Deterministic parallel map: `out[i] = f(&items[i])`, in input order.
-pub fn par_map<T, R, F>(items: &[T], min_chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let chunks = run_chunks(items.len(), min_chunk, |r| {
-        items[r].iter().map(&f).collect::<Vec<R>>()
-    });
-    concat(items.len(), chunks)
-}
-
-/// Deterministic parallel map over indices: `out[i] = f(i)`.
-pub fn par_map_idx<R, F>(len: usize, min_chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let chunks = run_chunks(len, min_chunk, |r| r.map(&f).collect::<Vec<R>>());
-    concat(len, chunks)
-}
-
-/// Deterministic parallel flat-map: each range produces a `Vec`, and the
-/// vectors are concatenated in range order — identical to a serial loop
-/// that pushes per index.
-pub fn par_collect_ranges<R, F>(len: usize, min_chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> Vec<R> + Sync,
-{
-    let chunks = run_chunks(len, min_chunk, f);
-    let total = chunks.iter().map(Vec::len).sum();
-    concat(total, chunks)
-}
-
-/// Row-striped in-place parallelism: treats `data` as `data.len() /
-/// row_len` rows, hands each thread a contiguous stripe of whole rows via
-/// `split_at_mut`, and calls `f(first_row_of_stripe, stripe)`.
-///
-/// Stripes are disjoint, so any per-row computation that only writes its
-/// own row is deterministic regardless of thread count.
-///
-/// # Panics
-///
-/// Panics if `row_len == 0` or does not divide `data.len()`.
-pub fn par_rows_mut<T, F>(data: &mut [T], row_len: usize, min_rows: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(row_len > 0, "row_len must be positive");
-    assert_eq!(data.len() % row_len, 0, "data must be whole rows");
-    let rows = data.len() / row_len;
-    if rows == 0 {
-        return;
-    }
-    let ranges = {
-        // Reuse the range splitter over row indices.
-        let min_rows = min_rows.max(1);
-        split_ranges(rows, min_rows)
-    };
-    if ranges.len() <= 1 {
-        f(0, data);
-        return;
-    }
-    std::thread::scope(|s| {
-        let f = &f;
-        let mut rest = data;
-        let mut handles = Vec::with_capacity(ranges.len());
-        for r in &ranges {
-            let (stripe, tail) = rest.split_at_mut((r.end - r.start) * row_len);
-            rest = tail;
-            let row0 = r.start;
-            handles.push(s.spawn(move || f(row0, stripe)));
-        }
-        for h in handles {
-            h.join().expect("parallel worker panicked");
-        }
-    });
-}
-
-fn concat<R>(total: usize, chunks: Vec<Vec<R>>) -> Vec<R> {
-    let mut chunks = chunks;
-    if chunks.len() == 1 {
-        return chunks.pop().unwrap();
-    }
-    let mut out = Vec::with_capacity(total);
-    for c in chunks {
-        out.extend(c);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -225,139 +23,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn with_threads_pins_and_restores() {
-        let outer = num_threads();
-        with_threads(3, || {
-            assert_eq!(num_threads(), 3);
-            with_threads(1, || assert_eq!(num_threads(), 1));
-            assert_eq!(num_threads(), 3);
-        });
-        assert_eq!(num_threads(), outer);
-    }
-
-    #[test]
-    fn with_threads_clamps_zero_to_one() {
-        with_threads(0, || assert_eq!(num_threads(), 1));
-    }
-
-    #[test]
-    fn with_threads_restores_on_panic() {
-        let before = num_threads();
-        let result = std::panic::catch_unwind(|| with_threads(5, || panic!("boom")));
-        assert!(result.is_err());
-        assert_eq!(num_threads(), before);
-    }
-
-    #[test]
-    fn split_ranges_cover_exactly() {
-        for &threads in &[1usize, 2, 3, 7, 16] {
-            with_threads(threads, || {
-                for len in [0usize, 1, 5, 100, 1001] {
-                    let ranges = split_ranges(len, 1);
-                    let mut next = 0;
-                    for r in &ranges {
-                        assert_eq!(r.start, next);
-                        assert!(r.end > r.start);
-                        next = r.end;
-                    }
-                    assert_eq!(next, len);
-                    if len > 0 {
-                        assert!(ranges.len() <= threads);
-                    }
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn min_chunk_limits_split() {
-        with_threads(8, || {
-            let ranges = split_ranges(10, 8);
-            // 10 items with min chunk 8 → at most 2 ranges.
-            assert!(ranges.len() <= 2);
-        });
-    }
-
-    #[test]
-    fn par_map_matches_serial_any_thread_count() {
-        let items: Vec<u64> = (0..997).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for threads in [1usize, 2, 3, 8, 64] {
-            let par = with_threads(threads, || par_map(&items, 1, |x| x * x + 1));
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_idx_matches_serial() {
-        let serial: Vec<usize> = (0..500).map(|i| i * 3).collect();
-        for threads in [1usize, 4, 13] {
-            let par = with_threads(threads, || par_map_idx(500, 1, |i| i * 3));
-            assert_eq!(par, serial);
-        }
-    }
-
-    #[test]
-    fn par_collect_ranges_preserves_order() {
-        // Emit a variable number of items per index; order must match the
-        // serial push loop exactly.
-        let serial: Vec<(usize, usize)> = (0..200)
-            .flat_map(|i| (0..(i % 4)).map(move |k| (i, k)))
-            .collect();
-        for threads in [1usize, 2, 5, 32] {
-            let par = with_threads(threads, || {
-                par_collect_ranges(200, 1, |r| {
-                    r.flat_map(|i| (0..(i % 4)).map(move |k| (i, k))).collect()
-                })
-            });
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_rows_mut_writes_disjoint_rows() {
-        let rows = 37;
-        let row_len = 11;
-        let mut serial = vec![0u32; rows * row_len];
-        for (i, v) in serial.iter_mut().enumerate() {
-            *v = (i as u32) * 7 + 3;
-        }
-        for threads in [1usize, 2, 4, 16] {
-            let mut par = vec![0u32; rows * row_len];
-            with_threads(threads, || {
-                par_rows_mut(&mut par, row_len, 1, |row0, stripe| {
-                    for (k, v) in stripe.iter_mut().enumerate() {
-                        let i = row0 * row_len + k;
-                        *v = (i as u32) * 7 + 3;
-                    }
-                });
-            });
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn empty_inputs_are_fine() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(par_map(&empty, 1, |x| *x).is_empty());
-        assert!(par_collect_ranges(0, 1, |_| vec![1u8]).is_empty());
-        par_rows_mut(&mut [0u8; 0], 4, 1, |_, _| panic!("no rows to visit"));
-    }
-
-    #[test]
-    fn env_override_is_used() {
-        // Only run when the var is unset to avoid fighting the test env.
-        if std::env::var("EDGEIS_THREADS").is_err() {
-            assert!(num_threads() >= 1);
-        } else {
-            let n: usize = std::env::var("EDGEIS_THREADS")
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            if n >= 1 {
-                assert_eq!(num_threads(), n.min(MAX_THREADS));
-            }
-        }
+    fn with_threads_runs_inline_and_reports_one_thread() {
+        let caller = std::thread::current().id();
+        let (id, n) = with_threads(4, || (std::thread::current().id(), num_threads()));
+        assert_eq!(id, caller);
+        assert_eq!(n, 1);
     }
 }

@@ -114,10 +114,6 @@ impl AnchorGrid {
     /// Generates anchors for the whole frame (the unguided baseline: "RPN
     /// needs to slide a small network across the whole convolutional
     /// feature map").
-    ///
-    /// Each level's sliding-window rows are generated in parallel and
-    /// merged in row order, so the output equals the serial triple loop
-    /// exactly for any thread count.
     pub fn full_frame(&self) -> Vec<Anchor> {
         let mut anchors = Vec::new();
         for (level, (&stride, &size)) in self
@@ -127,27 +123,21 @@ impl AnchorGrid {
             .zip(self.config.sizes.iter())
             .enumerate()
         {
-            let rows = self.height.div_ceil(stride) as usize;
-            let level_anchors = edgeis_parallel::par_collect_ranges(rows, 8, |range| {
-                let mut out = Vec::new();
-                for gy in range.start as u32..range.end as u32 {
-                    for gx in 0..self.width.div_ceil(stride) {
-                        let cx = (gx * stride) as f64 + stride as f64 / 2.0;
-                        let cy = (gy * stride) as f64 + stride as f64 / 2.0;
-                        for &ar in &self.config.aspect_ratios {
-                            let w = size * ar.sqrt();
-                            let h = size / ar.sqrt();
-                            out.push(Anchor {
-                                bbox: BBox::from_center(cx, cy, w, h),
-                                level,
-                                area_id: None,
-                            });
-                        }
+            for gy in 0..self.height.div_ceil(stride) {
+                for gx in 0..self.width.div_ceil(stride) {
+                    let cx = (gx * stride) as f64 + stride as f64 / 2.0;
+                    let cy = (gy * stride) as f64 + stride as f64 / 2.0;
+                    for &ar in &self.config.aspect_ratios {
+                        let w = size * ar.sqrt();
+                        let h = size / ar.sqrt();
+                        anchors.push(Anchor {
+                            bbox: BBox::from_center(cx, cy, w, h),
+                            level,
+                            area_id: None,
+                        });
                     }
                 }
-                out
-            });
-            anchors.extend(level_anchors);
+            }
         }
         anchors
     }
@@ -171,9 +161,6 @@ impl AnchorGrid {
             })
             .collect();
 
-        // Same row-parallel scheme as `full_frame`; the admission test per
-        // window position is pure, so the ordered merge keeps the output
-        // identical to the serial scan.
         let mut anchors = Vec::new();
         for (level, (&stride, &size)) in self
             .config
@@ -182,33 +169,26 @@ impl AnchorGrid {
             .zip(self.config.sizes.iter())
             .enumerate()
         {
-            let rows = self.height.div_ceil(stride) as usize;
-            let expanded = &expanded;
-            let level_anchors = edgeis_parallel::par_collect_ranges(rows, 8, |range| {
-                let mut out = Vec::new();
-                for gy in range.start as u32..range.end as u32 {
-                    for gx in 0..self.width.div_ceil(stride) {
-                        let cx = (gx * stride) as f64 + stride as f64 / 2.0;
-                        let cy = (gy * stride) as f64 + stride as f64 / 2.0;
-                        let Some(area) = expanded.iter().position(|b| b.contains(cx, cy)) else {
-                            continue;
-                        };
-                        // Area id is only meaningful for known-class boxes.
-                        let area_id = guidance.boxes[area].class_id.map(|_| area);
-                        for &ar in &self.config.aspect_ratios {
-                            let w = size * ar.sqrt();
-                            let h = size / ar.sqrt();
-                            out.push(Anchor {
-                                bbox: BBox::from_center(cx, cy, w, h),
-                                level,
-                                area_id,
-                            });
-                        }
+            for gy in 0..self.height.div_ceil(stride) {
+                for gx in 0..self.width.div_ceil(stride) {
+                    let cx = (gx * stride) as f64 + stride as f64 / 2.0;
+                    let cy = (gy * stride) as f64 + stride as f64 / 2.0;
+                    let Some(area) = expanded.iter().position(|b| b.contains(cx, cy)) else {
+                        continue;
+                    };
+                    // Area id is only meaningful for known-class boxes.
+                    let area_id = guidance.boxes[area].class_id.map(|_| area);
+                    for &ar in &self.config.aspect_ratios {
+                        let w = size * ar.sqrt();
+                        let h = size / ar.sqrt();
+                        anchors.push(Anchor {
+                            bbox: BBox::from_center(cx, cy, w, h),
+                            level,
+                            area_id,
+                        });
                     }
                 }
-                out
-            });
-            anchors.extend(level_anchors);
+            }
         }
         anchors
     }
@@ -285,33 +265,6 @@ mod tests {
         levels.sort_unstable();
         levels.dedup();
         assert_eq!(levels, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn parallel_bit_identical_to_serial_across_seeds() {
-        // Three frame geometries × full-frame and guided placement.
-        for (w, h, bx) in [(320u32, 240u32, 40.0), (233, 177, 10.0), (640, 480, 200.0)] {
-            let g = AnchorGrid::new(FpnConfig::default(), w, h);
-            let guidance = Guidance {
-                boxes: vec![
-                    GuidanceBox {
-                        bbox: BBox::new(bx, 30.0, bx + 80.0, 110.0),
-                        class_id: Some(1),
-                        instance: Some(1),
-                    },
-                    GuidanceBox {
-                        bbox: BBox::new(5.0, 5.0, 50.0, 40.0),
-                        class_id: None,
-                        instance: None,
-                    },
-                ],
-            };
-            edgeis_conformance::assert_parallel_matches_serial(
-                &format!("segnet::anchors {w}x{h}"),
-                &[2, 4, 8],
-                || (g.full_frame(), g.guided(&guidance, 16.0)),
-            );
-        }
     }
 
     #[test]

@@ -117,13 +117,10 @@ pub fn fast_nms(mut rois: Vec<Roi>, iou_threshold: f64) -> Vec<Roi> {
             .partial_cmp(&a.score)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    // The triangular pass reads as "j is suppressed iff any i < j overlaps
-    // it", which makes every column independent — so the suppression flags
-    // compute in parallel, bit-identical to the serial double loop.
-    let rois_ref = &rois;
-    let suppressed = edgeis_parallel::par_map_idx(rois.len(), 64, |j| {
-        (0..j).any(|i| rois_ref[i].bbox.iou(&rois_ref[j].bbox) > iou_threshold)
-    });
+    // The triangular pass: j is suppressed iff any i < j overlaps it.
+    let suppressed: Vec<bool> = (0..rois.len())
+        .map(|j| (0..j).any(|i| rois[i].bbox.iou(&rois[j].bbox) > iou_threshold))
+        .collect();
     rois.into_iter()
         .zip(suppressed)
         .filter(|(_, s)| !*s)
@@ -159,13 +156,8 @@ pub fn prune_rois(rois: Vec<Roi>, initial_boxes: &[BBox]) -> (Vec<Roi>, usize) {
             .iter()
             .map(|&i| (i, rois[i].score, rois[i].bbox.iou(init)))
             .collect();
-        // The dominance test is a pure function of the precomputed
-        // (score, IoU) table, so candidates are judged in parallel and the
-        // verdicts consumed in order.
-        let verdicts = edgeis_parallel::par_map(&scored, 32, |&(i, s, q)| {
-            scored.iter().any(|&(j, s2, q2)| j != i && s2 > s && q2 > q)
-        });
-        for (&(i, _, _), dominated) in scored.iter().zip(verdicts) {
+        for &(i, s, q) in &scored {
+            let dominated = scored.iter().any(|&(j, s2, q2)| j != i && s2 > s && q2 > q);
             if dominated {
                 pruned += 1;
             } else {
@@ -280,51 +272,6 @@ mod tests {
         let (kept, pruned) = prune_rois(rois, &[]);
         assert_eq!(pruned, 0);
         assert_eq!(kept.len(), 1);
-    }
-
-    #[test]
-    fn parallel_bit_identical_to_serial_across_seeds() {
-        // Pseudo-random RoI clouds; fast NMS and pruning must not depend
-        // on the thread count.
-        for seed in [9u64, 1001, 777_777] {
-            let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-            let mut next = move || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s >> 11) as f64 / (1u64 << 53) as f64
-            };
-            let rois: Vec<Roi> = (0..300)
-                .map(|i| {
-                    let x = next() * 200.0;
-                    let y = next() * 150.0;
-                    roi(
-                        x,
-                        y,
-                        5.0 + next() * 40.0,
-                        5.0 + next() * 40.0,
-                        next(),
-                        if i % 3 == 0 { Some(i % 4) } else { None },
-                    )
-                })
-                .collect();
-            let boxes = [
-                BBox::new(0.0, 0.0, 60.0, 60.0),
-                BBox::new(50.0, 30.0, 140.0, 120.0),
-                BBox::new(100.0, 80.0, 200.0, 150.0),
-                BBox::new(20.0, 90.0, 90.0, 150.0),
-            ];
-            edgeis_conformance::assert_parallel_matches_serial(
-                &format!("segnet::nms+prune seed {seed}"),
-                &[2, 4, 16],
-                || {
-                    (
-                        fast_nms(rois.clone(), 0.4),
-                        prune_rois(rois.clone(), &boxes),
-                    )
-                },
-            );
-        }
     }
 
     #[test]

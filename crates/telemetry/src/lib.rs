@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub use burn::{BurnConfig, BurnSample, BurnTracker, BurnWindow, BURN_WINDOW_BUCKETS};
-pub use metrics::{Counter, Gauge, Histogram, LocalHistogram, Registry};
+pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use span::{ArgValue, EventRecord, SpanRecord, TraceContext};
 
 /// Configuration for one telemetry hub.

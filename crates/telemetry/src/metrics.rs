@@ -5,9 +5,7 @@
 //! `AtomicU64`s, floating-point sums/extrema use CAS loops on the f64 bit
 //! pattern. The registry takes a lock only at registration time; callers
 //! cache the returned handles (they are cheap `Arc` clones) and update
-//! through them. For fork-join workloads (`edgeis-parallel`) a
-//! [`LocalHistogram`] accumulates into plain per-thread arrays and merges
-//! into the shared histogram once at the join point.
+//! through them.
 //!
 //! The histogram uses fixed logarithmic buckets: [`HIST_PER_DECADE`]
 //! buckets per decade over [`HIST_MIN_MS`]..[`HIST_MAX_MS`] (milliseconds),
@@ -353,71 +351,6 @@ impl Histogram {
     }
 }
 
-/// Plain (non-atomic) histogram accumulator for per-thread use inside
-/// fork-join sections: observe with no synchronization, then
-/// [`LocalHistogram::flush`] into a shared [`Histogram`] at the join point.
-#[derive(Debug, Clone)]
-pub struct LocalHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for LocalHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LocalHistogram {
-    /// Creates an empty local accumulator.
-    pub fn new() -> Self {
-        Self {
-            buckets: vec![0; HIST_BUCKETS],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample with no synchronization.
-    #[inline]
-    pub fn observe(&mut self, v: f64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-        if v.is_finite() {
-            self.sum += v;
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-    }
-
-    /// Number of samples accumulated locally.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Merges the local counts into `target` and resets this accumulator.
-    pub fn flush(&mut self, target: &Histogram) {
-        if self.count == 0 {
-            return;
-        }
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                target.core.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        target.core.count.fetch_add(self.count, Ordering::Relaxed);
-        atomic_f64_add(&target.core.sum_bits, self.sum);
-        atomic_f64_min(&target.core.min_bits, self.min);
-        atomic_f64_max(&target.core.max_bits, self.max);
-        *self = Self::new();
-    }
-}
-
 /// A metric identity: name plus sorted label pairs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
@@ -735,44 +668,6 @@ mod tests {
         let whole = Histogram::from_samples(&all);
         assert_eq!(left.bucket_counts(), whole.bucket_counts());
         assert_eq!(left.count(), whole.count());
-    }
-
-    #[test]
-    fn local_histogram_flush_matches_direct_observation() {
-        let samples = splitmix_stream(9, 500);
-        let direct = Histogram::from_samples(&samples);
-        let shared = Histogram::new();
-        let mut local = LocalHistogram::new();
-        for &v in &samples {
-            local.observe(v);
-        }
-        assert_eq!(local.count(), 500);
-        local.flush(&shared);
-        assert_eq!(local.count(), 0, "flush resets the local accumulator");
-        assert_eq!(shared.bucket_counts(), direct.bucket_counts());
-        assert_eq!(shared.count(), direct.count());
-        assert_eq!(shared.min(), direct.min());
-        assert_eq!(shared.max(), direct.max());
-    }
-
-    #[test]
-    fn local_histograms_merge_cleanly_across_threads() {
-        let shared = Histogram::new();
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let shared = &shared;
-                scope.spawn(move || {
-                    let mut local = LocalHistogram::new();
-                    for v in splitmix_stream(100 + t, 1000) {
-                        local.observe(v);
-                    }
-                    local.flush(shared);
-                });
-            }
-        });
-        assert_eq!(shared.count(), 4000);
-        let total: u64 = shared.bucket_counts().iter().sum();
-        assert_eq!(total, 4000);
     }
 
     #[test]
