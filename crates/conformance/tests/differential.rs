@@ -203,3 +203,63 @@ fn zoo_with_one_tier_payload_identical_to_no_zoo() {
         );
     }
 }
+
+/// FNV-folds a run's canonical trace bytes together with every record's
+/// outcome label, so one `u64` pins both the golden-visible fields and
+/// the forensics labels the canonical trace leaves out.
+fn trace_and_outcome_fold(trace: &edgeis_conformance::Trace) -> u64 {
+    use edgeis::hash::fnv1a64_extend;
+    let mut fold = fnv1a64(trace.canonical_json().as_bytes());
+    for frame in &trace.frames {
+        fold = fnv1a64_extend(fold, frame.record.outcome.label().as_bytes());
+        fold = fnv1a64_extend(fold, b"\n");
+    }
+    fold
+}
+
+#[test]
+fn non_default_branches_and_outcome_labels_are_pinned() {
+    // Every golden runs `EdgeIsConfig::full`, and the canonical trace
+    // leaves out `FrameOutcome`. These folds pin what the goldens do not
+    // see: the motion-vector tracker, the no-CFRS and no-CIIA branches,
+    // and the per-frame outcome labels of a faulted run.
+    use edgeis::experiment::{run_system, ExperimentConfig, SystemKind};
+    use edgeis_conformance::{golden_scenarios, Trace};
+    use edgeis_netsim::LinkKind;
+    use edgeis_scene::datasets;
+
+    let world = datasets::indoor_simple(2);
+    let config = ExperimentConfig {
+        frames: 60,
+        ..Default::default()
+    };
+    let mut folds: Vec<(&str, u64)> = [
+        SystemKind::BestEffort,
+        SystemKind::EdgeIsMamtOnly,
+        SystemKind::EdgeIsCiiaOnly,
+        SystemKind::EdgeIsCfrsOnly,
+    ]
+    .into_iter()
+    .map(|kind| {
+        let report = run_system(kind, &world, LinkKind::Wifi5, &config);
+        let trace = Trace::from_reports(kind.name(), &[report]);
+        (kind.name(), trace_and_outcome_fold(&trace))
+    })
+    .collect();
+    let faulted = golden_scenarios()
+        .into_iter()
+        .find(|s| s.name == "single_faulted")
+        .expect("single_faulted is a golden scenario");
+    folds.push(("single_faulted", trace_and_outcome_fold(&faulted.record())));
+
+    // Recorded before `process_frame` was split into its phases; a
+    // refactor must leave every fold unchanged.
+    let expected: Vec<(&str, u64)> = vec![
+        ("best-effort", 0xfe032ad7ef4a8e67),
+        ("baseline+MAMT", 0x9536f6046a84b8a6),
+        ("baseline+CIIA", 0xb8b917c9ce548559),
+        ("baseline+CFRS", 0xdeb12597000b76c4),
+        ("single_faulted", 0x7ea8fe08fc291e35),
+    ];
+    assert_eq!(folds, expected);
+}
