@@ -1,9 +1,8 @@
 //! Drives a [`SegmentationSystem`] over a synthetic world on a virtual
 //! clock, applies the backlog/staleness model and scores every frame.
 
-use crate::metrics::{FrameOutcome, FrameRecord, Report, StageBreakdownMs};
-use crate::system::{FrameInput, SegmentationSystem};
-use crate::trace::FrameTrace;
+use crate::metrics::{FrameOutcome, FrameRecord, Report};
+use crate::system::{FrameInput, FrameOutput, SegmentationSystem};
 use edgeis_geometry::Camera;
 use edgeis_imaging::{iou, Mask};
 use edgeis_scene::World;
@@ -121,16 +120,7 @@ impl<'w> DeviceFrames<'w> {
         // past the camera interval, the device is still busy — this frame
         // is dropped and the previous masks are re-rendered (the paper's
         // "delayed mask rendering on a later frame").
-        let (
-            mobile_ms,
-            tx_bytes,
-            transmitted,
-            stages,
-            edge_queue_wait_ms,
-            response_latency_ms,
-            trace,
-            outcome,
-        ) = if self.backlog >= interval {
+        let out = if self.backlog >= interval {
             self.backlog -= interval;
             self.stale += 1;
             if telemetry.is_enabled() {
@@ -144,21 +134,15 @@ impl<'w> DeviceFrames<'w> {
                     ],
                 );
             }
-            (
-                interval,
-                0,
-                false,
-                StageBreakdownMs::default(),
-                None,
-                None,
-                FrameTrace::default(),
-                // A dropped frame re-renders masks `stale` frames old:
-                // the user sees stale guidance, and the age says how
-                // stale.
-                FrameOutcome::StaleGuidance {
+            FrameOutput {
+                mobile_ms: interval,
+                // A dropped frame re-renders masks `stale` frames old: the
+                // user sees stale guidance, and the age says how stale.
+                outcome: FrameOutcome::StaleGuidance {
                     age_ms: self.stale as f64 * interval,
                 },
-            )
+                ..Default::default()
+            }
         } else {
             let input = FrameInput {
                 index: i as u64,
@@ -166,20 +150,11 @@ impl<'w> DeviceFrames<'w> {
                 frame: &frame,
                 classes: self.classes,
             };
-            let out = system.process_frame(&input, now);
+            let mut out = system.process_frame(&input, now);
             self.backlog = (self.backlog + out.mobile_ms - interval).max(0.0);
-            self.last_masks = out.masks;
+            self.last_masks = std::mem::take(&mut out.masks);
             self.stale = 0;
-            (
-                out.mobile_ms,
-                out.tx_bytes,
-                out.transmitted,
-                out.stages,
-                out.edge_queue_wait_ms,
-                out.response_latency_ms,
-                out.trace,
-                out.outcome,
-            )
+            out
         };
 
         // Score: every sufficiently visible ground-truth instance
@@ -205,15 +180,15 @@ impl<'w> DeviceFrames<'w> {
             frame: i as u64,
             time_ms: now,
             ious,
-            mobile_ms,
-            tx_bytes,
-            transmitted,
+            mobile_ms: out.mobile_ms,
+            tx_bytes: out.tx_bytes,
+            transmitted: out.transmitted,
             stale_frames: self.stale,
-            stages,
-            edge_queue_wait_ms,
-            response_latency_ms,
-            trace,
-            outcome,
+            stages: out.stages,
+            edge_queue_wait_ms: out.edge_queue_wait_ms,
+            response_latency_ms: out.response_latency_ms,
+            trace: out.trace,
+            outcome: out.outcome,
         });
     }
 }
@@ -232,7 +207,7 @@ pub fn class_map(world: &World) -> BTreeMap<u16, u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::FrameOutput;
+    use crate::trace::FrameTrace;
     use edgeis_netsim::SimMs;
     use edgeis_scene::datasets;
     use edgeis_telemetry::TelemetryConfig;

@@ -21,7 +21,7 @@ use edgeis_imaging::{GrayImage, LabelMap, Mask, MotionVectorField};
 use edgeis_netsim::{Direction, FaultSchedule, Link, LinkKind, SimMs};
 use edgeis_scene::RenderedFrame;
 use edgeis_segnet::{EdgeModel, FrameObservation, ModelKind};
-use edgeis_telemetry::{ArgValue, BurnTracker, Counter, Gauge, Histogram, Telemetry};
+use edgeis_telemetry::{ArgValue, BurnTracker, Counter, Gauge, Histogram, Telemetry, TraceContext};
 use edgeis_vo::{VisualOdometry, VoConfig};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -94,26 +94,36 @@ pub trait SegmentationSystem {
     }
 }
 
-/// Paints decoded detections into a label map (ascending confidence so
-/// the most confident detection wins contested pixels).
-pub(crate) fn label_map_from_detections(
+/// Paints `(label, mask)` pairs into a label map in the given order, so a
+/// later mask wins the pixels it shares with an earlier one.
+fn paint_labels<'a>(
     width: u32,
     height: u32,
-    detections: &[WireDetection],
+    masks: impl IntoIterator<Item = (u16, &'a Mask)>,
 ) -> LabelMap {
+    let mut lm = LabelMap::new(width, height);
+    for (label, mask) in masks {
+        for (x, y) in mask.iter_set() {
+            lm.set(x, y, label);
+        }
+    }
+    lm
+}
+
+/// Paints decoded detections into a label map (ascending confidence so
+/// the most confident detection wins contested pixels).
+fn label_map_from_detections(width: u32, height: u32, detections: &[WireDetection]) -> LabelMap {
     let mut sorted: Vec<&WireDetection> = detections.iter().collect();
     sorted.sort_by(|a, b| {
         a.confidence
             .partial_cmp(&b.confidence)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut lm = LabelMap::new(width, height);
-    for det in sorted {
-        for (x, y) in det.mask.iter_set() {
-            lm.set(x, y, det.instance);
-        }
-    }
-    lm
+    paint_labels(
+        width,
+        height,
+        sorted.into_iter().map(|d| (d.instance, &d.mask)),
+    )
 }
 
 /// Health of the mobile↔edge path as the resilience policy perceives it.
@@ -287,6 +297,230 @@ enum MobileTracker {
     },
 }
 
+/// What the track phase hands to the decide, offload and label phases.
+#[derive(Default)]
+struct Tracked {
+    /// Masks to render, short-horizon fallbacks included.
+    masks: Vec<(u16, Mask)>,
+    /// Recently rendered objects missing now, with their last mask.
+    lost: Vec<(u16, Mask)>,
+    /// Newly observed share of the frame (1 once an object is lost).
+    new_area_fraction: f64,
+    /// Unlabeled feature pixels (new areas for the plan and guidance).
+    new_pixels: Vec<(f64, f64)>,
+    /// The tracker's id for this frame (request and annotation key).
+    frame_id: u64,
+    pose: Option<[f64; 6]>,
+    /// Cost-model inputs (zero for the MV tracker).
+    features: usize,
+    matches: usize,
+    poses: usize,
+}
+
+impl MobileTracker {
+    fn new(config: &EdgeIsConfig) -> Self {
+        if config.use_mamt {
+            MobileTracker::Vo {
+                vo: Box::new(VisualOdometry::new(config.camera, config.vo.clone())),
+                prev_motion: BTreeMap::new(),
+            }
+        } else {
+            MobileTracker::MotionVector {
+                prev_image: None,
+                cached: Vec::new(),
+                motion_since_tx: 0.0,
+            }
+        }
+    }
+
+    /// Whether the mobile map / cache is initialized.
+    fn initialized(&self) -> bool {
+        match self {
+            MobileTracker::Vo { vo, .. } => vo.is_tracking(),
+            MobileTracker::MotionVector { cached, .. } => !cached.is_empty(),
+        }
+    }
+
+    /// Peak bytes of the detector/matcher scratch (none for MV).
+    fn scratch_peak_bytes(&self) -> usize {
+        match self {
+            MobileTracker::Vo { vo, .. } => vo.scratch_peak_bytes(),
+            MobileTracker::MotionVector { .. } => 0,
+        }
+    }
+
+    /// Two-frame initialization keeps failing (the MV tracker has no map).
+    fn init_struggling(&self) -> bool {
+        matches!(self, MobileTracker::Vo { vo, .. } if vo.init_struggling())
+    }
+
+    /// Applies a decoded response's detections of frame `frame_id` that
+    /// reach `min_confidence`.
+    fn apply(&mut self, frame_id: u64, detections: &[WireDetection], min_confidence: f64) {
+        let kept: Vec<WireDetection> = detections
+            .iter()
+            .filter(|d| d.confidence >= min_confidence)
+            .cloned()
+            .collect();
+        // An empty detection set never overwrites live local state: the
+        // paper's annotation pipeline relabels map points from the edge's
+        // masks, so applying "edge saw nothing" while objects are tracked
+        // would erase every label (and with it every tracked object) on a
+        // single guided miss.
+        if kept.is_empty() && self.initialized() {
+            return;
+        }
+        match self {
+            MobileTracker::Vo { vo, .. } => {
+                let Camera { width, height, .. } = *vo.camera();
+                let lm = label_map_from_detections(width, height, &kept);
+                let _ = vo.apply_edge_masks(frame_id, &lm);
+            }
+            MobileTracker::MotionVector {
+                cached,
+                motion_since_tx,
+                ..
+            } => {
+                *cached = kept.into_iter().map(|d| (d.instance, d.mask)).collect();
+                *motion_since_tx = 0.0;
+            }
+        }
+    }
+
+    /// Tracks one frame and predicts its masks. The VO tracker also feeds
+    /// per-object motion to the CFRS motion trigger and times its stages.
+    fn track(
+        &mut self,
+        input: &FrameInput<'_>,
+        planner: &mut CfrsPlanner,
+        stages: &mut StageBreakdownMs,
+    ) -> Tracked {
+        match self {
+            MobileTracker::Vo { vo, prev_motion } => {
+                let out = vo.process_frame(&input.frame.image, input.time_ms / 1000.0);
+                stages.detect = out.detect_ms;
+                stages.matching = out.match_ms;
+                stages.ba = out.ba_ms;
+                stages.transfer = out.transfer_ms;
+                for obj in &out.objects {
+                    if let Some(d) = obj.world_motion {
+                        let prev = prev_motion
+                            .insert(obj.label, d.translation)
+                            .unwrap_or(d.translation);
+                        planner.record_motion(obj.label, (d.translation - prev).norm());
+                    }
+                }
+                Tracked {
+                    masks: out
+                        .objects
+                        .iter()
+                        .filter_map(|o| o.mask.clone().map(|m| (o.label, m)))
+                        .collect(),
+                    lost: Vec::new(),
+                    new_area_fraction: out.new_area_fraction,
+                    new_pixels: out.unlabeled_feature_pixels,
+                    frame_id: out.frame_id,
+                    pose: out.pose.as_ref().map(pose_vector),
+                    features: out.features,
+                    matches: out.matches,
+                    poses: 1 + out.objects.iter().filter(|o| o.matched_points >= 3).count(),
+                }
+            }
+            MobileTracker::MotionVector {
+                prev_image,
+                cached,
+                motion_since_tx,
+            } => {
+                let mut masks = Vec::new();
+                if let Some(prev) = prev_image.as_ref() {
+                    let field = MotionVectorField::estimate(prev, &input.frame.image, 16, 12);
+                    *motion_since_tx += field.mean_magnitude();
+                    for (label, mask) in cached.iter_mut() {
+                        *mask = field.warp_mask(mask);
+                        masks.push((*label, mask.clone()));
+                    }
+                }
+                *prev_image = Some(input.frame.image.clone());
+                Tracked {
+                    masks,
+                    // Without a map, "newly observed" is approximated by
+                    // the amount of motion since the caches were refreshed.
+                    new_area_fraction: (*motion_since_tx / 40.0).min(1.0),
+                    frame_id: input.index,
+                    ..Default::default()
+                }
+            }
+        }
+    }
+
+    /// Modeled mobile compute for a tracked frame, ms.
+    fn frame_ms(&self, cost: &MobileCostModel, tracked: &Tracked, transmit: bool) -> f64 {
+        let objects = tracked.masks.len();
+        match self {
+            MobileTracker::Vo { .. } => cost.edgeis_frame_ms(
+                tracked.features,
+                tracked.matches,
+                tracked.poses,
+                objects,
+                transmit,
+            ),
+            MobileTracker::MotionVector { .. } => cost.mv_frame_ms(objects, transmit, 0.0),
+        }
+    }
+
+    /// Outage self-annotation: feeds the tracker's own masks back as a
+    /// pseudo-annotation of frame `frame_id` (VO only, while it holds a
+    /// map). Map points are only triangulated when an annotation arrives,
+    /// so a long outage freezes the map while the camera keeps moving:
+    /// pose quality and mask transfer then decay with distance travelled,
+    /// and the first post-outage annotation lands on dead-reckoned
+    /// geometry it cannot fix. Pseudo-annotations keep the map growing
+    /// along the trajectory; the labels drift with the coasted masks, but
+    /// the geometry stays fresh and the first real edge annotation snaps
+    /// the labels back.
+    fn self_annotate(&mut self, frame_id: u64, masks: &[(u16, Mask)]) {
+        if let MobileTracker::Vo { vo, .. } = self {
+            if vo.is_tracking() && !masks.is_empty() {
+                let Camera { width, height, .. } = *vo.camera();
+                let lm = paint_labels(width, height, masks.iter().map(|(l, m)| (*l, m)));
+                let _ = vo.apply_edge_masks(frame_id, &lm);
+            }
+        }
+    }
+}
+
+/// What one `deliver` pass produced: the latency observability
+/// pair plus the arrival/application digests for the conformance trace.
+#[derive(Default)]
+struct Delivered {
+    edge_queue_wait_ms: Option<f64>,
+    response_latency_ms: Option<f64>,
+    responses: u32,
+    response_digest: u64,
+    applied_digest: u64,
+    /// Zoo tier of the last applied response ("" without a zoo or when
+    /// nothing was applied this pass).
+    tier: &'static str,
+    // --- Forensics flags (observational; feed FrameOutcome + burn). ---
+    /// Link-failure signals this pass (timeouts + corrupt responses).
+    failures: u32,
+    /// Overload-shed rejects received this pass.
+    shed: u32,
+    /// A degraded-tier response was applied this pass.
+    degraded_applied: bool,
+    /// A response was applied while retries were in flight — the frame
+    /// only succeeded thanks to the retry machinery.
+    retry_recovered: bool,
+}
+
+/// What the offload phase sent (all zero on a held frame).
+#[derive(Default)]
+struct Offloaded {
+    tx_bytes: usize,
+    tile_levels: [u32; 4],
+    uplink_digest: u64,
+}
+
 /// One outstanding offload request, as the mobile side sees it. The
 /// device cannot observe a lost request directly — `response` being
 /// `None` (uplink lost, edge crashed, downlink dropped) only manifests
@@ -432,21 +666,21 @@ fn health_level(health: LinkHealth) -> f64 {
 }
 
 impl EdgeIsSystem {
-    /// Builds the system over the given link.
+    /// Builds the system over the given link, with its own edge server.
     pub fn new(config: EdgeIsConfig, link_kind: LinkKind) -> Self {
-        let camera = config.camera;
-        let tracker = if config.use_mamt {
-            MobileTracker::Vo {
-                vo: Box::new(VisualOdometry::new(camera, config.vo.clone())),
-                prev_motion: BTreeMap::new(),
-            }
-        } else {
-            MobileTracker::MotionVector {
-                prev_image: None,
-                cached: Vec::new(),
-                motion_since_tx: 0.0,
-            }
-        };
+        let model = EdgeModel::new(
+            config.model,
+            config.camera.width,
+            config.camera.height,
+            config.seed ^ 0x22,
+        );
+        Self::with_shared_edge(config, link_kind, SharedEdge::new(EdgeServer::new(model)))
+    }
+
+    /// Builds the system against an existing (shared) edge server — used
+    /// for multi-device experiments where several mobiles contend for one
+    /// GPU.
+    pub fn with_shared_edge(config: EdgeIsConfig, link_kind: LinkKind, server: SharedEdge) -> Self {
         let name = match (config.use_mamt, config.use_ciia, config.use_cfrs) {
             (true, true, true) => "edgeIS",
             (true, false, false) => "edgeIS (MAMT only)",
@@ -456,14 +690,10 @@ impl EdgeIsSystem {
             _ => "edgeIS (partial)",
         };
         Self {
+            tracker: MobileTracker::new(&config),
             planner: CfrsPlanner::new(config.cfrs),
             link: Link::of_kind(link_kind, config.seed ^ 0x11),
-            server: SharedEdge::new(EdgeServer::new(EdgeModel::new(
-                config.model,
-                camera.width,
-                camera.height,
-                config.seed ^ 0x22,
-            ))),
+            server,
             pending: Vec::new(),
             ledger: ResourceLedger::new(config.resources),
             last_seen: BTreeMap::new(),
@@ -487,30 +717,15 @@ impl EdgeIsSystem {
             tele: None,
             burn: None,
             encode_scratch: edgeis_codec::EncodeScratch::default(),
-            tracker,
             config,
             name,
         }
-    }
-
-    /// Builds the system against an existing (shared) edge server — used
-    /// for multi-device experiments where several mobiles contend for one
-    /// GPU.
-    pub fn with_shared_edge(config: EdgeIsConfig, link_kind: LinkKind, server: SharedEdge) -> Self {
-        let mut sys = Self::new(config, link_kind);
-        sys.server = server;
-        sys
     }
 
     /// Sets this device's identity on the shared edge (lane affinity,
     /// per-request seeding, guidance cache key).
     pub fn set_device_id(&mut self, device: u64) {
         self.device_id = device;
-    }
-
-    /// This system's device identity on the shared edge.
-    pub fn device_id(&self) -> u64 {
-        self.device_id
     }
 
     /// Installs a telemetry hub on this system, its link and its edge
@@ -547,58 +762,10 @@ impl EdgeIsSystem {
     }
 
     /// Peak bytes held by the system's reusable scratch buffers — the
-    /// tracker's detector/matcher scratch (0 for the MV tracker, which
-    /// keeps none) plus the tile encoder's frame-sized buffers. An
-    /// allocation proxy for the perf profile.
+    /// tracker's detector/matcher scratch plus the tile encoder's
+    /// frame-sized buffers. An allocation proxy for the perf profile.
     pub fn scratch_peak_bytes(&self) -> usize {
-        let tracker = match &self.tracker {
-            MobileTracker::Vo { vo, .. } => vo.scratch_peak_bytes(),
-            MobileTracker::MotionVector { .. } => 0,
-        };
-        tracker + self.encode_scratch.peak_bytes()
-    }
-
-    /// Whether the mobile map / cache is initialized.
-    fn initialized(&self) -> bool {
-        match &self.tracker {
-            MobileTracker::Vo { vo, .. } => vo.is_tracking(),
-            MobileTracker::MotionVector { cached, .. } => !cached.is_empty(),
-        }
-    }
-
-    /// Applies a decoded, confidence-filtered response to the tracker.
-    fn apply_detections(&mut self, frame_id: u64, detections: &[WireDetection]) {
-        let kept: Vec<WireDetection> = detections
-            .iter()
-            .filter(|d| d.confidence >= self.config.min_confidence)
-            .cloned()
-            .collect();
-        // An empty detection set never overwrites live local state: the
-        // paper's annotation pipeline relabels map points from the edge's
-        // masks, so applying "edge saw nothing" while objects are tracked
-        // would erase every label (and with it every tracked object) on a
-        // single guided miss.
-        if kept.is_empty() && self.initialized() {
-            return;
-        }
-        match &mut self.tracker {
-            MobileTracker::Vo { vo, .. } => {
-                let lm = label_map_from_detections(
-                    self.config.camera.width,
-                    self.config.camera.height,
-                    &kept,
-                );
-                let _ = vo.apply_edge_masks(frame_id, &lm);
-            }
-            MobileTracker::MotionVector {
-                cached,
-                motion_since_tx,
-                ..
-            } => {
-                *cached = kept.into_iter().map(|d| (d.instance, d.mask)).collect();
-                *motion_since_tx = 0.0;
-            }
-        }
+        self.tracker.scratch_peak_bytes() + self.encode_scratch.peak_bytes()
     }
 
     /// Moves the health state machine and mirrors the transition into
@@ -615,22 +782,17 @@ impl EdgeIsSystem {
         // steer the device away from (or back to) its home edge. Single-
         // edge backends ignore the signal.
         self.server.report_health(self.device_id, to, now);
-        if self.telemetry.is_enabled() {
-            self.telemetry.emit_event_current(
-                "health.transition",
-                self.device_id,
-                now,
-                vec![
-                    ("from", ArgValue::Str(from.as_str().to_string())),
-                    ("to", ArgValue::Str(to.as_str().to_string())),
-                ],
-            );
-            if let Some(m) = &self.tele {
-                m.health.set(health_level(to));
-            }
-            if from == LinkHealth::Healthy {
-                self.telemetry.flight_dump(self.device_id, to.as_str(), now);
-            }
+        self.device_event("health.transition", now, None, || {
+            vec![
+                ("from", ArgValue::Str(from.as_str().to_string())),
+                ("to", ArgValue::Str(to.as_str().to_string())),
+            ]
+        });
+        if let Some(m) = &self.tele {
+            m.health.set(health_level(to));
+        }
+        if from == LinkHealth::Healthy {
+            self.telemetry.flight_dump(self.device_id, to.as_str(), now);
         }
     }
 
@@ -677,16 +839,22 @@ impl EdgeIsSystem {
         }
     }
 
+    /// Clears the failure machinery: no timeouts counted, no retry owed,
+    /// and transmissions allowed again from `next_tx_allowed_ms`.
+    fn reset_retries(&mut self, next_tx_allowed_ms: SimMs) {
+        self.consecutive_timeouts = 0;
+        self.retry_pending = false;
+        self.retry_attempt = 0;
+        self.next_tx_allowed_ms = next_tx_allowed_ms;
+    }
+
     /// A usable response arrived: reset the failure machinery, complete a
     /// recovery if one was underway.
     fn note_success(&mut self, now: SimMs) {
         if !self.config.resilience.enabled {
             return;
         }
-        self.consecutive_timeouts = 0;
-        self.retry_pending = false;
-        self.retry_attempt = 0;
-        self.next_tx_allowed_ms = 0.0;
+        self.reset_retries(0.0);
         if self.health == LinkHealth::Recovering {
             self.stats.recoveries += 1;
             if let Some(t0) = self.recovery_started_ms.take() {
@@ -705,10 +873,7 @@ impl EdgeIsSystem {
         if !self.config.resilience.enabled {
             return;
         }
-        self.consecutive_timeouts = 0;
-        self.retry_pending = false;
-        self.retry_attempt = 0;
-        self.next_tx_allowed_ms = 0.0;
+        self.reset_retries(0.0);
         if self.health == LinkHealth::Degraded {
             self.transition_health(LinkHealth::Healthy, now);
         }
@@ -720,18 +885,41 @@ impl EdgeIsSystem {
         self.pending.iter().filter(|i| !i.timed_out).count()
     }
 
-    /// Drains arrived responses into the tracker. Returns the worst
-    /// (largest round-trip) non-shed response's latency pair — the
-    /// per-frame edge-latency observability the serving bench aggregates
-    /// — plus arrival/application digests for the conformance trace.
-    fn deliver_responses(&mut self, now: SimMs) -> Delivered {
-        let enabled = self.config.resilience.enabled;
-        let mut keep: Vec<InFlight> = Vec::new();
+    /// Emits a device event and bumps its counter, only when telemetry is
+    /// on: `args` never runs on the disabled path, which costs one branch.
+    fn device_event(
+        &self,
+        name: &'static str,
+        now: SimMs,
+        counter: Option<fn(&DeviceMetrics) -> &Counter>,
+        args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
+    ) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        self.telemetry
+            .emit_event_current(name, self.device_id, now, args());
+        if let (Some(m), Some(counter)) = (&self.tele, counter) {
+            counter(m).inc();
+        }
+    }
+
+    /// Deliver phase: drains arrived responses into the tracker (the
+    /// `decode_apply` stage), then probes the link during an outage.
+    /// Returns the worst (largest round-trip) non-shed response's latency
+    /// pair — the per-frame edge-latency observability the serving bench
+    /// aggregates — plus arrival/application digests for the conformance
+    /// trace.
+    fn deliver(&mut self, now: SimMs, stages: &mut StageBreakdownMs) -> Delivered {
+        let decode_start = Instant::now();
+        let mut delivered = Delivered {
+            response_digest: FNV_OFFSET,
+            applied_digest: FNV_OFFSET,
+            ..Default::default()
+        };
         let mut arrived: Vec<(PendingResponse, bool, SimMs)> = Vec::new();
-        let mut failures = 0u32;
-        for mut inf in self.pending.drain(..) {
-            if inf.response.as_ref().is_some_and(|r| r.arrive_ms <= now) {
-                let resp = inf.response.take().expect("checked above");
+        for mut inf in std::mem::take(&mut self.pending) {
+            if let Some(resp) = inf.response.take_if(|r| r.arrive_ms <= now) {
                 let late = inf.timed_out || resp.arrive_ms > inf.deadline_ms;
                 arrived.push((resp, late, inf.sent_ms));
                 continue;
@@ -743,28 +931,19 @@ impl EdgeIsSystem {
                 // naive pipeline from wedging forever.)
                 inf.timed_out = true;
                 self.stats.timeouts += 1;
-                failures += 1;
-                if self.telemetry.is_enabled() {
-                    self.telemetry.emit_event_current(
-                        "deadline.missed",
-                        self.device_id,
-                        now,
-                        vec![
-                            ("sent_ms", ArgValue::F64(inf.sent_ms)),
-                            ("deadline_ms", ArgValue::F64(inf.deadline_ms)),
-                        ],
-                    );
-                    if let Some(m) = &self.tele {
-                        m.timeouts.inc();
-                    }
-                }
+                delivered.failures += 1;
+                self.device_event("deadline.missed", now, Some(|m| &m.timeouts), || {
+                    vec![
+                        ("sent_ms", ArgValue::F64(inf.sent_ms)),
+                        ("deadline_ms", ArgValue::F64(inf.deadline_ms)),
+                    ]
+                });
             }
             if inf.response.is_some() || !inf.timed_out {
-                keep.push(inf);
+                self.pending.push(inf);
             }
         }
-        self.pending = keep;
-        if failures > 0 && self.telemetry.is_enabled() {
+        if delivered.failures > 0 {
             // A missed deadline is one of the two automatic dump triggers
             // (the other is leaving `Healthy`): capture the ring while the
             // evidence that led up to the miss is still in it.
@@ -772,120 +951,83 @@ impl EdgeIsSystem {
                 .flight_dump(self.device_id, "deadline_missed", now);
         }
 
-        let mut worst: Option<(f64, f64)> = None;
-        let mut delivered = Delivered::default();
         for (resp, late, sent_ms) in arrived {
             if resp.shed {
                 // The edge rejected the request for overload; the link is
                 // fine, so this is not an outage signal.
                 self.stats.shed_responses += 1;
                 delivered.shed += 1;
-                if self.telemetry.is_enabled() {
-                    self.telemetry.emit_event_current(
-                        "response.shed",
-                        self.device_id,
-                        now,
-                        Vec::new(),
-                    );
-                    if let Some(m) = &self.tele {
-                        m.shed_responses.inc();
-                    }
-                }
+                self.device_event("response.shed", now, Some(|m| &m.shed_responses), Vec::new);
                 continue;
             }
             delivered.responses += 1;
             delivered.response_digest = fnv1a64_extend(delivered.response_digest, &resp.payload);
             let round_trip = resp.arrive_ms - sent_ms;
-            if worst.is_none_or(|(_, rt)| round_trip > rt) {
-                worst = Some((resp.queue_wait_ms, round_trip));
+            if delivered
+                .response_latency_ms
+                .is_none_or(|rt| round_trip > rt)
+            {
+                delivered.edge_queue_wait_ms = Some(resp.queue_wait_ms);
+                delivered.response_latency_ms = Some(round_trip);
             }
-            match resp.decode() {
-                Err(_) => {
-                    // The real wire decoder rejected the payload.
-                    self.stats.corrupt_responses += 1;
-                    failures += 1;
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.emit_event_current(
-                            "response.corrupt",
-                            self.device_id,
-                            now,
-                            Vec::new(),
-                        );
-                        if let Some(m) = &self.tele {
-                            m.corrupt_responses.inc();
-                        }
-                    }
-                }
-                Ok((frame_id, detections)) => {
-                    // A late response would drag the (much newer) local
-                    // state backwards — discard it, unless the device has
-                    // no state at all yet (a stale bootstrap annotation
-                    // beats rendering nothing).
-                    if late && enabled && self.initialized() {
-                        self.stats.stale_drops += 1;
-                        if self.telemetry.is_enabled() {
-                            self.telemetry.emit_event_current(
-                                "response.stale",
-                                self.device_id,
-                                now,
-                                vec![("round_trip_ms", ArgValue::F64(round_trip))],
-                            );
-                            if let Some(m) = &self.tele {
-                                m.stale_drops.inc();
-                            }
-                        }
-                    } else {
-                        delivered.applied_digest =
-                            fnv1a64_extend(delivered.applied_digest, &resp.payload);
-                        delivered.tier = resp.tier;
-                        if self.retry_attempt > 0 {
-                            delivered.retry_recovered = true;
-                        }
-                        self.last_applied_ms = Some(now);
-                        self.tx_since_applied = 0;
-                        self.apply_detections(frame_id, &detections);
-                        if self.telemetry.is_enabled() {
-                            self.telemetry.emit_event_current(
-                                "response.applied",
-                                self.device_id,
-                                now,
-                                vec![
-                                    ("frame_id", ArgValue::U64(frame_id)),
-                                    ("round_trip_ms", ArgValue::F64(round_trip)),
-                                    ("detections", ArgValue::U64(detections.len() as u64)),
-                                ],
-                            );
-                        }
-                        if resp.degraded_tier {
-                            // Zoo routing degraded this request to a
-                            // smaller tier: the mask re-anchors tracking,
-                            // so it is a partial success, not a miss.
-                            self.stats.degraded_tier_responses += 1;
-                            delivered.degraded_applied = true;
-                            if self.telemetry.is_enabled() {
-                                self.telemetry.emit_event_current(
-                                    "response.degraded_tier",
-                                    self.device_id,
-                                    now,
-                                    vec![("tier", ArgValue::Str(resp.tier.to_string()))],
-                                );
-                                if let Some(m) = &self.tele {
-                                    m.degraded_tier_responses.inc();
-                                }
-                            }
-                            self.note_partial_success(now);
-                        } else {
-                            self.note_success(now);
-                        }
-                    }
-                }
+            let Ok((frame_id, detections)) = resp.decode() else {
+                // The real wire decoder rejected the payload.
+                self.stats.corrupt_responses += 1;
+                delivered.failures += 1;
+                self.device_event(
+                    "response.corrupt",
+                    now,
+                    Some(|m| &m.corrupt_responses),
+                    Vec::new,
+                );
+                continue;
+            };
+            // A late response would drag the (much newer) local state
+            // backwards — discard it, unless the device has no state at
+            // all yet (a stale bootstrap annotation beats rendering
+            // nothing).
+            if late && self.config.resilience.enabled && self.tracker.initialized() {
+                self.stats.stale_drops += 1;
+                self.device_event("response.stale", now, Some(|m| &m.stale_drops), || {
+                    vec![("round_trip_ms", ArgValue::F64(round_trip))]
+                });
+                continue;
+            }
+            delivered.applied_digest = fnv1a64_extend(delivered.applied_digest, &resp.payload);
+            delivered.tier = resp.tier;
+            delivered.retry_recovered |= self.retry_attempt > 0;
+            self.last_applied_ms = Some(now);
+            self.tx_since_applied = 0;
+            self.tracker
+                .apply(frame_id, &detections, self.config.min_confidence);
+            self.device_event("response.applied", now, None, || {
+                vec![
+                    ("frame_id", ArgValue::U64(frame_id)),
+                    ("round_trip_ms", ArgValue::F64(round_trip)),
+                    ("detections", ArgValue::U64(detections.len() as u64)),
+                ]
+            });
+            if resp.degraded_tier {
+                // Zoo routing degraded this request to a smaller tier: the
+                // mask re-anchors tracking, so it is a partial success, not
+                // a miss.
+                self.stats.degraded_tier_responses += 1;
+                delivered.degraded_applied = true;
+                self.device_event(
+                    "response.degraded_tier",
+                    now,
+                    Some(|m| &m.degraded_tier_responses),
+                    || vec![("tier", ArgValue::Str(resp.tier.to_string()))],
+                );
+                self.note_partial_success(now);
+            } else {
+                self.note_success(now);
             }
         }
 
-        self.note_failures(failures, now);
-        delivered.failures = failures;
-        delivered.edge_queue_wait_ms = worst.map(|(qw, _)| qw);
-        delivered.response_latency_ms = worst.map(|(_, rt)| rt);
+        self.note_failures(delivered.failures, now);
+        stages.decode_apply = elapsed_ms(decode_start);
+        self.probe_if_outage(now);
         delivered
     }
 
@@ -912,144 +1054,19 @@ impl EdgeIsSystem {
             self.recovery_started_ms = Some(now);
             self.planner = CfrsPlanner::new(*self.planner.config());
             self.recovery_tx_left = self.config.resilience.recovery_keyframes.max(1);
-            self.consecutive_timeouts = 0;
-            self.retry_pending = false;
-            self.retry_attempt = 0;
-            self.next_tx_allowed_ms = now;
+            self.reset_retries(now);
         }
     }
-}
 
-/// What one `deliver_responses` pass produced: the latency observability
-/// pair plus the arrival/application digests for the conformance trace.
-struct Delivered {
-    edge_queue_wait_ms: Option<f64>,
-    response_latency_ms: Option<f64>,
-    responses: u32,
-    response_digest: u64,
-    applied_digest: u64,
-    /// Zoo tier of the last applied response ("" without a zoo or when
-    /// nothing was applied this pass).
-    tier: &'static str,
-    // --- Forensics flags (observational; feed FrameOutcome + burn). ---
-    /// Link-failure signals this pass (timeouts + corrupt responses).
-    failures: u32,
-    /// Overload-shed rejects received this pass.
-    shed: u32,
-    /// A degraded-tier response was applied this pass.
-    degraded_applied: bool,
-    /// A response was applied while retries were in flight — the frame
-    /// only succeeded thanks to the retry machinery.
-    retry_recovered: bool,
-}
-
-impl Default for Delivered {
-    fn default() -> Self {
-        Self {
-            edge_queue_wait_ms: None,
-            response_latency_ms: None,
-            responses: 0,
-            response_digest: FNV_OFFSET,
-            applied_digest: FNV_OFFSET,
-            tier: "",
-            failures: 0,
-            shed: 0,
-            degraded_applied: false,
-            retry_recovered: false,
-        }
-    }
-}
-
-impl SegmentationSystem for EdgeIsSystem {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn process_frame(&mut self, input: &FrameInput<'_>, now: SimMs) -> FrameOutput {
-        // One trace per (device, frame): deterministic id so edge-side
-        // spans decoded from the wire envelope land on the same trace the
-        // mobile opened here. The ambient current-context also parents
-        // link transfer spans and delivery/health events emitted below.
-        let frame_ctx = self.telemetry.frame_context(
-            crate::hash::trace_id(self.device_id, input.index),
-            self.device_id,
-        );
-        if let Some(ctx) = frame_ctx {
-            self.telemetry.set_current(ctx);
-        }
-
-        let mut stages = StageBreakdownMs::default();
-        let decode_start = Instant::now();
-        let delivered = self.deliver_responses(now);
-        stages.decode_apply = elapsed_ms(decode_start);
-        self.probe_if_outage(now);
-
-        // --- Mobile tracking & mask prediction. ---
-        let mut trace_pose: Option<[f64; 6]> = None;
-        let (masks, new_area_fraction, new_pixels, vo_frame_id, features, matches, poses) =
-            match &mut self.tracker {
-                MobileTracker::Vo { vo, prev_motion } => {
-                    let out = vo.process_frame(&input.frame.image, input.time_ms / 1000.0);
-                    stages.detect = out.detect_ms;
-                    stages.matching = out.match_ms;
-                    stages.ba = out.ba_ms;
-                    stages.transfer = out.transfer_ms;
-                    // Feed the CFRS motion trigger from per-object motion.
-                    for obj in &out.objects {
-                        if let Some(d) = obj.world_motion {
-                            let prev = prev_motion
-                                .insert(obj.label, d.translation)
-                                .unwrap_or(d.translation);
-                            self.planner
-                                .record_motion(obj.label, (d.translation - prev).norm());
-                        }
-                    }
-                    let masks: Vec<(u16, Mask)> = out
-                        .objects
-                        .iter()
-                        .filter_map(|o| o.mask.clone().map(|m| (o.label, m)))
-                        .collect();
-                    let poses = 1 + out.objects.iter().filter(|o| o.matched_points >= 3).count();
-                    trace_pose = out.pose.as_ref().map(pose_vector);
-                    (
-                        masks,
-                        out.new_area_fraction,
-                        out.unlabeled_feature_pixels,
-                        out.frame_id,
-                        out.features,
-                        out.matches,
-                        poses,
-                    )
-                }
-                MobileTracker::MotionVector {
-                    prev_image,
-                    cached,
-                    motion_since_tx,
-                } => {
-                    let mut masks = Vec::new();
-                    let mut magnitude = 0.0;
-                    if let Some(prev) = prev_image.as_ref() {
-                        let field = MotionVectorField::estimate(prev, &input.frame.image, 16, 12);
-                        magnitude = field.mean_magnitude();
-                        *motion_since_tx += magnitude;
-                        for (label, mask) in cached.iter_mut() {
-                            *mask = field.warp_mask(mask);
-                            masks.push((*label, mask.clone()));
-                        }
-                    }
-                    *prev_image = Some(input.frame.image.clone());
-                    // Without a map, "newly observed" is approximated by the
-                    // amount of motion since the caches were refreshed.
-                    let new_area = (*motion_since_tx / 40.0).min(1.0);
-                    let _ = magnitude;
-                    (masks, new_area, Vec::new(), input.index, 0, 0, 0)
-                }
-            };
+    /// Track phase: the tracker step, the short-horizon fallback, the
+    /// lost-object bookkeeping and the outage self-annotation.
+    fn track(&mut self, input: &FrameInput<'_>, stages: &mut StageBreakdownMs) -> Tracked {
+        let mut tracked = self.tracker.track(input, &mut self.planner, stages);
 
         // Short-horizon fallback: a single-frame transfer failure should
         // not blank an object the cache knew 1-5 frames ago — render the
         // most recent mask instead (it is at most ~150 ms old).
-        let mut masks = masks;
+        let masks = &mut tracked.masks;
         for (label, (seen, mask)) in &self.last_seen {
             let age = input.index.saturating_sub(*seen);
             if (1..=5).contains(&age) && !masks.iter().any(|(l, _)| l == label) {
@@ -1061,270 +1078,233 @@ impl SegmentationSystem for EdgeIsSystem {
         // this frame gets a "mask correction" region so the tile plan and
         // the edge's anchors keep covering it (§V triggers transmission
         // for mask correction).
-        for (label, mask) in &masks {
+        for (label, mask) in masks.iter() {
             self.last_seen.insert(*label, (input.index, mask.clone()));
         }
-        let lost: Vec<(u16, Mask)> = self
+        tracked.lost = self
             .last_seen
             .iter()
             .filter(|(label, (seen, _))| {
                 let age = input.index.saturating_sub(*seen);
-                (1..=90).contains(&age) && !masks.iter().any(|(l, _)| l == *label)
+                (1..=90).contains(&age) && !tracked.masks.iter().any(|(l, _)| l == *label)
             })
             .map(|(label, (_, mask))| (*label, mask.clone()))
             .collect();
-        let object_lost = !lost.is_empty();
+        if !tracked.lost.is_empty() {
+            // A lost object counts as significant change (mask correction).
+            tracked.new_area_fraction = 1.0;
+        }
 
-        // --- Outage self-annotation. ---
-        // Map points are only triangulated when an annotation arrives, so
-        // a long outage freezes the map while the camera keeps moving:
-        // pose quality and mask transfer then decay with distance
-        // travelled, and the first post-outage annotation lands on
-        // dead-reckoned geometry it cannot fix. Feeding the tracker's own
-        // predicted masks back as pseudo-annotations keeps the map
-        // growing along the trajectory; the labels drift with the coasted
-        // masks, but the geometry stays fresh and the first real edge
-        // annotation snaps the labels back.
+        // Outage self-annotation (see `MobileTracker::self_annotate`).
         if self.config.resilience.enabled
             && self.health == LinkHealth::Outage
             && input.index.is_multiple_of(8)
         {
-            if let MobileTracker::Vo { vo, .. } = &mut self.tracker {
-                if vo.is_tracking() && !masks.is_empty() {
-                    let mut lm = LabelMap::new(self.config.camera.width, self.config.camera.height);
-                    for (label, mask) in &masks {
-                        for (x, y) in mask.iter_set() {
-                            lm.set(x, y, *label);
-                        }
-                    }
-                    let _ = vo.apply_edge_masks(vo_frame_id, &lm);
-                }
-            }
+            self.tracker.self_annotate(tracked.frame_id, &tracked.masks);
         }
+        tracked
+    }
 
-        // --- Transmission decision. ---
-        // Backpressure: bounded request pipelining per device plus
-        // admission control against the edge queue horizon. Without this,
-        // a shared edge (multi-device deployments) builds an unbounded FIFO
-        // and every response arrives too stale to use. On top of that, the
-        // resilience policy gates offloading: nothing during an outage or
-        // inside a backoff window; owed recovery keyframes and retries go
-        // out before regular planner traffic.
+    /// Decide phase: the transmission decision, plus the modeled mobile
+    /// compute (ms) it implies. Backpressure: bounded request pipelining
+    /// per device plus admission control against the edge queue horizon.
+    /// Without this, a shared edge (multi-device deployments) builds an
+    /// unbounded FIFO and every response arrives too stale to use. On top
+    /// of that, the resilience policy gates offloading: nothing during an
+    /// outage or inside a backoff window; owed recovery keyframes and
+    /// retries go out before regular planner traffic.
+    fn decide(&mut self, index: u64, now: SimMs, tracked: &Tracked) -> (CfrsDecision, f64) {
         // Escalate the bootstrap cadence while two-frame initialization is
         // failing: each failed attempt means the annotated pairs are
         // already too far apart to match, so the planner must offer
         // closer ones (see `CfrsConfig::min_interval_frames`).
-        if let MobileTracker::Vo { vo, .. } = &self.tracker {
-            self.planner.set_bootstrap_urgency(vo.init_struggling());
-        }
-        let res_enabled = self.config.resilience.enabled;
-        let edge_backlogged = self.server.busy_until_for(self.device_id)
-            > now + self.config.resilience.edge_backlog_horizon_ms;
-        let held = (res_enabled
+        self.planner
+            .set_bootstrap_urgency(self.tracker.init_struggling());
+        let res = &self.config.resilience;
+        let edge_backlogged =
+            self.server.busy_until_for(self.device_id) > now + res.edge_backlog_horizon_ms;
+        let held = (res.enabled
             && (self.health == LinkHealth::Outage || now < self.next_tx_allowed_ms))
-            || self.active_pending() >= self.config.resilience.max_pending
+            || self.active_pending() >= res.max_pending
             || edge_backlogged;
         let decision = if held {
             CfrsDecision::Hold
-        } else if res_enabled && self.recovery_tx_left > 0 {
+        } else if res.enabled && self.recovery_tx_left > 0 {
             CfrsDecision::Transmit(TransmitReason::Recovery)
-        } else if res_enabled && self.retry_pending {
+        } else if res.enabled && self.retry_pending {
             CfrsDecision::Transmit(TransmitReason::Retry)
         } else if self.config.use_cfrs {
-            // A lost object counts as significant change (mask correction).
-            let effective_new_area = if object_lost { 1.0 } else { new_area_fraction };
             self.planner
-                .decide(input.index, self.initialized(), effective_new_area)
-        } else {
+                .decide(index, self.tracker.initialized(), tracked.new_area_fraction)
+        } else if self.active_pending() == 0 {
             // Non-CFRS: back-to-back best-effort offloading (a new frame is
             // sent whenever no request is outstanding).
-            if self.active_pending() == 0 {
-                CfrsDecision::Transmit(TransmitReason::Continuous)
-            } else {
-                CfrsDecision::Hold
-            }
+            CfrsDecision::Transmit(TransmitReason::Continuous)
+        } else {
+            CfrsDecision::Hold
         };
         let transmit = matches!(decision, CfrsDecision::Transmit(_));
-        let recovery_tx = matches!(decision, CfrsDecision::Transmit(TransmitReason::Recovery));
+        let mobile_ms = self.tracker.frame_ms(&self.config.cost, tracked, transmit);
+        (decision, mobile_ms)
+    }
 
-        // --- Mobile latency model. ---
-        let mobile_ms = match &self.tracker {
-            MobileTracker::Vo { .. } => {
-                self.config
-                    .cost
-                    .edgeis_frame_ms(features, matches, poses, masks.len(), transmit)
-            }
-            MobileTracker::MotionVector { .. } => {
-                self.config.cost.mv_frame_ms(masks.len(), transmit, 0.0)
-            }
+    /// Offload phase, on a transmit decision: the `encode` stage (tile
+    /// plan, CIIA guidance, encoding), then the `edge_infer` stage (the
+    /// edge's observation and the submit at `sent_ms`), then `InFlight`.
+    fn offload(
+        &mut self,
+        input: &FrameInput<'_>,
+        decision: &CfrsDecision,
+        sent_ms: SimMs,
+        tracked: &Tracked,
+        frame_ctx: Option<TraceContext>,
+        stages: &mut StageBreakdownMs,
+    ) -> Offloaded {
+        let &CfrsDecision::Transmit(reason) = decision else {
+            return Offloaded::default();
         };
-
-        // --- Encode + offload. ---
-        let mut tx_bytes = 0;
-        let mut tile_levels = [0u32; 4];
-        let mut uplink_digest = 0u64;
-        if transmit {
-            match decision {
-                CfrsDecision::Transmit(TransmitReason::Recovery) => {
-                    self.recovery_tx_left -= 1;
-                    self.retry_pending = false;
-                    self.planner.record_transmission(input.index);
-                }
-                CfrsDecision::Transmit(TransmitReason::Retry) => {
-                    self.retry_pending = false;
-                    self.stats.retries += 1;
-                    self.planner.record_transmission(input.index);
-                }
-                _ => {}
-            }
-            // The encode stage covers choosing what to send (tile plan and
-            // CIIA guidance) as well as the encoding itself.
-            let encode_start = Instant::now();
-            let w = self.config.camera.width;
-            let h = self.config.camera.height;
-            // Lost objects' last known regions are treated as new areas:
-            // encoded at medium quality and marked for the anchor grid.
-            let mut area_pixels = new_pixels.clone();
-            for (_, mask) in &lost {
-                if let Some((x0, y0, x1, y1)) = mask.bounding_box() {
-                    let step = self.config.cfrs.tile_size as usize;
-                    for y in (y0..y1).step_by(step.max(1)) {
-                        for x in (x0..x1).step_by(step.max(1)) {
-                            area_pixels.push((x as f64, y as f64));
-                        }
+        let recovery = reason == TransmitReason::Recovery;
+        if recovery {
+            self.recovery_tx_left -= 1;
+        } else if reason == TransmitReason::Retry {
+            self.stats.retries += 1;
+        }
+        if matches!(reason, TransmitReason::Recovery | TransmitReason::Retry) {
+            self.retry_pending = false;
+            self.planner.record_transmission(input.index);
+        }
+        let encode_start = Instant::now();
+        let w = self.config.camera.width;
+        let h = self.config.camera.height;
+        // Lost objects' last known regions are treated as new areas:
+        // encoded at medium quality and marked for the anchor grid.
+        let mut area_pixels = tracked.new_pixels.clone();
+        for (_, mask) in &tracked.lost {
+            if let Some((x0, y0, x1, y1)) = mask.bounding_box() {
+                let step = self.config.cfrs.tile_size as usize;
+                for y in (y0..y1).step_by(step.max(1)) {
+                    for x in (x0..x1).step_by(step.max(1)) {
+                        area_pixels.push((x as f64, y as f64));
                     }
                 }
             }
-            let plan = if recovery_tx {
-                // Recovery keyframes re-sync the edge from scratch at a
-                // uniform quality: the coasted masks are untrustworthy
-                // after a blind outage, so any plan that budgets quality
-                // around them can anchor the edge onto the wrong regions
-                // and never re-converge. Medium rather than high keeps the
-                // burst small enough to pipeline on a thin uplink — the
-                // round-trip staleness of a high-quality frame costs more
-                // accuracy than the encoding quality buys.
-                TilePlan::uniform(
-                    TileGrid::new(self.config.cfrs.tile_size, w, h),
-                    QualityLevel::Medium,
-                )
-            } else if !self.config.use_cfrs {
-                TilePlan::uniform(
-                    TileGrid::new(self.config.cfrs.tile_size, w, h),
-                    QualityLevel::High,
-                )
-            } else {
-                self.planner.tile_plan(w, h, &masks, &area_pixels)
-            };
-            let encoded = encode_with_scratch(&input.frame.image, &plan, &mut self.encode_scratch);
-            tx_bytes = encoded.total_bytes();
-            let counts = plan.level_counts();
-            tile_levels = [
-                counts.0 as u32,
-                counts.1 as u32,
-                counts.2 as u32,
-                counts.3 as u32,
-            ];
-            uplink_digest = digest_uplink(counts, &encoded.tile_bytes);
-
-            // Periodic / bootstrap / recovery refreshes scan the full frame
-            // so objects the mobile cache lost entirely can be rediscovered;
-            // guided anchors only cover cached and new regions.
-            // Continuous-mode (non-CFRS) transmissions interleave a full
-            // scan every 8th request for the same reason.
-            self.tx_count += 1;
-            self.tx_since_applied = self.tx_since_applied.saturating_add(1);
-            let full_scan = matches!(
-                decision,
-                CfrsDecision::Transmit(
-                    TransmitReason::Periodic | TransmitReason::Bootstrap | TransmitReason::Recovery
-                )
-            ) || (matches!(
-                decision,
-                CfrsDecision::Transmit(TransmitReason::Continuous)
-            ) && self.tx_count % 8 == 1);
-            let guidance = if self.config.use_ciia && !full_scan {
-                Some(
-                    self.planner
-                        .guidance(w, h, &masks, input.classes, &area_pixels),
-                )
-            } else {
-                None
-            };
-            stages.encode = elapsed_ms(encode_start);
-
-            // The edge_infer stage is the host cost of simulating the edge:
-            // its observation (ground-truth labels through the encoding
-            // quality of each instance's region) and the submit call, which
-            // runs the actual segnet model (the link simulation around it
-            // is negligible).
-            let infer_start = Instant::now();
-            let mut quality = BTreeMap::new();
-            for id in input.frame.labels.instance_ids() {
-                let gt_mask = input.frame.labels.instance_mask(id);
-                quality.insert(id, encoded.instance_quality(&gt_mask));
-            }
-            let obs = FrameObservation {
-                labels: input.frame.labels.clone(),
-                classes: input.classes.clone(),
-                quality,
-            };
-
-            // The request rides the faulty link: it can be lost outright
-            // (outage at send time) or arrive mangled — the mobile side
-            // learns about either only through the response deadline.
-            let sent_ms = now + mobile_ms;
-            let deadline_ms = if res_enabled {
-                sent_ms + self.config.resilience.response_deadline_ms
-            } else {
-                // Naive reaper: very lax, so the plain system still shows
-                // its characteristic stall under faults without wedging
-                // permanently.
-                sent_ms + self.config.resilience.response_deadline_ms * 4.0
-            };
-            // The trace context rides the request as a fixed 40-byte
-            // observability envelope (wire.rs) so the edge can parent its
-            // queue/inference spans under this frame's trace. Envelope
-            // bytes are deliberately NOT charged to tx_bytes: telemetry
-            // must not perturb the simulated link (see DESIGN.md §12).
-            let envelope =
-                frame_ctx.map(|ctx| RequestEnvelope::from_context(&ctx, vo_frame_id).encode());
-            let response = match self
-                .link
-                .transmit_faulty(tx_bytes, sent_ms, Direction::Uplink)
-            {
-                None => None,
-                Some(delivery) if delivery.corrupted => None,
-                Some(delivery) => self.server.submit_traced_from(
-                    self.device_id,
-                    vo_frame_id,
-                    &obs,
-                    guidance.as_ref().filter(|g| !g.is_empty()),
-                    delivery.arrive_ms,
-                    &mut self.link,
-                    envelope,
-                    // CFRS demands the full model for recovery keyframes:
-                    // a degraded-tier mask cannot close out a recovery, so
-                    // routing may shed but never degrade them. No-op for
-                    // edges without a zoo.
-                    recovery_tx.then_some(0),
-                ),
-            };
-            stages.edge_infer = elapsed_ms(infer_start);
-            self.pending.push(InFlight {
-                sent_ms,
-                deadline_ms,
-                response,
-                timed_out: false,
-            });
         }
+        let plan = if recovery || !self.config.use_cfrs {
+            // Recovery keyframes re-sync the edge from scratch at a
+            // uniform quality: the coasted masks are untrustworthy
+            // after a blind outage, so any plan that budgets quality
+            // around them can anchor the edge onto the wrong regions
+            // and never re-converge. Medium rather than high keeps the
+            // burst small enough to pipeline on a thin uplink — the
+            // round-trip staleness of a high-quality frame costs more
+            // accuracy than the encoding quality buys.
+            let level = if recovery {
+                QualityLevel::Medium
+            } else {
+                QualityLevel::High
+            };
+            TilePlan::uniform(TileGrid::new(self.config.cfrs.tile_size, w, h), level)
+        } else {
+            self.planner.tile_plan(w, h, &tracked.masks, &area_pixels)
+        };
+        let encoded = encode_with_scratch(&input.frame.image, &plan, &mut self.encode_scratch);
+        let counts = plan.level_counts();
 
-        self.ledger.record_frame(now, mobile_ms, tx_bytes);
+        // Periodic / bootstrap / recovery refreshes scan the full frame
+        // so objects the mobile cache lost entirely can be rediscovered;
+        // guided anchors only cover cached and new regions.
+        // Continuous-mode (non-CFRS) transmissions interleave a full
+        // scan every 8th request for the same reason.
+        self.tx_count += 1;
+        self.tx_since_applied = self.tx_since_applied.saturating_add(1);
+        let full_scan = matches!(
+            reason,
+            TransmitReason::Periodic | TransmitReason::Bootstrap | TransmitReason::Recovery
+        ) || (reason == TransmitReason::Continuous && self.tx_count % 8 == 1);
+        let guidance = (self.config.use_ciia && !full_scan).then(|| {
+            self.planner
+                .guidance(w, h, &tracked.masks, input.classes, &area_pixels)
+        });
+        stages.encode = elapsed_ms(encode_start);
 
-        // --- Frame forensics: one causal outcome label per frame. ---
-        // Pure observation over state the system already tracks; the
-        // most upstream cause wins (see `FrameOutcome`).
-        let tracking = self.initialized();
+        // The edge sees ground-truth labels through the encoding quality
+        // of each instance's region.
+        let infer_start = Instant::now();
+        let labels = &input.frame.labels;
+        let obs = FrameObservation {
+            labels: labels.clone(),
+            classes: input.classes.clone(),
+            quality: labels
+                .instance_ids()
+                .into_iter()
+                .map(|id| (id, encoded.instance_quality(&labels.instance_mask(id))))
+                .collect(),
+        };
+
+        // The request rides the faulty link: it can be lost outright
+        // (outage at send time) or arrive mangled — the mobile side
+        // learns about either only through the response deadline.
+        // Without the policy a naive reaper waits 4x as long: the plain
+        // system still shows its characteristic stall under faults
+        // without wedging permanently.
+        let res = &self.config.resilience;
+        let lax = if res.enabled { 1.0 } else { 4.0 };
+        let deadline_ms = sent_ms + res.response_deadline_ms * lax;
+        // The trace context rides the request as a fixed 40-byte
+        // observability envelope (wire.rs) so the edge can parent its
+        // queue/inference spans under this frame's trace. Envelope
+        // bytes are deliberately NOT charged to tx_bytes: telemetry
+        // must not perturb the simulated link (see DESIGN.md §12).
+        let envelope =
+            frame_ctx.map(|ctx| RequestEnvelope::from_context(&ctx, tracked.frame_id).encode());
+        let tx_bytes = encoded.total_bytes();
+        let response = match self
+            .link
+            .transmit_faulty(tx_bytes, sent_ms, Direction::Uplink)
+        {
+            None => None,
+            Some(delivery) if delivery.corrupted => None,
+            Some(delivery) => self.server.submit_traced_from(
+                self.device_id,
+                tracked.frame_id,
+                &obs,
+                guidance.as_ref().filter(|g| !g.is_empty()),
+                delivery.arrive_ms,
+                &mut self.link,
+                envelope,
+                // CFRS demands the full model for recovery keyframes:
+                // a degraded-tier mask cannot close out a recovery, so
+                // routing may shed but never degrade them. No-op for
+                // edges without a zoo.
+                recovery.then_some(0),
+            ),
+        };
+        stages.edge_infer = elapsed_ms(infer_start);
+        self.pending.push(InFlight {
+            sent_ms,
+            deadline_ms,
+            response,
+            timed_out: false,
+        });
+        Offloaded {
+            tx_bytes,
+            tile_levels: [counts.0, counts.1, counts.2, counts.3].map(|c| c as u32),
+            uplink_digest: digest_uplink(counts, &encoded.tile_bytes),
+        }
+    }
+
+    /// Label phase: one causal outcome per frame (forensics) and the
+    /// frame's conformance trace. Pure observation over state the system
+    /// already tracks; the most upstream cause wins (see `FrameOutcome`).
+    fn label(
+        &mut self,
+        now: SimMs,
+        tracked: &Tracked,
+        delivered: &Delivered,
+        decision: &CfrsDecision,
+        offloaded: &Offloaded,
+    ) -> (FrameOutcome, FrameTrace) {
+        let tracking = self.tracker.initialized();
         if !tracking && self.was_tracking {
             // Track loss: owe a re-init window for when the map returns.
             self.reinit_owed = true;
@@ -1358,137 +1338,179 @@ impl SegmentationSystem for EdgeIsSystem {
         } else {
             FrameOutcome::Healthy
         };
-        if tracking {
-            self.was_tracking = true;
-        }
+        self.was_tracking |= tracking;
 
         let trace = FrameTrace {
-            pose: trace_pose,
-            mask_digest: digest_masks(&masks),
-            mask_count: masks.len() as u32,
+            pose: tracked.pose,
+            mask_digest: digest_masks(&tracked.masks),
+            mask_count: tracked.masks.len() as u32,
             decision: match decision {
                 CfrsDecision::Hold => "hold".to_string(),
                 CfrsDecision::Transmit(reason) => format!("transmit:{reason:?}"),
             },
-            tile_levels,
-            uplink_digest,
+            tile_levels: offloaded.tile_levels,
+            uplink_digest: offloaded.uplink_digest,
             responses: delivered.responses,
             response_digest: delivered.response_digest,
             applied_digest: delivered.applied_digest,
             health: self.health.as_str().to_string(),
             tier: delivered.tier.to_string(),
         };
+        (outcome, trace)
+    }
 
-        if let Some(ctx) = frame_ctx {
-            // Mobile stage spans: host-wall durations laid out end-to-end
-            // from the frame's virtual arrival time (marked clock:"host" —
-            // they show relative cost, not simulated latency).
-            let mut cursor = now;
-            for (name, dur) in [
-                ("mobile.decode_apply", stages.decode_apply),
-                ("mobile.detect", stages.detect),
-                ("mobile.matching", stages.matching),
-                ("mobile.ba", stages.ba),
-                ("mobile.transfer", stages.transfer),
-                ("mobile.encode", stages.encode),
-                ("mobile.edge_submit", stages.edge_infer),
-            ] {
-                if dur > 0.0 {
-                    self.telemetry.emit_child_span(
-                        &ctx,
-                        name,
-                        cursor,
-                        cursor + dur,
-                        vec![("clock", ArgValue::Str("host".to_string()))],
-                    );
-                    cursor += dur;
-                }
+    /// Mirrors a finished frame into telemetry (stage spans, root span,
+    /// metrics, SLO burn), then clears the ambient trace context.
+    fn emit_frame_telemetry(
+        &mut self,
+        ctx: TraceContext,
+        index: u64,
+        now: SimMs,
+        out: &FrameOutput,
+        delivered: &Delivered,
+    ) {
+        // Mobile stage spans: host-wall durations laid out end-to-end
+        // from the frame's virtual arrival time (marked clock:"host" —
+        // they show relative cost, not simulated latency).
+        let stages = &out.stages;
+        let mut cursor = now;
+        for (name, dur) in [
+            ("mobile.decode_apply", stages.decode_apply),
+            ("mobile.detect", stages.detect),
+            ("mobile.matching", stages.matching),
+            ("mobile.ba", stages.ba),
+            ("mobile.transfer", stages.transfer),
+            ("mobile.encode", stages.encode),
+            ("mobile.edge_submit", stages.edge_infer),
+        ] {
+            if dur > 0.0 {
+                self.telemetry.emit_child_span(
+                    &ctx,
+                    name,
+                    cursor,
+                    cursor + dur,
+                    vec![("clock", ArgValue::Str("host".to_string()))],
+                );
+                cursor += dur;
             }
-            // Root span: the frame's modeled mobile residency on the
-            // virtual clock.
-            self.telemetry.emit_root_span(
-                &ctx,
-                "frame",
-                now,
-                now + mobile_ms,
-                vec![
-                    ("frame", ArgValue::U64(input.index)),
-                    ("decision", ArgValue::Str(trace.decision.clone())),
-                    ("health", ArgValue::Str(self.health.as_str().to_string())),
-                    ("tx_bytes", ArgValue::U64(tx_bytes as u64)),
-                ],
-            );
+        }
+        // Root span: the frame's modeled mobile residency on the
+        // virtual clock.
+        self.telemetry.emit_root_span(
+            &ctx,
+            "frame",
+            now,
+            now + out.mobile_ms,
+            vec![
+                ("frame", ArgValue::U64(index)),
+                ("decision", ArgValue::Str(out.trace.decision.clone())),
+                ("health", ArgValue::Str(self.health.as_str().to_string())),
+                ("tx_bytes", ArgValue::U64(out.tx_bytes as u64)),
+            ],
+        );
+        if let Some(m) = &self.tele {
+            m.frames.inc();
+            if out.transmitted {
+                m.transmits.inc();
+                m.tx_bytes.add(out.tx_bytes as u64);
+            }
+            m.mobile_ms.observe(out.mobile_ms);
+            if let Some(qw) = delivered.edge_queue_wait_ms {
+                m.queue_wait_ms.observe(qw);
+            }
+            if let Some(rt) = delivered.response_latency_ms {
+                m.response_latency_ms.observe(rt);
+            }
+            m.health.set(health_level(self.health));
+        }
+        // SLO burn-rate engine: classify the frame good/bad against
+        // the per-event SLO and feed the multi-window tracker. The
+        // fast-window burn is exported as a gauge (autoscaler input);
+        // entering the alerting state emits one edge-triggered
+        // `slo.burn` event per episode.
+        if let Some(burn) = &mut self.burn {
+            // A frame is "bad" when its service SLO was missed: a
+            // request failed or was shed, the link was out, a
+            // response arrived past the latency bar, or the frame was
+            // rendered from guidance older than the freshness bar
+            // (the forensic outcome already encodes the last two
+            // causes as staleness/coasting).
+            let bad = delivered.failures > 0
+                || delivered.shed > 0
+                || self.health == LinkHealth::Outage
+                || matches!(
+                    out.outcome,
+                    FrameOutcome::StaleGuidance { .. } | FrameOutcome::CoastingMamt
+                )
+                || delivered
+                    .response_latency_ms
+                    .is_some_and(|rt| rt > burn.config().latency_slo_ms);
+            let sample = burn.observe(now, !bad);
             if let Some(m) = &self.tele {
-                m.frames.inc();
-                if transmit {
-                    m.transmits.inc();
-                    m.tx_bytes.add(tx_bytes as u64);
-                }
-                m.mobile_ms.observe(mobile_ms);
-                if let Some(qw) = delivered.edge_queue_wait_ms {
-                    m.queue_wait_ms.observe(qw);
-                }
-                if let Some(rt) = delivered.response_latency_ms {
-                    m.response_latency_ms.observe(rt);
-                }
-                m.health.set(health_level(self.health));
+                m.burn_rate.set(sample.fast_burn);
             }
-            // SLO burn-rate engine: classify the frame good/bad against
-            // the per-event SLO and feed the multi-window tracker. The
-            // fast-window burn is exported as a gauge (autoscaler input);
-            // entering the alerting state emits one edge-triggered
-            // `slo.burn` event per episode.
-            if let Some(burn) = &mut self.burn {
-                // A frame is "bad" when its service SLO was missed: a
-                // request failed or was shed, the link was out, a
-                // response arrived past the latency bar, or the frame was
-                // rendered from guidance older than the freshness bar
-                // (the forensic outcome already encodes the last two
-                // causes as staleness/coasting).
-                let bad = delivered.failures > 0
-                    || delivered.shed > 0
-                    || self.health == LinkHealth::Outage
-                    || matches!(
-                        outcome,
-                        FrameOutcome::StaleGuidance { .. } | FrameOutcome::CoastingMamt
-                    )
-                    || delivered
-                        .response_latency_ms
-                        .is_some_and(|rt| rt > burn.config().latency_slo_ms);
-                let sample = burn.observe(now, !bad);
-                if let Some(m) = &self.tele {
-                    m.burn_rate.set(sample.fast_burn);
-                }
-                if sample.fired {
-                    self.telemetry.emit_event_current(
-                        "slo.burn",
-                        self.device_id,
-                        now,
-                        vec![
-                            ("fast_burn", ArgValue::F64(sample.fast_burn)),
-                            ("slow_burn", ArgValue::F64(sample.slow_burn)),
-                            ("outcome", ArgValue::Str(outcome.label().to_string())),
-                        ],
-                    );
-                    // A budget fire is a resilience incident: capture the
-                    // span/event ring while the cause is still in it.
-                    self.telemetry.flight_dump(self.device_id, "slo_burn", now);
-                }
+            if sample.fired {
+                self.telemetry.emit_event_current(
+                    "slo.burn",
+                    self.device_id,
+                    now,
+                    vec![
+                        ("fast_burn", ArgValue::F64(sample.fast_burn)),
+                        ("slow_burn", ArgValue::F64(sample.slow_burn)),
+                        ("outcome", ArgValue::Str(out.outcome.label().to_string())),
+                    ],
+                );
+                // A budget fire is a resilience incident: capture the
+                // span/event ring while the cause is still in it.
+                self.telemetry.flight_dump(self.device_id, "slo_burn", now);
             }
-            self.telemetry.clear_current();
+        }
+        self.telemetry.clear_current();
+    }
+}
+
+impl SegmentationSystem for EdgeIsSystem {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn process_frame(&mut self, input: &FrameInput<'_>, now: SimMs) -> FrameOutput {
+        // One trace per (device, frame): deterministic id so edge-side
+        // spans decoded from the wire envelope land on the same trace the
+        // mobile opened here. The ambient current-context also parents
+        // link transfer spans and delivery/health events emitted below.
+        let frame_ctx = self.telemetry.frame_context(
+            crate::hash::trace_id(self.device_id, input.index),
+            self.device_id,
+        );
+        if let Some(ctx) = frame_ctx {
+            self.telemetry.set_current(ctx);
         }
 
-        FrameOutput {
-            masks,
+        let mut stages = StageBreakdownMs::default();
+        let delivered = self.deliver(now, &mut stages);
+        let tracked = self.track(input, &mut stages);
+        let (decision, mobile_ms) = self.decide(input.index, now, &tracked);
+        let sent_ms = now + mobile_ms;
+        let offloaded = self.offload(input, &decision, sent_ms, &tracked, frame_ctx, &mut stages);
+        self.ledger.record_frame(now, mobile_ms, offloaded.tx_bytes);
+        let (outcome, trace) = self.label(now, &tracked, &delivered, &decision, &offloaded);
+
+        let out = FrameOutput {
+            masks: tracked.masks,
             mobile_ms,
-            tx_bytes,
-            transmitted: transmit,
+            tx_bytes: offloaded.tx_bytes,
+            transmitted: matches!(decision, CfrsDecision::Transmit(_)),
             stages,
             edge_queue_wait_ms: delivered.edge_queue_wait_ms,
             response_latency_ms: delivered.response_latency_ms,
             trace,
             outcome,
+        };
+        if let Some(ctx) = frame_ctx {
+            self.emit_frame_telemetry(ctx, input.index, now, &out, &delivered);
         }
+        out
     }
 
     fn resources(&self) -> Option<&ResourceLedger> {
