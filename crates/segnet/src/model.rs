@@ -50,37 +50,6 @@ pub struct InferenceResult {
     pub stats: InferenceStats,
 }
 
-/// One request in a cross-request batch (see [`EdgeModel::infer_batch`]).
-#[derive(Debug)]
-pub struct BatchRequest<'a> {
-    /// What the edge observes for this request's frame.
-    pub obs: &'a FrameObservation,
-    /// Optional CIIA guidance for this request.
-    pub guidance: Option<&'a Guidance>,
-    /// Per-request RNG seed. Outputs are a pure function of
-    /// `(obs, guidance, seed)`, so the same request produces bit-identical
-    /// detections whether it runs alone, in any batch, or on any lane.
-    pub seed: u64,
-}
-
-/// Batched-inference accounting on top of the per-request results.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BatchStats {
-    /// Requests coalesced into the batch.
-    pub batch_size: usize,
-    /// Charged GPU time of the whole batch (sub-linear in size), ms.
-    pub total_ms: f64,
-    /// What the same requests would have cost run back-to-back, ms.
-    pub serial_ms: f64,
-}
-
-impl BatchStats {
-    /// Charged-time saving of batching over serial execution, ms.
-    pub fn saved_ms(&self) -> f64 {
-        (self.serial_ms - self.total_ms).max(0.0)
-    }
-}
-
 /// The edge-side model instance.
 #[derive(Debug)]
 pub struct EdgeModel {
@@ -176,30 +145,6 @@ impl EdgeModel {
     ) -> InferenceResult {
         let mut rng = StdRng::seed_from_u64(seed);
         self.infer_with_rng(obs, guidance, &mut rng)
-    }
-
-    /// Runs a cross-request batch in one call.
-    ///
-    /// Per-request results are bit-identical to running each request
-    /// through [`Self::infer_seeded`] on its own; only the *charged* time
-    /// changes: the batch total follows the profile's sub-linear curve
-    /// ([`ModelProfile::batch_total_ms`]), amortizing the backbone across
-    /// the coalesced frames.
-    pub fn infer_batch(&self, requests: &[BatchRequest<'_>]) -> (Vec<InferenceResult>, BatchStats) {
-        let results: Vec<InferenceResult> = requests
-            .iter()
-            .map(|r| self.infer_seeded(r.obs, r.guidance, r.seed))
-            .collect();
-        let members: Vec<(f64, f64)> = results
-            .iter()
-            .map(|r| (r.stats.backbone_ms, r.stats.rpn_ms + r.stats.head_ms))
-            .collect();
-        let stats = BatchStats {
-            batch_size: results.len(),
-            total_ms: self.profile.batch_total_ms(&members),
-            serial_ms: results.iter().map(|r| r.stats.total_ms()).sum(),
-        };
-        (results, stats)
     }
 
     fn infer_with_rng(
@@ -523,42 +468,6 @@ mod tests {
         // all objects happen to be detected both times).
         let c = model.infer_seeded(&obs, None, 18);
         assert_eq!(c.detections.len(), a.detections.len());
-    }
-
-    #[test]
-    fn batch_members_bit_identical_to_solo_runs() {
-        let obs1 = observation(320, 240, &[(1, 60, 60, 70, 70)]);
-        let obs2 = observation(320, 240, &[(2, 180, 90, 80, 90), (3, 30, 140, 60, 50)]);
-        let guidance = Guidance {
-            boxes: vec![GuidanceBox {
-                bbox: BBox::new(55.0, 55.0, 135.0, 135.0),
-                class_id: Some(1),
-                instance: Some(1),
-            }],
-        };
-        let model = EdgeModel::new(ModelKind::MaskRcnn, 320, 240, 7);
-        let requests = [
-            BatchRequest {
-                obs: &obs1,
-                guidance: Some(&guidance),
-                seed: 100,
-            },
-            BatchRequest {
-                obs: &obs2,
-                guidance: None,
-                seed: 101,
-            },
-        ];
-        let (results, stats) = model.infer_batch(&requests);
-        assert_eq!(stats.batch_size, 2);
-        for (req, res) in requests.iter().zip(results.iter()) {
-            let solo = model.infer_seeded(req.obs, req.guidance, req.seed);
-            assert_detections_identical(&solo.detections, &res.detections);
-        }
-        // Charged batch time is sub-linear; raw serial time is preserved
-        // for accounting.
-        assert!(stats.total_ms < stats.serial_ms);
-        assert!(stats.saved_ms() > 0.0);
     }
 
     #[test]

@@ -182,16 +182,6 @@ impl ModelProfile {
         }
     }
 
-    /// Total charged GPU time of a batch whose members have the given
-    /// unbatched `(backbone_ms, rpn+head ms)` costs.
-    pub fn batch_total_ms(&self, members: &[(f64, f64)]) -> f64 {
-        members
-            .iter()
-            .enumerate()
-            .map(|(i, &(b, s))| self.batched_member_ms(i, b, s))
-            .sum()
-    }
-
     /// Profiled full-frame latency estimate, ms: the cost-model total for
     /// a frame evaluating `anchors_k` thousand anchors and `rois` second
     /// stage RoIs. Used for zoo tier ordering; the serving runtime charges
@@ -283,8 +273,9 @@ mod tests {
         let member = (110.0, 200.0);
         let mut prev = 0.0;
         for batch in 1..=p.max_batch {
-            let members = vec![member; batch];
-            let total = p.batch_total_ms(&members);
+            let total: f64 = (0..batch)
+                .map(|i| p.batched_member_ms(i, member.0, member.1))
+                .sum();
             let serial = batch as f64 * (member.0 + member.1);
             assert!(total > prev, "batch {batch} total must grow");
             if batch > 1 {
@@ -301,7 +292,7 @@ mod tests {
     fn mobile_profile_does_not_batch() {
         let p = ModelProfile::of(ModelKind::MobileLite);
         assert_eq!(p.max_batch, 1);
-        let total = p.batch_total_ms(&[(450.0, 160.0), (450.0, 160.0)]);
+        let total: f64 = (0..2).map(|i| p.batched_member_ms(i, 450.0, 160.0)).sum();
         assert!((total - 2.0 * 610.0).abs() < 1e-9, "marginal must be 1.0");
     }
 
