@@ -90,11 +90,6 @@ impl ProfileRun {
         percentile(&self.frame_totals(), 0.5)
     }
 
-    /// 95th-percentile per-frame pipeline compute, ms.
-    pub fn frame_ms_p95(&self) -> f64 {
-        percentile(&self.frame_totals(), 0.95)
-    }
-
     /// Processed frames per host wall-clock second.
     pub fn wall_fps(&self) -> f64 {
         if self.wall_ms <= 0.0 {

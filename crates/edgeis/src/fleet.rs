@@ -244,11 +244,6 @@ impl EdgeFleet {
         &self.stats
     }
 
-    /// One edge's serving accounting.
-    pub fn edge_stats(&self, edge: usize) -> &ServingStats {
-        self.edges[edge].stats()
-    }
-
     /// Fleet-wide serving accounting (sum over edges).
     pub fn merged_serving_stats(&self) -> ServingStats {
         let mut total = ServingStats::default();

@@ -375,18 +375,6 @@ impl Report {
         self.total_tx_bytes() as f64 * 8.0 / 1e6 / seconds
     }
 
-    /// Mean staleness in frames.
-    pub fn mean_staleness(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records
-            .iter()
-            .map(|r| r.stale_frames as f64)
-            .sum::<f64>()
-            / self.records.len() as f64
-    }
-
     /// Mean IoU over samples whose frame time falls in `[t0_ms, t1_ms)` —
     /// e.g. the accuracy inside a scripted outage window.
     pub fn mean_iou_in_window(&self, t0_ms: f64, t1_ms: f64) -> f64 {

@@ -368,11 +368,6 @@ impl ServingRuntime {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// The lane set (per-lane queue accounting).
-    pub fn lane_accounting(&self) -> &LaneSet {
-        &self.lanes
-    }
-
     /// Requests lost to crash windows so far.
     pub fn crash_losses(&self) -> u64 {
         self.stats.crash_losses

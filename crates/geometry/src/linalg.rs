@@ -24,11 +24,6 @@ impl SymMat {
         }
     }
 
-    /// Dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Entry accessor.
     ///
     /// # Panics
@@ -43,14 +38,6 @@ impl SymMat {
     pub fn set_sym(&mut self, r: usize, c: usize, v: f64) {
         self.a[r * self.n + c] = v;
         self.a[c * self.n + r] = v;
-    }
-
-    /// Adds `v` to entry `(r, c)` (and `(c, r)` when off-diagonal).
-    pub fn add_sym(&mut self, r: usize, c: usize, v: f64) {
-        self.a[r * self.n + c] += v;
-        if r != c {
-            self.a[c * self.n + r] += v;
-        }
     }
 
     /// Builds the Gram matrix `AᵀA` from `rows` of width `n`.

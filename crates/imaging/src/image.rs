@@ -66,11 +66,6 @@ impl GrayImage {
         &self.data
     }
 
-    /// Mutable raw pixel buffer.
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     #[inline]
     fn idx(&self, x: u32, y: u32) -> usize {
         (y * self.width + x) as usize

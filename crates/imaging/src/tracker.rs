@@ -83,11 +83,6 @@ impl MotionVectorField {
         }
     }
 
-    /// Block size in pixels.
-    pub fn block_size(&self) -> u32 {
-        self.block
-    }
-
     /// The motion vector covering pixel `(x, y)`.
     pub fn vector_at(&self, x: u32, y: u32) -> (i32, i32) {
         let bx = (x / self.block).min(self.cols - 1);

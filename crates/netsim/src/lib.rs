@@ -700,11 +700,6 @@ impl LaneSet {
         self.wait_ms[lane]
     }
 
-    /// Cumulative queue wait across all lanes, ms.
-    pub fn total_queue_wait_ms(&self) -> f64 {
-        self.wait_ms.iter().sum()
-    }
-
     /// Cumulative service time charged to `lane`, ms.
     pub fn busy_ms(&self, lane: usize) -> f64 {
         self.busy_ms[lane]

@@ -64,11 +64,6 @@ impl Map {
         &self.points[idx]
     }
 
-    /// Mutable point by index.
-    pub fn point_mut(&mut self, idx: usize) -> &mut MapPoint {
-        &mut self.points[idx]
-    }
-
     /// Adds a point, returning its id. `annotated` records whether the
     /// point's label comes from an edge annotation (true) or is a default
     /// (newly observed content, false).
