@@ -382,23 +382,6 @@ pub struct RleMask {
 }
 
 impl RleMask {
-    /// Reassembles an RLE mask from raw parts (wire decoding). Returns
-    /// `None` when the runs do not sum to `width * height`.
-    pub fn from_parts(width: u32, height: u32, runs: Vec<u32>) -> Option<Self> {
-        if width == 0 || height == 0 {
-            return None;
-        }
-        let total: u64 = runs.iter().map(|&r| r as u64).sum();
-        if total != width as u64 * height as u64 {
-            return None;
-        }
-        Some(Self {
-            width,
-            height,
-            runs,
-        })
-    }
-
     /// The alternating false/true run lengths (starting with false).
     pub fn runs(&self) -> &[u32] {
         &self.runs
