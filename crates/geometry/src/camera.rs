@@ -92,12 +92,14 @@ impl Camera {
     /// Returns `None` when the point is behind the camera (z ≤ small
     /// epsilon in the camera frame). The returned pixel may lie outside the
     /// image bounds; use [`Camera::contains`] to test visibility.
+    #[inline]
     pub fn project(&self, t_cw: &SE3, p_world: Vec3) -> Option<Vec2> {
         let pc = t_cw.transform(p_world);
         self.project_camera(pc)
     }
 
     /// Projects a point already in the camera frame.
+    #[inline]
     pub fn project_camera(&self, pc: Vec3) -> Option<Vec2> {
         if pc.z <= 1e-6 {
             return None;
@@ -109,6 +111,7 @@ impl Camera {
     }
 
     /// Back-projects pixel `px` at depth `z` into the camera frame.
+    #[inline]
     pub fn unproject(&self, px: Vec2, z: f64) -> Vec3 {
         Vec3::new(
             (px.x - self.cx) / self.fx * z,
@@ -119,16 +122,19 @@ impl Camera {
 
     /// Converts a pixel to a normalized image-plane coordinate
     /// (`K⁻¹ [u v 1]ᵀ`, with z = 1).
+    #[inline]
     pub fn normalize(&self, px: Vec2) -> Vec2 {
         Vec2::new((px.x - self.cx) / self.fx, (px.y - self.cy) / self.fy)
     }
 
     /// Whether a pixel lies inside the image bounds.
+    #[inline]
     pub fn contains(&self, px: Vec2) -> bool {
         px.x >= 0.0 && px.y >= 0.0 && px.x < self.width as f64 && px.y < self.height as f64
     }
 
     /// Whether a pixel lies inside the image with a `margin`-pixel border.
+    #[inline]
     pub fn contains_with_margin(&self, px: Vec2, margin: f64) -> bool {
         px.x >= margin
             && px.y >= margin

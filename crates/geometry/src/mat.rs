@@ -26,11 +26,13 @@ impl Default for Mat3 {
 
 impl Mat3 {
     /// Builds a matrix from row-major entries.
+    #[inline]
     pub const fn from_rows(m: [[f64; 3]; 3]) -> Self {
         Self { m }
     }
 
     /// Builds a matrix from three row vectors.
+    #[inline]
     pub fn from_row_vecs(r0: Vec3, r1: Vec3, r2: Vec3) -> Self {
         Self {
             m: [[r0.x, r0.y, r0.z], [r1.x, r1.y, r1.z], [r2.x, r2.y, r2.z]],
@@ -38,6 +40,7 @@ impl Mat3 {
     }
 
     /// Builds a matrix from three column vectors.
+    #[inline]
     pub fn from_col_vecs(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
         Self {
             m: [[c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z]],
@@ -45,11 +48,13 @@ impl Mat3 {
     }
 
     /// The identity matrix.
+    #[inline]
     pub const fn identity() -> Self {
         Self::from_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     }
 
     /// The zero matrix.
+    #[inline]
     pub const fn zero() -> Self {
         Self::from_rows([[0.0; 3]; 3])
     }
@@ -65,16 +70,19 @@ impl Mat3 {
     }
 
     /// Row `r` as a vector.
+    #[inline]
     pub fn row(&self, r: usize) -> Vec3 {
         Vec3::new(self.m[r][0], self.m[r][1], self.m[r][2])
     }
 
     /// Column `c` as a vector.
+    #[inline]
     pub fn col(&self, c: usize) -> Vec3 {
         Vec3::new(self.m[0][c], self.m[1][c], self.m[2][c])
     }
 
     /// Transpose.
+    #[inline]
     pub fn transpose(&self) -> Self {
         let m = &self.m;
         Self::from_rows([
@@ -85,6 +93,7 @@ impl Mat3 {
     }
 
     /// Determinant.
+    #[inline]
     pub fn det(&self) -> f64 {
         let m = &self.m;
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -93,6 +102,7 @@ impl Mat3 {
     }
 
     /// Trace.
+    #[inline]
     pub fn trace(&self) -> f64 {
         self.m[0][0] + self.m[1][1] + self.m[2][2]
     }
@@ -150,6 +160,7 @@ impl Mat3 {
 
 impl Mul<Vec3> for Mat3 {
     type Output = Vec3;
+    #[inline]
     fn mul(self, v: Vec3) -> Vec3 {
         Vec3::new(self.row(0).dot(v), self.row(1).dot(v), self.row(2).dot(v))
     }
@@ -157,6 +168,7 @@ impl Mul<Vec3> for Mat3 {
 
 impl Mul for Mat3 {
     type Output = Mat3;
+    #[inline]
     fn mul(self, rhs: Mat3) -> Mat3 {
         let mut out = Mat3::zero();
         for r in 0..3 {
@@ -170,6 +182,7 @@ impl Mul for Mat3 {
 
 impl Add for Mat3 {
     type Output = Mat3;
+    #[inline]
     fn add(self, rhs: Mat3) -> Mat3 {
         let mut out = Mat3::zero();
         for r in 0..3 {
@@ -183,6 +196,7 @@ impl Add for Mat3 {
 
 impl Sub for Mat3 {
     type Output = Mat3;
+    #[inline]
     fn sub(self, rhs: Mat3) -> Mat3 {
         let mut out = Mat3::zero();
         for r in 0..3 {

@@ -27,6 +27,7 @@ impl Default for SO3 {
 
 impl SO3 {
     /// The identity rotation.
+    #[inline]
     pub fn identity() -> Self {
         Self {
             m: Mat3::identity(),
@@ -37,6 +38,7 @@ impl SO3 {
     ///
     /// The caller is responsible for `m` being orthonormal with det +1; use
     /// [`SO3::from_matrix_orthogonalized`] for noisy inputs.
+    #[inline]
     pub fn from_matrix_unchecked(m: Mat3) -> Self {
         Self { m }
     }
@@ -120,6 +122,7 @@ impl SO3 {
     }
 
     /// The inverse rotation (transpose).
+    #[inline]
     pub fn inverse(&self) -> Self {
         Self {
             m: self.m.transpose(),
@@ -127,6 +130,7 @@ impl SO3 {
     }
 
     /// The underlying matrix.
+    #[inline]
     pub fn matrix(&self) -> Mat3 {
         self.m
     }
@@ -139,6 +143,7 @@ impl SO3 {
 
 impl Mul<Vec3> for SO3 {
     type Output = Vec3;
+    #[inline]
     fn mul(self, v: Vec3) -> Vec3 {
         self.m * v
     }
@@ -146,6 +151,7 @@ impl Mul<Vec3> for SO3 {
 
 impl Mul for SO3 {
     type Output = SO3;
+    #[inline]
     fn mul(self, rhs: SO3) -> SO3 {
         SO3 { m: self.m * rhs.m }
     }
@@ -174,6 +180,7 @@ pub struct SE3 {
 
 impl SE3 {
     /// Creates a transform from rotation and translation.
+    #[inline]
     pub fn new(rotation: SO3, translation: Vec3) -> Self {
         Self {
             rotation,
@@ -182,6 +189,7 @@ impl SE3 {
     }
 
     /// The identity transform.
+    #[inline]
     pub fn identity() -> Self {
         Self::new(SO3::identity(), Vec3::ZERO)
     }
@@ -197,18 +205,21 @@ impl SE3 {
     }
 
     /// Inverse transform.
+    #[inline]
     pub fn inverse(&self) -> Self {
         let rinv = self.rotation.inverse();
         Self::new(rinv, -(rinv * self.translation))
     }
 
     /// Applies the transform to a point.
+    #[inline]
     pub fn transform(&self, p: Vec3) -> Vec3 {
         self.rotation * p + self.translation
     }
 
     /// The camera center in world coordinates for a `T_cw` pose
     /// (`-Rᵀ t`).
+    #[inline]
     pub fn camera_center(&self) -> Vec3 {
         -(self.rotation.inverse() * self.translation)
     }
@@ -226,6 +237,7 @@ impl SE3 {
 
 impl Mul<Vec3> for SE3 {
     type Output = Vec3;
+    #[inline]
     fn mul(self, p: Vec3) -> Vec3 {
         self.transform(p)
     }
@@ -233,6 +245,7 @@ impl Mul<Vec3> for SE3 {
 
 impl Mul for SE3 {
     type Output = SE3;
+    #[inline]
     fn mul(self, rhs: SE3) -> SE3 {
         SE3::new(
             self.rotation * rhs.rotation,
