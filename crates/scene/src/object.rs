@@ -98,8 +98,7 @@ impl Shape {
 fn ray_aabb(o: Vec3, d: Vec3, he: Vec3) -> Option<f64> {
     let mut t_min = f64::NEG_INFINITY;
     let mut t_max = f64::INFINITY;
-    for axis in 0..3 {
-        let (oa, da, ha) = (o.get(axis), d.get(axis), he.get(axis));
+    for (oa, da, ha) in [(o.x, d.x, he.x), (o.y, d.y, he.y), (o.z, d.z, he.z)] {
         if da.abs() < 1e-12 {
             if oa.abs() > ha {
                 return None;
