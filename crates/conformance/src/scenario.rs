@@ -12,6 +12,7 @@ use edgeis::pipeline::{class_map, run_pipeline, PipelineConfig};
 use edgeis::slo::ScenarioSlo;
 use edgeis::{EdgeIsConfig, EdgeIsSystem, ServingConfig};
 use edgeis_geometry::Camera;
+use edgeis_imaging::GrayImage;
 use edgeis_netsim::{FaultSchedule, LinkKind};
 use edgeis_scene::datasets;
 use edgeis_scene::World;
@@ -100,9 +101,7 @@ pub fn detector_divergence(frames: usize, seed: u64) -> Option<Divergence> {
     use edgeis_imaging::{detect_orb_with_scratch, features::reference, OrbScratch};
 
     let world = datasets::indoor_simple(seed);
-    let camera = camera();
-    let orb = EdgeIsConfig::full(camera, seed).vo.orb;
-    let fps = PipelineConfig::default().fps;
+    let orb = EdgeIsConfig::full(camera(), seed).vo.orb;
     let mut scratch = OrbScratch::default();
     let diverged = |frame: usize, field: String, lhs: String, rhs: String| Divergence {
         left: "reference".into(),
@@ -113,12 +112,7 @@ pub fn detector_divergence(frames: usize, seed: u64) -> Option<Divergence> {
         lhs,
         rhs,
     };
-    for i in 0..frames {
-        let t = i as f64 / fps;
-        let image = world
-            .scene
-            .render_at(&camera, &world.trajectory.pose_at(t), t)
-            .image;
+    for (i, image) in rendered_frames(&world, frames).enumerate() {
         let (ref_kps, ref_descs) = reference::detect_orb(&image, &orb);
         let (kps, descs) = detect_orb_with_scratch(&image, &orb, &mut scratch);
         if ref_kps.len() != kps.len() {
@@ -151,6 +145,20 @@ pub fn detector_divergence(frames: usize, seed: u64) -> Option<Divergence> {
         }
     }
     None
+}
+
+/// The first `frames` camera images of `world` at the shared camera and
+/// the pipeline's default frame rate — what the VO front end sees.
+pub fn rendered_frames(world: &World, frames: usize) -> impl Iterator<Item = GrayImage> + '_ {
+    let camera = camera();
+    let fps = PipelineConfig::default().fps;
+    (0..frames).map(move |i| {
+        let t = i as f64 / fps;
+        world
+            .scene
+            .render_at(&camera, &world.trajectory.pose_at(t), t)
+            .image
+    })
 }
 
 /// Records the multi-edge failover scenario: a 3-edge fleet, 3 devices,

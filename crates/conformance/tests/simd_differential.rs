@@ -11,13 +11,22 @@
 //! the same lock, pinned to the detected capabilities: a scalar window
 //! opened by a concurrent test can never turn it into a second scalar
 //! run that passes by comparing scalar with scalar.
+//!
+//! Below the traces, every descriptor the detector ships on rendered
+//! `patrol_drift` and `urban_rush` frames is checked one by one against
+//! the clamped oracle at its own keypoint, under both arms.
 
-use edgeis::ServingConfig;
+use edgeis::{EdgeIsConfig, ServingConfig};
 use edgeis_conformance::diff::diff_traces;
-use edgeis_conformance::scenario::{faulted_schedule, record_fleet, record_single_with};
+use edgeis_conformance::scenario::{
+    camera, faulted_schedule, record_fleet, record_single_with, rendered_frames,
+};
 use edgeis_conformance::trace::Trace;
 use edgeis_conformance::{write_divergence_report, Divergence};
+use edgeis_imaging::features::reference;
 use edgeis_imaging::simd::{self, force_caps, SimdCaps};
+use edgeis_imaging::{detect_orb_with_scratch, OrbScratch};
+use edgeis_scene::datasets;
 
 fn expect_identical(context: &str, d: Option<Divergence>) {
     if let Some(d) = d {
@@ -63,4 +72,39 @@ fn fleet_serving_scalar_trace_identical_to_simd() {
     scalar_vs_native("simd_fleet_serving", || {
         record_fleet("simd_diff_fleet", 2, 48, Some(ServingConfig::default()))
     });
+}
+
+#[test]
+fn rendered_frames_every_descriptor_is_the_clamped_oracle() {
+    // Per level: descriptors checked, and those of keypoints in the
+    // border band (within 23 px of a border).
+    let mut checked = [0usize; 3];
+    let mut patched = [0usize; 3];
+    for world in [datasets::patrol_drift(1), datasets::urban_rush(1)] {
+        let orb = EdgeIsConfig::full(camera(), 1).vo.orb;
+        for (i, image) in rendered_frames(&world, 24).enumerate() {
+            let levels = reference::pyramid(&image, orb.n_levels);
+            for caps in [simd::detected_caps(), SimdCaps::SCALAR] {
+                let (kps, descs) = {
+                    let _caps = force_caps(caps);
+                    detect_orb_with_scratch(&image, &orb, &mut OrbScratch::default())
+                };
+                let want = reference::descriptors_at(&image, &orb, &kps);
+                for (k, (kp, (got, want))) in kps.iter().zip(descs.iter().zip(&want)).enumerate() {
+                    assert_eq!(got, want, "{caps:?} frame {i}: descriptor {k} at {kp:?}");
+                    let level = &levels[kp.level as usize];
+                    let scale = (1u64 << kp.level) as f64;
+                    let (x, y) = ((kp.x / scale) as usize, (kp.y / scale) as usize);
+                    let (w, h) = (level.width() as usize, level.height() as usize);
+                    checked[kp.level as usize] += 1;
+                    patched[kp.level as usize] +=
+                        !(x >= 23 && y >= 23 && x + 23 < w && y + 23 < h) as usize;
+                }
+            }
+        }
+    }
+    assert!(
+        checked.iter().chain(&patched).all(|&n| n > 0),
+        "a level or its border band went unchecked: {checked:?} {patched:?}"
+    );
 }

@@ -6,7 +6,6 @@
 //! implementation with the same structure.
 
 use crate::image::GrayImage;
-use edgeis_rng::StdRng;
 
 /// A detected keypoint in full-resolution image coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -200,49 +199,7 @@ fn orientation_fast(img: &GrayImage, x: u32, y: u32, r: i64) -> f32 {
     m01.atan2(m10) as f32
 }
 
-/// The 256 BRIEF sampling pairs, generated once from a fixed seed inside a
-/// 31×31 patch (σ = 5 Gaussian-ish via clamped normal draws).
-fn brief_pattern() -> Vec<BriefPair> {
-    let mut rng = StdRng::seed_from_u64(0x0b5e55ed);
-    let draw = |rng: &mut StdRng| -> f64 {
-        // Approximate normal via sum of uniforms, clamped to the patch.
-        let s: f64 = (0..4).map(|_| rng.random_range(-1.0..1.0)).sum::<f64>() * 3.75;
-        s.clamp(-15.0, 15.0)
-    };
-    (0..256)
-        .map(|_| {
-            (
-                (draw(&mut rng), draw(&mut rng)),
-                (draw(&mut rng), draw(&mut rng)),
-            )
-        })
-        .collect()
-}
-
 use crate::simd::BriefPair;
-
-/// Computes the rotated BRIEF descriptor at a keypoint location on the
-/// level image where it was detected.
-fn brief_descriptor(
-    img: &GrayImage,
-    x: f64,
-    y: f64,
-    angle: f32,
-    pattern: &[BriefPair],
-) -> Descriptor {
-    let (sin, cos) = (angle as f64).sin_cos();
-    let mut bits = [0u64; 4];
-    for (i, &((ax, ay), (bx, by))) in pattern.iter().enumerate() {
-        let ra = (cos * ax - sin * ay, sin * ax + cos * ay);
-        let rb = (cos * bx - sin * by, sin * bx + cos * by);
-        let va = img.sample_bilinear(x + ra.0, y + ra.1);
-        let vb = img.sample_bilinear(x + rb.0, y + rb.1);
-        if va < vb {
-            bits[i / 64] |= 1u64 << (i % 64);
-        }
-    }
-    Descriptor(bits)
-}
 
 /// Minimum distance from every border (in pixels) for the direct-indexing
 /// BRIEF path. Pattern offsets are clamped to ±15 per axis, so a rotated
@@ -251,7 +208,7 @@ fn brief_descriptor(
 /// and clamping can never engage.
 const BRIEF_FAST_MARGIN: u32 = 23;
 
-/// [`brief_descriptor`] for keypoints at least [`BRIEF_FAST_MARGIN`] from
+/// [`reference::brief_descriptor`] for keypoints at least [`BRIEF_FAST_MARGIN`] from
 /// every border: bilinear sampling with direct loads, mirroring
 /// `GrayImage::sample_bilinear`'s f64 arithmetic term for term so the
 /// descriptor bits are identical. Callers fall back to the clamped
@@ -402,7 +359,7 @@ pub fn detect_orb_with_scratch(
     scratch: &mut OrbScratch,
 ) -> (Vec<Keypoint>, Vec<Descriptor>) {
     if scratch.pattern.is_empty() {
-        scratch.pattern = brief_pattern();
+        scratch.pattern = reference::brief_pattern();
     }
     let simd_fast = crate::simd::fast_available();
     let simd_brief = crate::simd::brief_available();
@@ -533,7 +490,7 @@ pub fn detect_orb_with_scratch(
         } else if interior {
             brief_descriptor_fast(level_ref, x as f64, y as f64, angle, pattern)
         } else {
-            brief_descriptor(level_ref, x as f64, y as f64, angle, pattern)
+            reference::brief_descriptor(level_ref, x as f64, y as f64, angle, pattern)
         };
         // Powers of two are exact in f64, so this matches the reference
         // flow's per-level `scale *= 2.0` accumulator bit for bit.
@@ -591,10 +548,86 @@ fn suppress_non_maxima(
 /// Not a production path; hidden from docs.
 #[doc(hidden)]
 pub mod reference {
-    use super::{
-        brief_descriptor, brief_pattern, suppress_non_maxima, Descriptor, GrayImage, Keypoint,
-        OrbConfig, FAST_CIRCLE,
-    };
+    use super::{suppress_non_maxima, Descriptor, GrayImage, Keypoint, OrbConfig, FAST_CIRCLE};
+    use edgeis_rng::StdRng;
+
+    pub use crate::simd::BriefPair;
+
+    /// The 256 BRIEF sampling pairs, generated once from a fixed seed
+    /// inside a 31×31 patch (σ = 5 Gaussian-ish via clamped normal draws).
+    pub fn brief_pattern() -> Vec<BriefPair> {
+        let mut rng = StdRng::seed_from_u64(0x0b5e55ed);
+        let draw = |rng: &mut StdRng| -> f64 {
+            // Approximate normal via sum of uniforms, clamped to the patch.
+            let s: f64 = (0..4).map(|_| rng.random_range(-1.0..1.0)).sum::<f64>() * 3.75;
+            s.clamp(-15.0, 15.0)
+        };
+        (0..256)
+            .map(|_| {
+                (
+                    (draw(&mut rng), draw(&mut rng)),
+                    (draw(&mut rng), draw(&mut rng)),
+                )
+            })
+            .collect()
+    }
+
+    /// The pyramid the reference detects on: the nine-load blur of `img`,
+    /// then `n_levels − 1` clamped 2×2 downsamples.
+    pub fn pyramid(img: &GrayImage, n_levels: u8) -> Vec<GrayImage> {
+        let mut levels = vec![img.box_blur3()];
+        for _ in 1..n_levels {
+            let next = levels[levels.len() - 1].downsample_half();
+            levels.push(next);
+        }
+        levels
+    }
+
+    /// The clamped oracle descriptor of each of `keypoints` (as
+    /// [`super::detect_orb`] returned them for `img` under `config`):
+    /// [`brief_descriptor`] on the keypoint's [`pyramid`] level, at its
+    /// level coordinates and angle. Shipped descriptors must equal these
+    /// one for one.
+    pub fn descriptors_at(
+        img: &GrayImage,
+        config: &OrbConfig,
+        keypoints: &[Keypoint],
+    ) -> Vec<Descriptor> {
+        let pattern = brief_pattern();
+        let levels = pyramid(img, config.n_levels);
+        keypoints
+            .iter()
+            .map(|kp| {
+                let scale = (1u64 << kp.level) as f64;
+                let level = &levels[kp.level as usize];
+                brief_descriptor(level, kp.x / scale, kp.y / scale, kp.angle, &pattern)
+            })
+            .collect()
+    }
+
+    /// The rotated BRIEF descriptor at `(x, y)` of the level image where
+    /// the keypoint was detected, sampled through the clamping
+    /// `GrayImage::sample_bilinear`.
+    pub fn brief_descriptor(
+        img: &GrayImage,
+        x: f64,
+        y: f64,
+        angle: f32,
+        pattern: &[BriefPair],
+    ) -> Descriptor {
+        let (sin, cos) = (angle as f64).sin_cos();
+        let mut bits = [0u64; 4];
+        for (i, &((ax, ay), (bx, by))) in pattern.iter().enumerate() {
+            let ra = (cos * ax - sin * ay, sin * ax + cos * ay);
+            let rb = (cos * bx - sin * by, sin * bx + cos * by);
+            let va = img.sample_bilinear(x + ra.0, y + ra.1);
+            let vb = img.sample_bilinear(x + rb.0, y + rb.1);
+            if va < vb {
+                bits[i / 64] |= 1u64 << (i % 64);
+            }
+        }
+        Descriptor(bits)
+    }
 
     /// [`super::detect_orb`] in its original shape, serial: nine-load
     /// clamped blur and 2×2 clamped downsample, a FAST-9 scan that loads
@@ -603,11 +636,10 @@ pub mod reference {
     /// `max_features` selection applied after the descriptors.
     pub fn detect_orb(img: &GrayImage, config: &OrbConfig) -> (Vec<Keypoint>, Vec<Descriptor>) {
         let pattern = brief_pattern();
-        let mut level_img = img.box_blur3();
         let mut keypoints = Vec::new();
         let mut descriptors = Vec::new();
         let mut scale = 1.0f64;
-        for level in 0..config.n_levels {
+        for (level, level_img) in (0..config.n_levels).zip(pyramid(img, config.n_levels)) {
             let (width, height) = (level_img.width(), level_img.height());
             if width < 32 || height < 32 {
                 break;
@@ -644,7 +676,6 @@ pub mod reference {
                     &level_img, x as f64, y as f64, angle, &pattern,
                 ));
             }
-            level_img = level_img.downsample_half();
             scale *= 2.0;
         }
 
@@ -724,7 +755,7 @@ pub mod reference {
     /// Intensity-centroid orientation in a circular patch of radius `r`.
     /// Reference implementation: scans the bounding square and skips pixels
     /// outside the disc, loading through the clamping accessor.
-    fn orientation(img: &GrayImage, x: u32, y: u32, r: i64) -> f32 {
+    pub(super) fn orientation(img: &GrayImage, x: u32, y: u32, r: i64) -> f32 {
         let mut m01 = 0.0f64;
         let mut m10 = 0.0f64;
         for dy in -r..=r {
@@ -905,6 +936,48 @@ mod tests {
         let slow = reference::detect_orb(&img, &OrbConfig::default());
         assert!(!fast.0.is_empty(), "border fixture detected nothing");
         assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn orientation_fast_matches_reference_bits() {
+        // A 15×15 image is the radius-7 disc's bounding square around
+        // (7, 7). Random patches, plus one-hot patches and patches whose
+        // moments are zero on one or both axes (all-0, all-255, mirror-
+        // symmetric), so atan2 sees signed zeros.
+        let mut s = 0x0_5eedu64;
+        let mut rand = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s as u8
+        };
+        let mut patches = vec![vec![0u8; 225], vec![255u8; 225]];
+        for i in 0..225 {
+            let mut p = vec![0u8; 225];
+            p[i] = 255;
+            patches.push(p);
+        }
+        for case in 0..300 {
+            let p: Vec<u8> = (0..225).map(|_| rand()).collect();
+            let mirrored: Vec<u8> = (0..225)
+                .map(|i| {
+                    let (x, y) = (i % 15, i / 15);
+                    let mx = if case % 3 != 1 { x.min(14 - x) } else { x };
+                    let my = if case % 3 != 0 { y.min(14 - y) } else { y };
+                    p[my * 15 + mx]
+                })
+                .collect();
+            patches.push(p);
+            patches.push(mirrored);
+        }
+        for (k, p) in patches.into_iter().enumerate() {
+            let img = GrayImage::from_raw(15, 15, p);
+            assert_eq!(
+                orientation_fast(&img, 7, 7, 7).to_bits(),
+                reference::orientation(&img, 7, 7, 7).to_bits(),
+                "patch {k}"
+            );
+        }
     }
 
     #[test]

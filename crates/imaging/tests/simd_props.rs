@@ -10,6 +10,11 @@
 //! process-global, so both arms take the same lock and a concurrent
 //! forced section can never turn the native arm scalar; the guard
 //! restores detection on exit.
+//!
+//! The descriptor properties check every shipped descriptor, one by one,
+//! against the clamped oracle `reference::brief_descriptor` at its own
+//! keypoint, under both dispatch arms: interior and border-band
+//! keypoints alike.
 
 use edgeis_imaging::features::reference;
 use edgeis_imaging::simd::{detected_caps, force_caps};
@@ -147,4 +152,87 @@ fn forced_scalar_caps_fall_back_identically() {
             "forced-scalar dispatch vs reference detector",
         );
     });
+}
+
+/// What a descriptor check covered: shipped keypoints per pyramid level,
+/// those in the border band (within 23 px of a border), and level-2 keypoints 16–23 px
+/// from each border (left, top, right, bottom).
+#[derive(Debug, Default)]
+struct Coverage {
+    levels: [usize; 3],
+    patched: usize,
+    level2_band: [usize; 4],
+}
+
+/// Asserts that every descriptor the detector ships for `img` under
+/// `caps` equals the clamped oracle's at its keypoint.
+fn check_every_descriptor(img: &GrayImage, caps: SimdCaps, cov: &mut Coverage) {
+    let cfg = OrbConfig::default();
+    let (kps, descs) = detect_with(img, caps);
+    let want = reference::descriptors_at(img, &cfg, &kps);
+    let levels = reference::pyramid(img, cfg.n_levels);
+    for (k, (kp, (got, want))) in kps.iter().zip(descs.iter().zip(&want)).enumerate() {
+        assert_eq!(got, want, "{caps:?}: descriptor {k} at {kp:?}");
+        let level = &levels[kp.level as usize];
+        let scale = (1u64 << kp.level) as f64;
+        let (x, y) = ((kp.x / scale) as usize, (kp.y / scale) as usize);
+        let (w, h) = (level.width() as usize, level.height() as usize);
+        cov.levels[kp.level as usize] += 1;
+        cov.patched += !(x >= 23 && y >= 23 && x + 23 < w && y + 23 < h) as usize;
+        if kp.level == 2 {
+            for (b, d) in [x, y, w - 1 - x, h - 1 - y].into_iter().enumerate() {
+                cov.level2_band[b] += (16..=23).contains(&d) as usize;
+            }
+        }
+    }
+}
+
+#[test]
+fn every_descriptor_matches_clamped_oracle() {
+    // Large enough for a 3-level pyramid (level 2 needs 32 px a side).
+    let mut cov = Coverage::default();
+    for_each_case(|rng| {
+        let (w, h) = (rng.random_range(128u32..200), rng.random_range(128u32..176));
+        let img = textured(w, h, rng.random_range(0u64..1_000_000));
+        for caps in [detected_caps(), SimdCaps::SCALAR] {
+            check_every_descriptor(&img, caps, &mut cov);
+        }
+    });
+    assert!(
+        cov.levels.iter().all(|&n| n > 0) && cov.patched > 0,
+        "a level or the border patch went unchecked: {cov:?}"
+    );
+}
+
+#[test]
+fn border_band_corners_match_clamped_oracle() {
+    // Bright 6×6 squares on the level-2 grid of a 320×240 frame (80×60
+    // at level 2), drawn as 24×24 blocks at full resolution, with a
+    // corner 16 and 23 px from each border of level 2: both ends of the
+    // band between FAST's 16 px border and the kernel's in-place window.
+    let mut img = GrayImage::new(320, 240);
+    img.fill(40);
+    let (w2, h2) = (80u32, 60u32);
+    let mut square = |x2: u32, y2: u32| {
+        for y in y2 * 4..(y2 + 6) * 4 {
+            for x in x2 * 4..(x2 + 6) * 4 {
+                img.set(x, y, 220);
+            }
+        }
+    };
+    for (i, d) in [16u32, 23].into_iter().enumerate() {
+        let along = 30 + 10 * i as u32;
+        square(d, along.min(h2 - 30)); // left edge at d
+        square(along, d); // top edge at d
+        square(w2 - 1 - d - 5, along.min(h2 - 30)); // right edge at d
+        square(along, h2 - 1 - d - 5); // bottom edge at d
+    }
+    let mut cov = Coverage::default();
+    for caps in [detected_caps(), SimdCaps::SCALAR] {
+        check_every_descriptor(&img, caps, &mut cov);
+    }
+    assert!(
+        cov.level2_band.iter().all(|&n| n > 0),
+        "a level-2 border band went unchecked: {cov:?}"
+    );
 }
