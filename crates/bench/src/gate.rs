@@ -290,9 +290,6 @@ pub fn host_fingerprint() -> String {
     if caps.x86_baseline {
         flags.push("x86");
     }
-    if caps.sse3 {
-        flags.push("sse3");
-    }
     if caps.avx2 {
         flags.push("avx2");
     }
@@ -586,7 +583,7 @@ mod tests {
     fn host_entries_roundtrip_and_leave_the_reference_intact() {
         let reference = baseline();
         let laptop = HostBaseline {
-            fingerprint: "laptop/x86+sse3".into(),
+            fingerprint: "laptop/x86+avx2".into(),
             host_threads: 8,
             metrics: scaled(&reference, 1.6),
         };

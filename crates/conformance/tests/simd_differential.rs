@@ -41,9 +41,17 @@ fn scalar_vs_native(context: &str, record: impl Fn() -> Trace) {
     let native = {
         let _caps = force_caps(simd::detected_caps());
         // Every x86_64 CPU has the baseline lanes, so there the native
-        // arm really runs vector kernels.
+        // arm really runs vector kernels, and the BRIEF kernel runs
+        // wherever the CPU reports AVX2 (whatever the build's target-cpu).
         #[cfg(target_arch = "x86_64")]
-        assert!(simd::blur_available(), "native arm is not running SIMD");
+        {
+            assert!(simd::blur_available(), "native arm is not running SIMD");
+            assert_eq!(
+                simd::brief_available(),
+                is_x86_feature_detected!("avx2"),
+                "BRIEF dispatch does not follow runtime detection"
+            );
+        }
         record()
     };
     let scalar = {
@@ -76,8 +84,8 @@ fn fleet_serving_scalar_trace_identical_to_simd() {
 
 #[test]
 fn rendered_frames_every_descriptor_is_the_clamped_oracle() {
-    // Per level: descriptors checked, and those of keypoints in the
-    // border band (within 23 px of a border).
+    // Per level: descriptors checked, and those of keypoints the kernel
+    // cannot describe in place (the border band, read from a patch).
     let mut checked = [0usize; 3];
     let mut patched = [0usize; 3];
     for world in [datasets::patrol_drift(1), datasets::urban_rush(1)] {
@@ -97,8 +105,7 @@ fn rendered_frames_every_descriptor_is_the_clamped_oracle() {
                     let (x, y) = ((kp.x / scale) as usize, (kp.y / scale) as usize);
                     let (w, h) = (level.width() as usize, level.height() as usize);
                     checked[kp.level as usize] += 1;
-                    patched[kp.level as usize] +=
-                        !(x >= 23 && y >= 23 && x + 23 < w && y + 23 < h) as usize;
+                    patched[kp.level as usize] += !simd::brief_fits(w * h, w, x, y) as usize;
                 }
             }
         }

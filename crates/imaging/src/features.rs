@@ -199,106 +199,58 @@ fn orientation_fast(img: &GrayImage, x: u32, y: u32, r: i64) -> f32 {
     m01.atan2(m10) as f32
 }
 
-use crate::simd::BriefPair;
+use crate::simd::{BriefPattern, BRIEF_PATCH, BRIEF_REACH};
 
-/// Minimum distance from every border (in pixels) for the direct-indexing
-/// BRIEF path. Pattern offsets are clamped to ±15 per axis, so a rotated
-/// offset has magnitude ≤ 15·√2 ≈ 21.22; at ≥ 23 px from each edge both
-/// bilinear footprint columns/rows of every sample are strictly in-bounds
-/// and clamping can never engage.
-const BRIEF_FAST_MARGIN: u32 = 23;
-
-/// [`reference::brief_descriptor`] for keypoints at least [`BRIEF_FAST_MARGIN`] from
-/// every border: bilinear sampling with direct loads, mirroring
-/// `GrayImage::sample_bilinear`'s f64 arithmetic term for term so the
-/// descriptor bits are identical. Callers fall back to the clamped
-/// reference sampler nearer the border, where the two would diverge.
-fn brief_descriptor_fast(
+/// The shipped rotated-BRIEF descriptor of the keypoint at level pixel
+/// `(x, y)`: the kernel reads the level in place where its window
+/// [`crate::simd::brief_fits`], and otherwise (within about 23 px of a
+/// border) a [`BRIEF_PATCH`]-square clamp-to-edge copy of the
+/// neighbourhood. The patch holds exactly the bytes `get_clamped` loads,
+/// so both routes equal the clamped oracle [`reference::brief_descriptor`].
+fn brief_descriptor(
     img: &GrayImage,
-    x: f64,
-    y: f64,
+    (x, y): (u32, u32),
     angle: f32,
-    pattern: &[BriefPair],
+    pattern: &BriefPattern,
 ) -> Descriptor {
     let data = img.as_bytes();
     let w = img.width() as usize;
-    // `sx`/`sy` are strictly positive here (margin ≥ 23 minus the ≤ 21.22
-    // rotated offset), so `as usize` truncation equals `floor()`; the
-    // interpolation expression below is term-for-term the reference one,
-    // keeping every f64 rounding step identical.
-    let sample = |sx: f64, sy: f64| -> f64 {
-        let x0 = sx as usize;
-        let y0 = sy as usize;
-        let fx = sx - x0 as f64;
-        let fy = sy - y0 as f64;
-        let base = y0 * w + x0;
-        let r0 = &data[base..base + 2];
-        let r1 = &data[base + w..base + w + 2];
-        let p00 = r0[0] as f64;
-        let p10 = r0[1] as f64;
-        let p01 = r1[0] as f64;
-        let p11 = r1[1] as f64;
-        p00 * (1.0 - fx) * (1.0 - fy)
-            + p10 * fx * (1.0 - fy)
-            + p01 * (1.0 - fx) * fy
-            + p11 * fx * fy
+    let mut bits = if crate::simd::brief_fits(data.len(), w, x as usize, y as usize) {
+        crate::simd::brief_bits(data, w, (0, 0), (x, y), angle, pattern)
+    } else {
+        let mut patch = [0u8; BRIEF_PATCH * BRIEF_PATCH];
+        let origin = (x as i64 - BRIEF_REACH as i64, y as i64 - BRIEF_REACH as i64);
+        clamped_patch(img, origin, &mut patch);
+        crate::simd::brief_bits(&patch, BRIEF_PATCH, origin, (x, y), angle, pattern)
     };
-    // Three straight-line phases over the whole pattern — rotate, sample,
-    // compare — so the rotation loop vectorizes and the gather-bound
-    // sample loop runs branch-free. Each sample's arithmetic is unchanged,
-    // only regrouped across iterations, so every value (and bit) matches
-    // the reference loop.
-    let (sin, cos) = (angle as f64).sin_cos();
-    let mut coords = [0.0f64; 1024];
-    for (i, &((ax, ay), (bx, by))) in pattern.iter().enumerate() {
-        coords[4 * i] = x + (cos * ax - sin * ay);
-        coords[4 * i + 1] = y + (sin * ax + cos * ay);
-        coords[4 * i + 2] = x + (cos * bx - sin * by);
-        coords[4 * i + 3] = y + (sin * bx + cos * by);
-    }
-    let mut vals = [0.0f64; 512];
-    for (v, c) in vals.iter_mut().zip(coords.chunks_exact(2)) {
-        *v = sample(c[0], c[1]);
-    }
-    let mut bits = [0u64; 4];
-    for (i, p) in vals.chunks_exact(2).enumerate() {
-        bits[i >> 6] |= ((p[0] < p[1]) as u64) << (i & 63);
-    }
+    // The conformance canary corrupts every shipped descriptor, so a
+    // silently diverged kernel is provably caught.
     if crate::test_hooks::brief_fast_corruption_enabled() {
         bits[0] ^= 1;
     }
     Descriptor(bits)
 }
 
-/// [`brief_descriptor_fast`] with the rotate and sample phases running
-/// through the SIMD kernels ([`crate::simd::brief_rotate`],
-/// [`crate::simd::brief_sample_pairs`]): the same three-phase structure
-/// and the same per-element IEEE operations two lanes at a time, so the
-/// descriptor bits are identical. Same interior-margin contract as the
-/// scalar fast path; callers must have checked
-/// [`crate::simd::brief_available`].
-fn brief_descriptor_simd(
-    img: &GrayImage,
-    x: f64,
-    y: f64,
-    angle: f32,
-    pattern: &[BriefPair],
-) -> Descriptor {
-    let (sin, cos) = (angle as f64).sin_cos();
-    let mut coords = [0.0f64; 1024];
-    crate::simd::brief_rotate(x, y, sin, cos, pattern, &mut coords);
-    let mut vals = [0.0f64; 512];
-    crate::simd::brief_sample_pairs(img.as_bytes(), img.width() as usize, &coords, &mut vals);
-    let mut bits = [0u64; 4];
-    for (i, p) in vals.chunks_exact(2).enumerate() {
-        bits[i >> 6] |= ((p[0] < p[1]) as u64) << (i & 63);
+/// Fills `patch` (row-major, [`BRIEF_PATCH`] square) with the level's
+/// clamp-to-edge pixels from `origin` on: patch pixel `(c, r)` is
+/// `img.get_clamped(origin.0 + c, origin.1 + r)`.
+fn clamped_patch(img: &GrayImage, origin: (i64, i64), patch: &mut [u8; BRIEF_PATCH * BRIEF_PATCH]) {
+    let (w, h) = (img.width() as i64, img.height() as i64);
+    let side = BRIEF_PATCH as i64;
+    // Patch columns lo..hi fall inside the level; the rest repeat the
+    // row's edge pixel.
+    let lo = (-origin.0).clamp(0, side) as usize;
+    let hi = (w - origin.0).clamp(0, side) as usize;
+    for (r, out) in patch.chunks_exact_mut(BRIEF_PATCH).enumerate() {
+        let sy = (origin.1 + r as i64).clamp(0, h - 1);
+        let row = &img.as_bytes()[(sy * w) as usize..((sy + 1) * w) as usize];
+        out[..lo].fill(row[0]);
+        if lo < hi {
+            let start = (origin.0 + lo as i64) as usize;
+            out[lo..hi].copy_from_slice(&row[start..start + (hi - lo)]);
+        }
+        out[hi..].fill(row[row.len() - 1]);
     }
-    // The conformance canary corrupts every fast-path sampler — this one
-    // included — so a silently diverged SIMD BRIEF is provably caught.
-    if crate::test_hooks::brief_fast_corruption_enabled() {
-        bits[0] ^= 1;
-    }
-    Descriptor(bits)
 }
 
 /// Reusable buffers for [`detect_orb_with_scratch`]: the BRIEF pattern,
@@ -307,9 +259,9 @@ fn brief_descriptor_simd(
 /// level images, the blur's column sums and the selection order. Holding
 /// one of these per tracker removes every per-frame allocation from the
 /// detector's steady state.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct OrbScratch {
-    pattern: Vec<BriefPair>,
+    pattern: Box<BriefPattern>,
     suppressed: Vec<bool>,
     candidates: Vec<(u32, u32, f32)>,
     winners: Vec<(u32, u32, f32, u8)>,
@@ -317,6 +269,21 @@ pub struct OrbScratch {
     levels: Vec<GrayImage>,
     colsum: Vec<u16>,
     order: Vec<usize>,
+}
+
+impl Default for OrbScratch {
+    fn default() -> Self {
+        Self {
+            pattern: Box::new(BriefPattern::from_pairs(&reference::brief_pattern())),
+            suppressed: Vec::new(),
+            candidates: Vec::new(),
+            winners: Vec::new(),
+            selected: Vec::new(),
+            levels: Vec::new(),
+            colsum: Vec::new(),
+            order: Vec::new(),
+        }
+    }
 }
 
 impl OrbScratch {
@@ -327,7 +294,7 @@ impl OrbScratch {
             + self.candidates.capacity() * std::mem::size_of::<(u32, u32, f32)>()
             + (self.winners.capacity() + self.selected.capacity())
                 * std::mem::size_of::<(u32, u32, f32, u8)>()
-            + self.pattern.capacity() * std::mem::size_of::<BriefPair>()
+            + std::mem::size_of::<BriefPattern>()
             + self.colsum.capacity() * std::mem::size_of::<u16>()
             + self.order.capacity() * std::mem::size_of::<usize>()
             + self
@@ -348,21 +315,16 @@ pub fn detect_orb(img: &GrayImage, config: &OrbConfig) -> (Vec<Keypoint>, Vec<De
 
 /// [`detect_orb`] with caller-owned scratch buffers, reused across frames.
 ///
-/// Each SIMD kernel (blur row, FAST compass pre-test, BRIEF rotate/sample)
-/// runs when its CPU feature is present and falls back to the scalar fast
-/// path otherwise; [`crate::simd::force_caps`] pins the fallback. Every
-/// combination is bit-identical to the clamped [`reference`] detector
-/// (test-enforced).
+/// Each SIMD kernel (blur row, FAST compass pre-test, BRIEF) runs when its
+/// CPU feature is present and falls back to its scalar twin otherwise;
+/// [`crate::simd::force_caps`] pins the fallback. Every combination is
+/// bit-identical to the clamped [`reference`] detector (test-enforced).
 pub fn detect_orb_with_scratch(
     img: &GrayImage,
     config: &OrbConfig,
     scratch: &mut OrbScratch,
 ) -> (Vec<Keypoint>, Vec<Descriptor>) {
-    if scratch.pattern.is_empty() {
-        scratch.pattern = reference::brief_pattern();
-    }
     let simd_fast = crate::simd::fast_available();
-    let simd_brief = crate::simd::brief_available();
     let n_levels = (config.n_levels as usize).max(1);
     while scratch.levels.len() < n_levels {
         scratch.levels.push(GrayImage::new(1, 1));
@@ -481,17 +443,7 @@ pub fn detect_orb_with_scratch(
     for &(x, y, resp, level) in &scratch.selected {
         let level_ref = &scratch.levels[level as usize];
         let angle = orientation_fast(level_ref, x, y, 7);
-        let interior = x >= BRIEF_FAST_MARGIN
-            && y >= BRIEF_FAST_MARGIN
-            && x + BRIEF_FAST_MARGIN < level_ref.width()
-            && y + BRIEF_FAST_MARGIN < level_ref.height();
-        let desc = if interior && simd_brief {
-            brief_descriptor_simd(level_ref, x as f64, y as f64, angle, pattern)
-        } else if interior {
-            brief_descriptor_fast(level_ref, x as f64, y as f64, angle, pattern)
-        } else {
-            reference::brief_descriptor(level_ref, x as f64, y as f64, angle, pattern)
-        };
+        let desc = brief_descriptor(level_ref, (x, y), angle, pattern);
         // Powers of two are exact in f64, so this matches the reference
         // flow's per-level `scale *= 2.0` accumulator bit for bit.
         let scale = (1u64 << level) as f64;
@@ -555,6 +507,8 @@ pub mod reference {
 
     /// The 256 BRIEF sampling pairs, generated once from a fixed seed
     /// inside a 31×31 patch (σ = 5 Gaussian-ish via clamped normal draws).
+    /// The shipped detector transposes them into a
+    /// [`crate::simd::BriefPattern`].
     pub fn brief_pattern() -> Vec<BriefPair> {
         let mut rng = StdRng::seed_from_u64(0x0b5e55ed);
         let draw = |rng: &mut StdRng| -> f64 {
@@ -920,9 +874,9 @@ mod tests {
 
     #[test]
     fn fast_paths_identical_near_borders() {
-        // Keypoints between the 16 px scan border and the 23 px BRIEF
-        // margin exercise the clamped-sampler fallback; squares packed
-        // against the border put winners in that band.
+        // Keypoints between the 16 px scan border and the kernel's
+        // in-place window (about 23 px) are described from clamp-to-edge
+        // patches; squares packed against the border put winners there.
         let mut img = GrayImage::new(96, 96);
         img.fill(30);
         for &(sx, sy) in &[(17u32, 17u32), (70, 17), (17, 70), (70, 70), (44, 44)] {
@@ -977,6 +931,82 @@ mod tests {
                 reference::orientation(&img, 7, 7, 7).to_bits(),
                 "patch {k}"
             );
+        }
+    }
+
+    #[test]
+    fn clamped_patch_is_get_clamped() {
+        // Origins hanging over every border, and wholly outside the
+        // level on either side, on noise so every edge pixel differs
+        // from its neighbour.
+        let mut s = 0x9e37_79b9u64;
+        let noise = (0..60 * 50)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s as u8
+            })
+            .collect();
+        let img = GrayImage::from_raw(60, 50, noise);
+        for origin in [
+            (-22, -22),
+            (-5, 30),
+            (40, -10),
+            (30, 20),
+            (-60, 5),
+            (70, 70),
+        ] {
+            let mut patch = [0u8; BRIEF_PATCH * BRIEF_PATCH];
+            clamped_patch(&img, origin, &mut patch);
+            for (i, &v) in patch.iter().enumerate() {
+                let (c, r) = ((i % BRIEF_PATCH) as i64, (i / BRIEF_PATCH) as i64);
+                assert_eq!(v, img.get_clamped(origin.0 + c, origin.1 + r), "{origin:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn border_band_matches_clamped_oracle_at_full_reach() {
+        // The shipped pattern's farthest point is 15.88 px from the
+        // keypoint, inside FAST's 16 px border, so detection never
+        // samples past a level edge. These pairs sit on the ±15 square,
+        // up to 15·√2 px out once rotated: a keypoint 16–23 px from a
+        // border then samples past the edge (negative coordinates
+        // included) on every angle, under both dispatch arms.
+        let pairs: Vec<reference::BriefPair> = (0..256)
+            .map(|i| {
+                let t = -15.0 + 30.0 * i as f64 / 255.0;
+                let s = if i % 2 == 0 { 15.0 } else { -15.0 };
+                ((s, t), (-t, s))
+            })
+            .collect();
+        let pattern = BriefPattern::from_pairs(&pairs);
+        let mut state = 0x2545_f491u64;
+        let noise = (0..64 * 56)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        let img = GrayImage::from_raw(64, 56, noise);
+        let band = |n: u32| (16..=23).chain(n - 24..=n - 17);
+        for caps in [crate::simd::detected_caps(), crate::simd::SimdCaps::SCALAR] {
+            let _caps = crate::simd::force_caps(caps);
+            for y in band(56) {
+                for x in band(64) {
+                    for step in 0..12 {
+                        let angle = step as f32 * 0.55 - 3.1;
+                        assert_eq!(
+                            brief_descriptor(&img, (x, y), angle, &pattern),
+                            reference::brief_descriptor(&img, x as f64, y as f64, angle, &pairs),
+                            "{caps:?} ({x}, {y}) angle {angle}"
+                        );
+                    }
+                }
+            }
         }
     }
 

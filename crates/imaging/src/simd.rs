@@ -1,9 +1,9 @@
 //! Explicit SIMD hot-path kernels (x86_64 `core::arch` intrinsics with
 //! runtime feature detection) for the three detector inner loops: the
 //! pyramid box blur's column-sum row kernel, the FAST compass pre-test and
-//! the BRIEF rotate/sample arithmetic. (The Hamming matcher stays scalar:
-//! four hardware `popcnt`s per pair beat AVX2 and AVX-512 popcount scans,
-//! DESIGN.md §14.)
+//! the rotated-BRIEF descriptor (rotate, bilinear sample, compare). (The
+//! Hamming matcher stays scalar: four hardware `popcnt`s per pair beat
+//! AVX2 and AVX-512 popcount scans, DESIGN.md §14.)
 //!
 //! Every kernel here is **bit-identical** to its scalar counterpart, by
 //! construction rather than by tolerance:
@@ -16,9 +16,10 @@
 //!   the scalar reject (`v > c+t` ⟺ `subs_epu8(v, adds_epu8(c,t)) > 0`
 //!   and `v < c−t` ⟺ `subs_epu8(subs_epu8(c,t), v) > 0`, saturation
 //!   corners included), and survivors run the unchanged scalar decision.
-//! - *BRIEF*: lanewise f64 mul/add/sub/addsub perform the same
-//!   individually-rounded IEEE operations as the scalar expressions, in
-//!   the same per-element order, so every intermediate bit matches.
+//! - *BRIEF*: lanewise f64 mul/add/sub and `floor_pd` perform the same
+//!   individually-rounded IEEE operations as the scalar twin and the
+//!   clamped oracle, in the same per-element order, so every
+//!   intermediate bit matches; the gathers read the same four bytes.
 //!
 //! Dispatch is per-call-site on [`caps`] (detected once, cacheable,
 //! overridable from tests via [`force_caps`] to exercise the
@@ -29,16 +30,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which instruction-set extensions the dispatcher may use. SSE2 is part
-/// of the x86_64 baseline, so `blur`/`fast`/`sample` only need the
-/// architecture; `sse3` gates the BRIEF rotate (`addsub_pd`) and `avx2`
-/// the wider blur rows.
+/// of the x86_64 baseline, so `blur`/`fast` only need the architecture;
+/// `avx2` gates the wider blur rows and the BRIEF kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimdCaps {
     /// x86_64 baseline lanes (SSE2) usable at all.
     pub x86_baseline: bool,
-    /// SSE3 `addsub_pd` for the BRIEF rotate phase.
-    pub sse3: bool,
-    /// AVX2 for the 256-bit blur rows.
+    /// AVX2 for the 256-bit blur rows and the BRIEF gathers.
     pub avx2: bool,
 }
 
@@ -46,31 +44,26 @@ impl SimdCaps {
     /// No SIMD at all — the forced-scalar fallback configuration.
     pub const SCALAR: SimdCaps = SimdCaps {
         x86_baseline: false,
-        sse3: false,
         avx2: false,
     };
 }
 
 // Bit layout of the cached capability byte: bit7 = initialized, bit6 =
-// forced override active, bits 0..=2 mirror the SimdCaps fields.
+// forced override active, bits 0..=1 mirror the SimdCaps fields.
 const CAP_INIT: u8 = 0x80;
 const CAP_FORCED: u8 = 0x40;
 const CAP_BASE: u8 = 0x01;
-const CAP_SSE3: u8 = 0x02;
-const CAP_AVX2: u8 = 0x04;
+const CAP_AVX2: u8 = 0x02;
 
 static CAPS: AtomicU8 = AtomicU8::new(0);
 
 fn encode(caps: SimdCaps) -> u8 {
-    (caps.x86_baseline as u8 * CAP_BASE)
-        | (caps.sse3 as u8 * CAP_SSE3)
-        | (caps.avx2 as u8 * CAP_AVX2)
+    (caps.x86_baseline as u8 * CAP_BASE) | (caps.avx2 as u8 * CAP_AVX2)
 }
 
 fn decode(bits: u8) -> SimdCaps {
     SimdCaps {
         x86_baseline: bits & CAP_BASE != 0,
-        sse3: bits & CAP_SSE3 != 0,
         avx2: bits & CAP_AVX2 != 0,
     }
 }
@@ -79,7 +72,6 @@ fn decode(bits: u8) -> SimdCaps {
 fn detect() -> SimdCaps {
     SimdCaps {
         x86_baseline: true,
-        sse3: is_x86_feature_detected!("sse3"),
         avx2: is_x86_feature_detected!("avx2"),
     }
 }
@@ -408,179 +400,280 @@ fn fast_compass_mask_sse2(data: &[u8], row: usize, x: usize, stride: usize, t: u
 }
 
 // ---------------------------------------------------------------------
-// BRIEF rotate + bilinear sample arithmetic.
+// Rotated BRIEF: fused rotate, bilinear sample and compare.
 // ---------------------------------------------------------------------
 
-/// Whether the BRIEF kernels ([`brief_rotate`], [`brief_sample_pairs`])
-/// have vector implementations (the rotate needs SSE3's `addsub_pd`).
+/// Whether [`brief_bits`] runs its AVX2 kernel (gathers and 4-lane
+/// `floor_pd`) on this host.
 pub fn brief_available() -> bool {
-    caps().sse3
+    caps().avx2
 }
 
-/// One BRIEF comparison: a pair of (x, y) offsets around the keypoint
-/// (the kernel-facing twin of the alias in `features`).
+/// How far, in whole pixels, a rotated pattern point can land from its
+/// keypoint. Pattern offsets lie in `[-15, 15]` per axis, so a rotated
+/// offset has magnitude ≤ 15·√2 ≈ 21.21 and its floor lies in
+/// `-BRIEF_REACH..BRIEF_REACH`: a sample's 2×2 footprint stays within
+/// `BRIEF_REACH` pixels of the keypoint on every axis.
+pub const BRIEF_REACH: usize = 22;
+
+/// Side of the square clamp-to-edge patch a keypoint near a level border
+/// is described from, with the keypoint at patch pixel
+/// `(BRIEF_REACH, BRIEF_REACH)`: the `2·BRIEF_REACH + 1` footprint
+/// columns and rows plus the two bytes each 4-byte row gather reads past
+/// a footprint's right column, rounded up to 48.
+pub const BRIEF_PATCH: usize = 48;
+
+/// One BRIEF comparison: a pair of (x, y) offsets around the keypoint.
 pub type BriefPair = ((f64, f64), (f64, f64));
 
-/// Rotates the 256 BRIEF pattern pairs by `(sin, cos)` around `(x, y)`
-/// into the flat `coords` layout `[ax', ay', bx', by']` per pair — the
-/// same per-element `x + (cos·px − sin·py)` / `y + (sin·px + cos·py)`
-/// expressions as the scalar rotate loop, two lanes at a time
-/// (`addsub_pd` performs the identical single-rounded sub/add per lane).
-pub fn brief_rotate(
-    x: f64,
-    y: f64,
-    sin: f64,
-    cos: f64,
-    pattern: &[BriefPair],
-    coords: &mut [f64; 1024],
-) {
+/// The 256 BRIEF comparison pairs in structure-of-arrays layout, rows
+/// `ax`, `ay`, `bx`, `by`. Every offset lies in `[-15, 15]` (checked on
+/// construction), which bounds [`brief_bits`]' loads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BriefPattern([[f64; 256]; 4]);
+
+impl BriefPattern {
+    /// Transposes 256 `((ax, ay), (bx, by))` pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there are exactly 256 pairs, every offset in
+    /// `[-15, 15]`.
+    pub fn from_pairs(pairs: &[BriefPair]) -> BriefPattern {
+        assert_eq!(pairs.len(), 256, "BRIEF has 256 pairs");
+        let mut rows = [[0.0f64; 256]; 4];
+        for (i, &((ax, ay), (bx, by))) in pairs.iter().enumerate() {
+            for (row, v) in rows.iter_mut().zip([ax, ay, bx, by]) {
+                assert!(v.abs() <= 15.0, "BRIEF offset {v} outside [-15, 15]");
+                row[i] = v;
+            }
+        }
+        BriefPattern(rows)
+    }
+}
+
+/// Whether [`brief_bits`] can describe the keypoint at `(x, y)` of a
+/// row-major buffer `len` bytes long with row stride `stride`: every
+/// footprint pixel within [`BRIEF_REACH`] of the keypoint lies in its
+/// row, and the last row gather (`(y + BRIEF_REACH) · stride + x +
+/// BRIEF_REACH + 2`) lies in the buffer.
+pub fn brief_fits(len: usize, stride: usize, x: usize, y: usize) -> bool {
+    x >= BRIEF_REACH
+        && y >= BRIEF_REACH
+        && x + BRIEF_REACH < stride
+        && (y + BRIEF_REACH) * stride + x + BRIEF_REACH + 2 < len
+}
+
+/// The 256 rotated-BRIEF bits of the keypoint at level pixel `(x, y)`,
+/// oriented by `angle`, sampled from `data`: a row-major window of the
+/// level with row stride `stride` whose byte 0 is level pixel `origin`.
+///
+/// Bit `i` is set iff the bilinear sample at rotated point `a_i` is below
+/// the one at `b_i`. Each point is `x + (cos·ax − sin·ay)`,
+/// `y + (sin·ax + cos·ay)`; each sample floors it, reads the 2×2
+/// footprint at `(x0 − origin.0, y0 − origin.1)` of the window and
+/// interpolates in `GrayImage::sample_bilinear`'s term order. So the bits
+/// equal the clamped oracle's wherever the window holds the level's
+/// clamp-to-edge pixels. AVX2 runs four pairs per step; the scalar twin
+/// (no AVX2, or `force_caps`) runs the same IEEE operations one at a time.
+///
+/// # Panics
+///
+/// Panics if `angle` is not finite, or unless the keypoint
+/// [`brief_fits`] the window.
+pub fn brief_bits(
+    data: &[u8],
+    stride: usize,
+    origin: (i64, i64),
+    (x, y): (u32, u32),
+    angle: f32,
+    pattern: &BriefPattern,
+) -> [u64; 4] {
+    let (rx, ry) = (x as i64 - origin.0, y as i64 - origin.1);
+    assert!(
+        angle.is_finite()
+            && rx >= 0
+            && ry >= 0
+            && data.len() <= i32::MAX as usize
+            && data.len() >= 4
+            && stride <= data.len() - 4
+            && brief_fits(data.len(), stride, rx as usize, ry as usize),
+        "BRIEF window does not cover keypoint ({x}, {y}) at angle {angle}"
+    );
+    let (sin, cos) = (angle as f64).sin_cos();
+    let at = Rotation {
+        x: x as f64,
+        y: y as f64,
+        sin,
+        cos,
+        origin,
+    };
     #[cfg(target_arch = "x86_64")]
     {
-        if caps().sse3 {
-            // SAFETY: sse3 was runtime-detected just above.
-            unsafe { brief_rotate_sse3(x, y, sin, cos, pattern, coords) };
-            return;
+        if caps().avx2 {
+            // SAFETY: avx2 was runtime-detected just above, and the
+            // assert above gives the kernel's contract: `data.len()` fits
+            // i32 and is at least `stride + 4`, so every gather index it
+            // clamps lies in `data`.
+            return unsafe { brief_bits_avx2(data, stride, &at, pattern) };
         }
     }
-    brief_rotate_scalar(x, y, sin, cos, pattern, coords);
+    brief_bits_scalar(data, stride, &at, pattern)
 }
 
-/// Scalar reference for [`brief_rotate`].
-fn brief_rotate_scalar(
+/// A keypoint's rotation and window origin, shared by both BRIEF tiers.
+struct Rotation {
     x: f64,
     y: f64,
     sin: f64,
     cos: f64,
-    pattern: &[BriefPair],
-    coords: &mut [f64; 1024],
-) {
-    for (i, &((ax, ay), (bx, by))) in pattern.iter().enumerate() {
-        coords[4 * i] = x + (cos * ax - sin * ay);
-        coords[4 * i + 1] = y + (sin * ax + cos * ay);
-        coords[4 * i + 2] = x + (cos * bx - sin * by);
-        coords[4 * i + 3] = y + (sin * bx + cos * by);
-    }
+    origin: (i64, i64),
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse3")]
-unsafe fn brief_rotate_sse3(
-    x: f64,
-    y: f64,
-    sin: f64,
-    cos: f64,
-    pattern: &[BriefPair],
-    coords: &mut [f64; 1024],
-) {
-    use core::arch::x86_64::*;
-    // Lanes are [x-part, y-part]: for point (px, py),
-    //   mul([cos, sin], px) = [cos·px, sin·px]
-    //   mul([sin, cos], py) = [sin·py, cos·py]
-    //   addsub(a, b)        = [cos·px − sin·py, sin·px + cos·py]
-    // each lane one multiply and one add/sub — the scalar rounding
-    // sequence exactly.
-    let cs = _mm_set_pd(sin, cos);
-    let sc = _mm_set_pd(cos, sin);
-    let xy = _mm_set_pd(y, x);
-    for (i, &((ax, ay), (bx, by))) in pattern.iter().enumerate() {
-        let ra = _mm_addsub_pd(
-            _mm_mul_pd(cs, _mm_set1_pd(ax)),
-            _mm_mul_pd(sc, _mm_set1_pd(ay)),
-        );
-        let rb = _mm_addsub_pd(
-            _mm_mul_pd(cs, _mm_set1_pd(bx)),
-            _mm_mul_pd(sc, _mm_set1_pd(by)),
-        );
-        _mm_storeu_pd(coords.as_mut_ptr().add(4 * i), _mm_add_pd(xy, ra));
-        _mm_storeu_pd(coords.as_mut_ptr().add(4 * i + 2), _mm_add_pd(xy, rb));
-    }
-}
-
-/// Bilinearly samples the 512 rotated pattern points (`coords` pairs)
-/// from the row-major `data` (width `w`), two samples per step: the
-/// gather loads stay scalar, the interpolation arithmetic runs in two
-/// f64 lanes with the scalar expression's exact operation order. Callers
-/// guarantee every sample's 2×2 footprint is strictly in-bounds (the
-/// BRIEF fast-margin contract).
-pub fn brief_sample_pairs(data: &[u8], w: usize, coords: &[f64; 1024], vals: &mut [f64; 512]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if caps().x86_baseline {
-            brief_sample_pairs_sse2(data, w, coords, vals);
-            return;
-        }
-    }
-    brief_sample_pairs_scalar(data, w, coords, vals);
-}
-
-/// Scalar reference for [`brief_sample_pairs`] — the `sample` closure of
-/// `brief_descriptor_fast`, verbatim.
-fn brief_sample_pairs_scalar(data: &[u8], w: usize, coords: &[f64; 1024], vals: &mut [f64; 512]) {
-    for (v, c) in vals.iter_mut().zip(coords.chunks_exact(2)) {
-        let (sx, sy) = (c[0], c[1]);
-        let x0 = sx as usize;
-        let y0 = sy as usize;
-        let fx = sx - x0 as f64;
-        let fy = sy - y0 as f64;
-        let base = y0 * w + x0;
-        let r0 = &data[base..base + 2];
-        let r1 = &data[base + w..base + w + 2];
-        let p00 = r0[0] as f64;
-        let p10 = r0[1] as f64;
-        let p01 = r1[0] as f64;
-        let p11 = r1[1] as f64;
-        *v = p00 * (1.0 - fx) * (1.0 - fy)
+/// Scalar twin of [`brief_bits_avx2`].
+fn brief_bits_scalar(
+    data: &[u8],
+    stride: usize,
+    at: &Rotation,
+    pattern: &BriefPattern,
+) -> [u64; 4] {
+    let sample = |px: f64, py: f64| -> f64 {
+        let sx = at.x + (at.cos * px - at.sin * py);
+        let sy = at.y + (at.sin * px + at.cos * py);
+        let (x0, y0) = (sx.floor(), sy.floor());
+        let fx = sx - x0;
+        let fy = sy - y0;
+        let i = (y0 as i64 - at.origin.1) as usize * stride + (x0 as i64 - at.origin.0) as usize;
+        let (r0, r1) = (&data[i..i + 2], &data[i + stride..i + stride + 2]);
+        let (p00, p10) = (r0[0] as f64, r0[1] as f64);
+        let (p01, p11) = (r1[0] as f64, r1[1] as f64);
+        p00 * (1.0 - fx) * (1.0 - fy)
             + p10 * fx * (1.0 - fy)
             + p01 * (1.0 - fx) * fy
-            + p11 * fx * fy;
+            + p11 * fx * fy
+    };
+    let [ax, ay, bx, by] = &pattern.0;
+    let mut bits = [0u64; 4];
+    for i in 0..256 {
+        bits[i >> 6] |= ((sample(ax[i], ay[i]) < sample(bx[i], by[i])) as u64) << (i & 63);
     }
+    bits
 }
 
+/// Four pairs per step: rotate, `floor_pd`, two 4-byte row gathers per
+/// point set, interpolate, compare, `movemask` into the bits. Every f64
+/// operation is the scalar twin's, lanewise, in the same order.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, `data.len()` must fit `i32` and be at
+/// least `stride + 4`.
 #[cfg(target_arch = "x86_64")]
-fn brief_sample_pairs_sse2(data: &[u8], w: usize, coords: &[f64; 1024], vals: &mut [f64; 512]) {
+#[target_feature(enable = "avx2")]
+unsafe fn brief_bits_avx2(
+    data: &[u8],
+    stride: usize,
+    at: &Rotation,
+    pattern: &BriefPattern,
+) -> [u64; 4] {
     use core::arch::x86_64::*;
-    // Two samples (lanes 0 and 1) per iteration. Truncation, base index
-    // and the four u8 gathers are scalar per lane; the seven multiplies
-    // and three adds run lanewise, each a single IEEE rounding exactly
-    // as in the scalar expression (left-associated sums).
-    for (pair, cs) in vals.chunks_exact_mut(2).zip(coords.chunks_exact(4)) {
-        let (sx0, sy0, sx1, sy1) = (cs[0], cs[1], cs[2], cs[3]);
-        let (ix0, iy0) = (sx0 as usize, sy0 as usize);
-        let (ix1, iy1) = (sx1 as usize, sy1 as usize);
-        let base0 = iy0 * w + ix0;
-        let base1 = iy1 * w + ix1;
-        // SAFETY: the fast-margin contract puts base + w + 1 in-bounds
-        // for every sample; all other intrinsics are lanewise arithmetic.
-        unsafe {
-            let fx = _mm_set_pd(sx1 - ix1 as f64, sx0 - ix0 as f64);
-            let fy = _mm_set_pd(sy1 - iy1 as f64, sy0 - iy0 as f64);
-            let one = _mm_set1_pd(1.0);
-            let ofx = _mm_sub_pd(one, fx);
-            let ofy = _mm_sub_pd(one, fy);
-            let p00 = _mm_set_pd(
-                *data.get_unchecked(base1) as f64,
-                *data.get_unchecked(base0) as f64,
-            );
-            let p10 = _mm_set_pd(
-                *data.get_unchecked(base1 + 1) as f64,
-                *data.get_unchecked(base0 + 1) as f64,
-            );
-            let p01 = _mm_set_pd(
-                *data.get_unchecked(base1 + w) as f64,
-                *data.get_unchecked(base0 + w) as f64,
-            );
-            let p11 = _mm_set_pd(
-                *data.get_unchecked(base1 + w + 1) as f64,
-                *data.get_unchecked(base0 + w + 1) as f64,
-            );
-            let t1 = _mm_mul_pd(_mm_mul_pd(p00, ofx), ofy);
-            let t2 = _mm_mul_pd(_mm_mul_pd(p10, fx), ofy);
-            let t3 = _mm_mul_pd(_mm_mul_pd(p01, ofx), fy);
-            let t4 = _mm_mul_pd(_mm_mul_pd(p11, fx), fy);
-            let r = _mm_add_pd(_mm_add_pd(_mm_add_pd(t1, t2), t3), t4);
-            _mm_storeu_pd(pair.as_mut_ptr(), r);
-        }
+    let lanes = BriefLanes {
+        x: _mm256_set1_pd(at.x),
+        y: _mm256_set1_pd(at.y),
+        sin: _mm256_set1_pd(at.sin),
+        cos: _mm256_set1_pd(at.cos),
+        stride_pd: _mm256_set1_pd(stride as f64),
+        origin: _mm_set1_epi32((at.origin.1 * stride as i64 + at.origin.0) as i32),
+        stride: _mm_set1_epi32(stride as i32),
+        last: _mm_set1_epi32((data.len() - stride - 4) as i32),
+        base: data.as_ptr() as *const i32,
+    };
+    let [ax, ay, bx, by] = &pattern.0;
+    let mut bits = [0u64; 4];
+    for i in (0..256).step_by(4) {
+        let va = sample4_avx2(
+            &lanes,
+            _mm256_loadu_pd(ax.as_ptr().add(i)),
+            _mm256_loadu_pd(ay.as_ptr().add(i)),
+        );
+        let vb = sample4_avx2(
+            &lanes,
+            _mm256_loadu_pd(bx.as_ptr().add(i)),
+            _mm256_loadu_pd(by.as_ptr().add(i)),
+        );
+        let lt = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(va, vb)) as u64;
+        bits[i >> 6] |= lt << (i & 63);
     }
+    bits
+}
+
+/// [`brief_bits_avx2`]'s per-keypoint constants, broadcast once.
+#[cfg(target_arch = "x86_64")]
+struct BriefLanes {
+    x: core::arch::x86_64::__m256d,
+    y: core::arch::x86_64::__m256d,
+    sin: core::arch::x86_64::__m256d,
+    cos: core::arch::x86_64::__m256d,
+    stride_pd: core::arch::x86_64::__m256d,
+    /// `origin`'s linear index, `oy · stride + ox`.
+    origin: core::arch::x86_64::__m128i,
+    stride: core::arch::x86_64::__m128i,
+    /// Largest in-bounds gather index of a footprint's top row.
+    last: core::arch::x86_64::__m128i,
+    base: *const i32,
+}
+
+/// Bilinear samples at four rotated pattern points `(px, py)`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `l` must describe a buffer at
+/// `l.base` with at least `l.last + stride + 4` bytes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn sample4_avx2(
+    l: &BriefLanes,
+    px: core::arch::x86_64::__m256d,
+    py: core::arch::x86_64::__m256d,
+) -> core::arch::x86_64::__m256d {
+    use core::arch::x86_64::*;
+    let sx = _mm256_add_pd(
+        l.x,
+        _mm256_sub_pd(_mm256_mul_pd(l.cos, px), _mm256_mul_pd(l.sin, py)),
+    );
+    let sy = _mm256_add_pd(
+        l.y,
+        _mm256_add_pd(_mm256_mul_pd(l.sin, px), _mm256_mul_pd(l.cos, py)),
+    );
+    let x0 = _mm256_floor_pd(sx);
+    let y0 = _mm256_floor_pd(sy);
+    let fx = _mm256_sub_pd(sx, x0);
+    let fy = _mm256_sub_pd(sy, y0);
+    // (y0 − oy)·stride + (x0 − ox), as y0·stride + x0 in f64 (exact:
+    // integers far below 2⁵³) minus the origin's index in i32.
+    let lin = _mm256_add_pd(_mm256_mul_pd(y0, l.stride_pd), x0);
+    let idx = _mm_sub_epi32(_mm256_cvtpd_epi32(lin), l.origin);
+    // `brief_fits` already bounds the index; the clamp never engages on
+    // a valid pattern and keeps every gather inside the buffer anyway.
+    let idx = _mm_min_epi32(_mm_max_epi32(idx, _mm_setzero_si128()), l.last);
+    // Little-endian: byte 0 of each gathered word is the footprint's
+    // left pixel, byte 1 its right one.
+    let r0 = _mm_i32gather_epi32::<1>(l.base, idx);
+    let r1 = _mm_i32gather_epi32::<1>(l.base, _mm_add_epi32(idx, l.stride));
+    let byte = _mm_set1_epi32(0xff);
+    let p00 = _mm256_cvtepi32_pd(_mm_and_si128(r0, byte));
+    let p10 = _mm256_cvtepi32_pd(_mm_and_si128(_mm_srli_epi32::<8>(r0), byte));
+    let p01 = _mm256_cvtepi32_pd(_mm_and_si128(r1, byte));
+    let p11 = _mm256_cvtepi32_pd(_mm_and_si128(_mm_srli_epi32::<8>(r1), byte));
+    let one = _mm256_set1_pd(1.0);
+    let ofx = _mm256_sub_pd(one, fx);
+    let ofy = _mm256_sub_pd(one, fy);
+    let t1 = _mm256_mul_pd(_mm256_mul_pd(p00, ofx), ofy);
+    let t2 = _mm256_mul_pd(_mm256_mul_pd(p10, fx), ofy);
+    let t3 = _mm256_mul_pd(_mm256_mul_pd(p01, ofx), fy);
+    let t4 = _mm256_mul_pd(_mm256_mul_pd(p11, fx), fy);
+    _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(t1, t2), t3), t4)
 }
 
 #[cfg(test)]
@@ -659,44 +752,57 @@ mod tests {
     }
 
     #[test]
-    fn brief_rotate_matches_scalar() {
-        let mut s = 0xfeedu64;
-        let pattern: Vec<BriefPair> = (0..256)
-            .map(|_| {
-                let mut d = || (xorshift(&mut s) % 31) as f64 - 15.0;
-                ((d(), d()), (d(), d()))
-            })
-            .collect();
-        for angle in [0.0f64, 0.7, -2.4, std::f64::consts::PI] {
-            let (sin, cos) = angle.sin_cos();
-            let mut simd = [0.0f64; 1024];
-            let mut scalar = [0.0f64; 1024];
-            brief_rotate(100.25, 73.5, sin, cos, &pattern, &mut simd);
-            brief_rotate_scalar(100.25, 73.5, sin, cos, &pattern, &mut scalar);
-            // Bitwise equality, not approximate.
-            for (a, b) in simd.iter().zip(scalar.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "angle {angle}");
+    fn brief_kernel_matches_scalar_twin() {
+        // Random windows, origins (negative ones too, as for a patch
+        // hanging over a level border) and angles, with the pattern's
+        // ±15 extremes planted: the AVX2 kernel (called directly, so a
+        // concurrent forced-scalar test cannot turn it scalar) must
+        // reproduce the scalar twin bit for bit.
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            let mut s = 0xfeedu64;
+            for case in 0..64 {
+                let pairs: Vec<_> = (0..256)
+                    .map(|i| {
+                        let mut d = || match (i + case) % 17 {
+                            0 => 15.0,
+                            1 => -15.0,
+                            _ => (xorshift(&mut s) % 3001) as f64 / 100.0 - 15.0,
+                        };
+                        ((d(), d()), (d(), d()))
+                    })
+                    .collect();
+                let pattern = BriefPattern::from_pairs(&pairs);
+                let stride = BRIEF_PATCH + (xorshift(&mut s) % 40) as usize;
+                let rows = BRIEF_PATCH + (xorshift(&mut s) % 40) as usize;
+                let data: Vec<u8> = (0..stride * rows).map(|_| xorshift(&mut s) as u8).collect();
+                // Origins down to -BRIEF_REACH put keypoints near level
+                // pixel 0, so many sample coordinates are negative (where
+                // floor and truncation differ).
+                let origin = (
+                    (xorshift(&mut s) % 40) as i64 - BRIEF_REACH as i64,
+                    (xorshift(&mut s) % 40) as i64 - BRIEF_REACH as i64,
+                );
+                let rx = BRIEF_REACH + (xorshift(&mut s) as usize) % (stride - 2 * BRIEF_REACH);
+                let ry = BRIEF_REACH + (xorshift(&mut s) as usize) % (rows - 2 * BRIEF_REACH - 1);
+                if !brief_fits(data.len(), stride, rx, ry) {
+                    continue;
+                }
+                let kp = ((origin.0 + rx as i64) as u32, (origin.1 + ry as i64) as u32);
+                let angle = (xorshift(&mut s) % 20_000) as f32 / 20_000.0 * 7.0 - 3.5;
+                let (sin, cos) = (angle as f64).sin_cos();
+                let at = Rotation {
+                    x: kp.0 as f64,
+                    y: kp.1 as f64,
+                    sin,
+                    cos,
+                    origin,
+                };
+                // SAFETY: avx2 was detected just above.
+                let simd = unsafe { brief_bits_avx2(&data, stride, &at, &pattern) };
+                let scalar = brief_bits_scalar(&data, stride, &at, &pattern);
+                assert_eq!(simd, scalar, "case {case}, angle {angle}");
             }
-        }
-    }
-
-    #[test]
-    fn brief_sample_matches_scalar() {
-        let w = 64usize;
-        let mut s = 0xc0ffeeu64;
-        let data: Vec<u8> = (0..w * w).map(|_| xorshift(&mut s) as u8).collect();
-        let mut coords = [0.0f64; 1024];
-        for c in coords.chunks_exact_mut(2) {
-            // Strictly interior sub-pixel positions (2×2 footprint safe).
-            c[0] = 2.0 + (xorshift(&mut s) % 590) as f64 / 10.0;
-            c[1] = 2.0 + (xorshift(&mut s) % 590) as f64 / 10.0;
-        }
-        let mut simd = [0.0f64; 512];
-        let mut scalar = [0.0f64; 512];
-        brief_sample_pairs(&data, w, &coords, &mut simd);
-        brief_sample_pairs_scalar(&data, w, &coords, &mut scalar);
-        for (a, b) in simd.iter().zip(scalar.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -13,11 +13,13 @@
 //!
 //! The descriptor properties check every shipped descriptor, one by one,
 //! against the clamped oracle `reference::brief_descriptor` at its own
-//! keypoint, under both dispatch arms: interior and border-band
-//! keypoints alike.
+//! keypoint, under both dispatch arms: keypoints described in place and
+//! those described from a clamp-to-edge border patch alike.
 
 use edgeis_imaging::features::reference;
-use edgeis_imaging::simd::{detected_caps, force_caps};
+use edgeis_imaging::simd::{
+    brief_fits, detected_caps, force_caps, BriefPattern, BRIEF_PATCH, BRIEF_REACH,
+};
 use edgeis_imaging::{
     detect_orb, match_descriptors, Descriptor, GrayImage, Keypoint, MatchConfig, OrbConfig,
     SimdCaps,
@@ -155,7 +157,7 @@ fn forced_scalar_caps_fall_back_identically() {
 }
 
 /// What a descriptor check covered: shipped keypoints per pyramid level,
-/// those in the border band (within 23 px of a border), and level-2 keypoints 16–23 px
+/// those described from a border patch, and level-2 keypoints 16–23 px
 /// from each border (left, top, right, bottom).
 #[derive(Debug, Default)]
 struct Coverage {
@@ -178,7 +180,7 @@ fn check_every_descriptor(img: &GrayImage, caps: SimdCaps, cov: &mut Coverage) {
         let (x, y) = ((kp.x / scale) as usize, (kp.y / scale) as usize);
         let (w, h) = (level.width() as usize, level.height() as usize);
         cov.levels[kp.level as usize] += 1;
-        cov.patched += !(x >= 23 && y >= 23 && x + 23 < w && y + 23 < h) as usize;
+        cov.patched += !brief_fits(w * h, w, x, y) as usize;
         if kp.level == 2 {
             for (b, d) in [x, y, w - 1 - x, h - 1 - y].into_iter().enumerate() {
                 cov.level2_band[b] += (16..=23).contains(&d) as usize;
@@ -235,4 +237,40 @@ fn border_band_corners_match_clamped_oracle() {
         cov.level2_band.iter().all(|&n| n > 0),
         "a level-2 border band went unchecked: {cov:?}"
     );
+}
+
+#[test]
+fn brief_patch_covers_reach_and_gather_slack() {
+    // A rotated pattern offset has magnitude ≤ 15·√2 < BRIEF_REACH, so
+    // its floor lies in -BRIEF_REACH..BRIEF_REACH: checked on the real
+    // pattern at every keypoint column of a QVGA level and a dense sweep
+    // of f32 angles.
+    let pairs = reference::brief_pattern();
+    BriefPattern::from_pairs(&pairs); // every offset in [-15, 15]
+    assert!(15.0 * 2f64.sqrt() < BRIEF_REACH as f64);
+    let reach = BRIEF_REACH as i64;
+    for step in 0..2048 {
+        let angle = (step as f32 / 2048.0 - 0.5) * 2.0 * std::f32::consts::PI;
+        let (sin, cos) = (angle as f64).sin_cos();
+        for x in [16u32, 17, 160, 303] {
+            let xf = x as f64;
+            for &((ax, ay), (bx, by)) in &pairs {
+                for (px, py) in [(ax, ay), (bx, by)] {
+                    for s in [xf + (cos * px - sin * py), xf + (sin * px + cos * py)] {
+                        let d = s.floor() as i64 - x as i64;
+                        assert!((-reach..reach).contains(&d), "offset {d} at angle {angle}");
+                    }
+                }
+            }
+        }
+    }
+    // The patch is a valid window around its keypoint: the full reach on
+    // every side, the footprint's second row, and the two bytes each
+    // 4-byte row gather reads past a footprint's right column.
+    assert!(brief_fits(
+        BRIEF_PATCH * BRIEF_PATCH,
+        BRIEF_PATCH,
+        BRIEF_REACH,
+        BRIEF_REACH
+    ));
 }
