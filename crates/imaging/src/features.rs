@@ -174,14 +174,21 @@ fn has_circular_run9(mask: u16) -> bool {
 /// Intensity-centroid orientation in a circular patch of radius `r`, for
 /// keypoints at least `r` pixels from every border
 /// (guaranteed by the scan border, 16 ≥ r = 7): walks each row only across
-/// its in-disc extent with direct loads. The pixels visited, their visit
-/// order and the f64 accumulation are exactly those of the reference loop,
-/// so the angle is bit-identical.
+/// its in-disc extent with direct loads, the same pixels the reference
+/// loop keeps, and accumulates the moments in integers.
+///
+/// The angle is bit-identical to the reference's f64 accumulation: every
+/// term `dx·v`, `dy·v` is an integer with magnitude ≤ 7·255 = 1785 and
+/// every partial sum stays far below 2⁵³, so each f64 add is exact and the
+/// reference's sums are these integers (in any grouping, hence the row
+/// sums here). Its accumulators start at +0.0 and a sum that is exactly
+/// zero rounds to +0.0, so a zero moment is +0.0 on both paths, which is
+/// what `atan2` sees.
 fn orientation_fast(img: &GrayImage, x: u32, y: u32, r: i64) -> f32 {
     let data = img.as_bytes();
     let w = img.width() as i64;
-    let mut m01 = 0.0f64;
-    let mut m10 = 0.0f64;
+    let mut m01 = 0i64;
+    let mut m10 = 0i64;
     for dy in -r..=r {
         // Largest |dx| with dx² + dy² ≤ r² — the same pixels the reference
         // loop keeps after its in-disc test.
@@ -189,14 +196,16 @@ fn orientation_fast(img: &GrayImage, x: u32, y: u32, r: i64) -> f32 {
         while (ext + 1) * (ext + 1) + dy * dy <= r * r {
             ext += 1;
         }
-        let base = (y as i64 + dy) * w + x as i64;
-        for dx in -ext..=ext {
-            let v = data[(base + dx) as usize] as f64;
-            m10 += dx as f64 * v;
-            m01 += dy as f64 * v;
+        let center = (y as i64 + dy) * w + x as i64;
+        let row = &data[(center - ext) as usize..=(center + ext) as usize];
+        let mut sum = 0i64;
+        for (dx, &v) in (-ext..=ext).zip(row) {
+            m10 += dx * v as i64;
+            sum += v as i64;
         }
+        m01 += dy * sum;
     }
-    m01.atan2(m10) as f32
+    (m01 as f64).atan2(m10 as f64) as f32
 }
 
 use crate::simd::{BriefPattern, BRIEF_PATCH, BRIEF_REACH};
