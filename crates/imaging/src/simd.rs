@@ -538,19 +538,8 @@ fn brief_bits_scalar(
     pattern: &BriefPattern,
 ) -> [u64; 4] {
     let sample = |px: f64, py: f64| -> f64 {
-        let sx = at.x + (at.cos * px - at.sin * py);
-        let sy = at.y + (at.sin * px + at.cos * py);
-        let (x0, y0) = (sx.floor(), sy.floor());
-        let fx = sx - x0;
-        let fy = sy - y0;
-        let i = (y0 as i64 - at.origin.1) as usize * stride + (x0 as i64 - at.origin.0) as usize;
-        let (r0, r1) = (&data[i..i + 2], &data[i + stride..i + stride + 2]);
-        let (p00, p10) = (r0[0] as f64, r0[1] as f64);
-        let (p01, p11) = (r1[0] as f64, r1[1] as f64);
-        p00 * (1.0 - fx) * (1.0 - fy)
-            + p10 * fx * (1.0 - fy)
-            + p01 * (1.0 - fx) * fy
-            + p11 * fx * fy
+        let (sx, sy) = rotate_scalar(at, px, py);
+        bilinear_scalar(data, stride, at.origin, sx, sy)
     };
     let [ax, ay, bx, by] = &pattern.0;
     let mut bits = [0u64; 4];
@@ -558,6 +547,29 @@ fn brief_bits_scalar(
         bits[i >> 6] |= ((sample(ax[i], ay[i]) < sample(bx[i], by[i])) as u64) << (i & 63);
     }
     bits
+}
+
+/// Pattern offset `(px, py)` rotated about the keypoint: the scalar
+/// twin of [`rotate4_avx2`].
+fn rotate_scalar(at: &Rotation, px: f64, py: f64) -> (f64, f64) {
+    (
+        at.x + (at.cos * px - at.sin * py),
+        at.y + (at.sin * px + at.cos * py),
+    )
+}
+
+/// Bilinear sample at level point `(sx, sy)` of the window whose byte 0
+/// is level pixel `origin`, in `GrayImage::sample_bilinear`'s term
+/// order: the scalar twin of [`bilinear4_avx2`].
+fn bilinear_scalar(data: &[u8], stride: usize, origin: (i64, i64), sx: f64, sy: f64) -> f64 {
+    let (x0, y0) = (sx.floor(), sy.floor());
+    let fx = sx - x0;
+    let fy = sy - y0;
+    let i = (y0 as i64 - origin.1) as usize * stride + (x0 as i64 - origin.0) as usize;
+    let (r0, r1) = (&data[i..i + 2], &data[i + stride..i + stride + 2]);
+    let (p00, p10) = (r0[0] as f64, r0[1] as f64);
+    let (p01, p11) = (r1[0] as f64, r1[1] as f64);
+    p00 * (1.0 - fx) * (1.0 - fy) + p10 * fx * (1.0 - fy) + p01 * (1.0 - fx) * fy + p11 * fx * fy
 }
 
 /// Four pairs per step: rotate, `floor_pd`, two 4-byte row gathers per
@@ -577,17 +589,7 @@ unsafe fn brief_bits_avx2(
     pattern: &BriefPattern,
 ) -> [u64; 4] {
     use core::arch::x86_64::*;
-    let lanes = BriefLanes {
-        x: _mm256_set1_pd(at.x),
-        y: _mm256_set1_pd(at.y),
-        sin: _mm256_set1_pd(at.sin),
-        cos: _mm256_set1_pd(at.cos),
-        stride_pd: _mm256_set1_pd(stride as f64),
-        origin: _mm_set1_epi32((at.origin.1 * stride as i64 + at.origin.0) as i32),
-        stride: _mm_set1_epi32(stride as i32),
-        last: _mm_set1_epi32((data.len() - stride - 4) as i32),
-        base: data.as_ptr() as *const i32,
-    };
+    let lanes = BriefLanes::new(data, stride, at);
     let [ax, ay, bx, by] = &pattern.0;
     let mut bits = [0u64; 4];
     for i in (0..256).step_by(4) {
@@ -623,6 +625,32 @@ struct BriefLanes {
     base: *const i32,
 }
 
+#[cfg(target_arch = "x86_64")]
+impl BriefLanes {
+    /// Broadcasts `at` and the window `data` (row stride `stride`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, `data.len()` must fit `i32` and be at
+    /// least `stride + 4`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn new(data: &[u8], stride: usize, at: &Rotation) -> BriefLanes {
+        use core::arch::x86_64::*;
+        BriefLanes {
+            x: _mm256_set1_pd(at.x),
+            y: _mm256_set1_pd(at.y),
+            sin: _mm256_set1_pd(at.sin),
+            cos: _mm256_set1_pd(at.cos),
+            stride_pd: _mm256_set1_pd(stride as f64),
+            origin: _mm_set1_epi32((at.origin.1 * stride as i64 + at.origin.0) as i32),
+            stride: _mm_set1_epi32(stride as i32),
+            last: _mm_set1_epi32((data.len() - stride - 4) as i32),
+            base: data.as_ptr() as *const i32,
+        }
+    }
+}
+
 /// Bilinear samples at four rotated pattern points `(px, py)`.
 ///
 /// # Safety
@@ -637,6 +665,24 @@ unsafe fn sample4_avx2(
     px: core::arch::x86_64::__m256d,
     py: core::arch::x86_64::__m256d,
 ) -> core::arch::x86_64::__m256d {
+    let (sx, sy) = rotate4_avx2(l, px, py);
+    bilinear4_avx2(l, sx, sy)
+}
+
+/// Four pattern offsets `(px, py)` rotated about the keypoint, lanewise
+/// [`rotate_scalar`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn rotate4_avx2(
+    l: &BriefLanes,
+    px: core::arch::x86_64::__m256d,
+    py: core::arch::x86_64::__m256d,
+) -> (core::arch::x86_64::__m256d, core::arch::x86_64::__m256d) {
     use core::arch::x86_64::*;
     let sx = _mm256_add_pd(
         l.x,
@@ -646,6 +692,24 @@ unsafe fn sample4_avx2(
         l.y,
         _mm256_add_pd(_mm256_mul_pd(l.sin, px), _mm256_mul_pd(l.cos, py)),
     );
+    (sx, sy)
+}
+
+/// Bilinear samples at four level points `(sx, sy)`, lanewise
+/// [`bilinear_scalar`].
+///
+/// # Safety
+///
+/// As [`sample4_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn bilinear4_avx2(
+    l: &BriefLanes,
+    sx: core::arch::x86_64::__m256d,
+    sy: core::arch::x86_64::__m256d,
+) -> core::arch::x86_64::__m256d {
+    use core::arch::x86_64::*;
     let x0 = _mm256_floor_pd(sx);
     let y0 = _mm256_floor_pd(sy);
     let fx = _mm256_sub_pd(sx, x0);
@@ -802,6 +866,98 @@ mod tests {
                 let simd = unsafe { brief_bits_avx2(&data, stride, &at, &pattern) };
                 let scalar = brief_bits_scalar(&data, stride, &at, &pattern);
                 assert_eq!(simd, scalar, "case {case}, angle {angle}");
+            }
+        }
+    }
+
+    #[test]
+    fn brief_rotate_matches_scalar() {
+        // The kernel's rotate stage alone, on fractional keypoints and
+        // offsets across [-15, 15]: bitwise equality, not approximate.
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            use core::arch::x86_64::*;
+            let mut s = 0xfeedu64;
+            let data = [0u8; 8];
+            for angle in [0.0f64, 0.7, -2.4, std::f64::consts::PI, -3.5, 3.5] {
+                let (sin, cos) = angle.sin_cos();
+                let at = Rotation {
+                    x: 100.25,
+                    y: 73.5,
+                    sin,
+                    cos,
+                    origin: (0, 0),
+                };
+                for _ in 0..256 {
+                    let mut d = || (xorshift(&mut s) % 3001) as f64 / 100.0 - 15.0;
+                    let (px, py) = ([d(), d(), d(), d()], [d(), d(), d(), d()]);
+                    let (mut sx, mut sy) = ([0.0f64; 4], [0.0f64; 4]);
+                    // SAFETY: avx2 was detected just above; `data` is
+                    // stride + 4 bytes long and is never read here.
+                    unsafe {
+                        let lanes = BriefLanes::new(&data, 4, &at);
+                        let (vx, vy) = rotate4_avx2(
+                            &lanes,
+                            _mm256_loadu_pd(px.as_ptr()),
+                            _mm256_loadu_pd(py.as_ptr()),
+                        );
+                        _mm256_storeu_pd(sx.as_mut_ptr(), vx);
+                        _mm256_storeu_pd(sy.as_mut_ptr(), vy);
+                    }
+                    for k in 0..4 {
+                        let (ex, ey) = rotate_scalar(&at, px[k], py[k]);
+                        assert_eq!(sx[k].to_bits(), ex.to_bits(), "angle {angle}");
+                        assert_eq!(sy[k].to_bits(), ey.to_bits(), "angle {angle}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn brief_sample_matches_scalar() {
+        // The kernel's floor, gathers and bilinear stage alone, at
+        // sub-pixel positions whose 2×2 footprint lies in the window
+        // (level coordinates shifted by a window origin, negative ones
+        // included): bitwise equality with the scalar sample.
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            use core::arch::x86_64::*;
+            let w = 64usize;
+            let mut s = 0xc0ffeeu64;
+            let data: Vec<u8> = (0..w * w).map(|_| xorshift(&mut s) as u8).collect();
+            for origin in [(0i64, 0i64), (-20, 7), (13, -30)] {
+                let at = Rotation {
+                    x: 0.0,
+                    y: 0.0,
+                    sin: 0.0,
+                    cos: 1.0,
+                    origin,
+                };
+                for _ in 0..256 {
+                    let mut c = |o: i64| o as f64 + (xorshift(&mut s) % 620) as f64 / 10.0;
+                    let (qx, qy) = (
+                        [c(origin.0), c(origin.0), c(origin.0), c(origin.0)],
+                        [c(origin.1), c(origin.1), c(origin.1), c(origin.1)],
+                    );
+                    let mut simd = [0.0f64; 4];
+                    // SAFETY: avx2 was detected just above; `data` fits
+                    // i32 and every footprint (x0 ≤ 61, y0 ≤ 61 in the
+                    // window) lies in it.
+                    unsafe {
+                        let lanes = BriefLanes::new(&data, w, &at);
+                        let v = bilinear4_avx2(
+                            &lanes,
+                            _mm256_loadu_pd(qx.as_ptr()),
+                            _mm256_loadu_pd(qy.as_ptr()),
+                        );
+                        _mm256_storeu_pd(simd.as_mut_ptr(), v);
+                    }
+                    for k in 0..4 {
+                        let scalar = bilinear_scalar(&data, w, origin, qx[k], qy[k]);
+                        assert_eq!(simd[k].to_bits(), scalar.to_bits(), "origin {origin:?}");
+                    }
+                }
             }
         }
     }
