@@ -252,14 +252,15 @@ fn non_default_branches_and_outcome_labels_are_pinned() {
         .expect("single_faulted is a golden scenario");
     folds.push(("single_faulted", trace_and_outcome_fold(&faulted.record())));
 
-    // Recorded before `process_frame` was split into its phases; a
-    // refactor must leave every fold unchanged.
+    // Re-recorded when the cold start gained its `bootstrapping` label
+    // and the VO tracker began rendering the last edge answer while it
+    // shows no mask; a refactor must leave every fold unchanged.
     let expected: Vec<(&str, u64)> = vec![
-        ("best-effort", 0xfe032ad7ef4a8e67),
-        ("baseline+MAMT", 0x9536f6046a84b8a6),
-        ("baseline+CIIA", 0xb8b917c9ce548559),
-        ("baseline+CFRS", 0xdeb12597000b76c4),
-        ("single_faulted", 0x7ea8fe08fc291e35),
+        ("best-effort", 0x5b865f896d9e6b2e),
+        ("baseline+MAMT", 0x7fead7ece24c51b6),
+        ("baseline+CIIA", 0xe393207a6232db24),
+        ("baseline+CFRS", 0xad751f4029fbe984),
+        ("single_faulted", 0x9aab906dd797f140),
     ];
     assert_eq!(folds, expected);
 }

@@ -103,8 +103,9 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 ///
 /// Exactly one label per frame; when several causes overlap the most
 /// upstream one wins (a lost map explains more than a shed response):
-/// `TrackingLost` → `Reinit` → `CoastingMamt` → `HandoffCold` → `Shed`
-/// → `DegradedTier` → `RetryRecovered` → `StaleGuidance` → `Healthy`.
+/// `Bootstrapping` → `TrackingLost` → `Reinit` → `CoastingMamt` →
+/// `HandoffCold` → `Shed` → `DegradedTier` → `RetryRecovered` →
+/// `StaleGuidance` → `Healthy`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum FrameOutcome {
     /// Nothing noteworthy: the frame rendered from live tracking with
@@ -130,6 +131,10 @@ pub enum FrameOutcome {
     /// The VO map is lost (was tracking earlier, is not now): masks are
     /// cache replays at best, and accuracy collapses until re-init.
     TrackingLost,
+    /// The cold start: the tracker has never held a map (VO) or a mask
+    /// cache (MV) since the run began, so the frame shows at most the
+    /// last edge answer as it came, not live tracking.
+    Bootstrapping,
     /// Tracking just came back after a loss: the map is rebuilding, so
     /// accuracy is still recovering (the "rebirth" half of the map
     /// death/rebirth cycle).
@@ -146,7 +151,8 @@ pub enum FrameOutcome {
 
 impl FrameOutcome {
     /// Canonical label order for reports (most upstream cause first).
-    pub const LABELS: [&'static str; 9] = [
+    pub const LABELS: [&'static str; 10] = [
+        "bootstrapping",
         "tracking_lost",
         "reinit",
         "coasting_mamt",
@@ -167,6 +173,7 @@ impl FrameOutcome {
             FrameOutcome::DegradedTier { .. } => "degraded_tier",
             FrameOutcome::StaleGuidance { .. } => "stale_guidance",
             FrameOutcome::TrackingLost => "tracking_lost",
+            FrameOutcome::Bootstrapping => "bootstrapping",
             FrameOutcome::Reinit => "reinit",
             FrameOutcome::Shed => "shed",
             FrameOutcome::HandoffCold => "handoff_cold",
@@ -892,7 +899,7 @@ mod tests {
             FrameOutcome::StaleGuidance { age_ms: 900.0 }.label()
         );
         assert_eq!(FrameOutcome::default().label(), "healthy");
-        assert_eq!(FrameOutcome::LABELS.len(), 9);
+        assert_eq!(FrameOutcome::LABELS.len(), 10);
     }
 
     #[test]
