@@ -30,13 +30,31 @@ pub fn digest_masks(masks: &[(u16, Mask)]) -> u64 {
     let mut h = FNV_OFFSET;
     for i in order {
         let (label, mask) = &masks[i];
+        let width = mask.width();
         h = fnv1a64_extend(h, &label.to_le_bytes());
-        h = fnv1a64_extend(h, &mask.width().to_le_bytes());
+        h = fnv1a64_extend(h, &width.to_le_bytes());
         h = fnv1a64_extend(h, &mask.height().to_le_bytes());
-        for (x, y) in mask.iter_set() {
-            h = fnv1a64_extend(h, &x.to_le_bytes());
-            h = fnv1a64_extend(h, &y.to_le_bytes());
-        }
+        // Set pixels in raster order, walked run by run: the RLE scan
+        // skips empty stretches a chunk at a time, and x/y step without a
+        // division per pixel.
+        let mut pos = 0u32;
+        let mut set = false;
+        mask.for_each_rle_run(|run| {
+            if set {
+                let (mut x, mut y) = (pos % width, pos / width);
+                for _ in 0..run {
+                    h = fnv1a64_extend(h, &x.to_le_bytes());
+                    h = fnv1a64_extend(h, &y.to_le_bytes());
+                    x += 1;
+                    if x == width {
+                        x = 0;
+                        y += 1;
+                    }
+                }
+            }
+            pos += run;
+            set = !set;
+        });
     }
     h
 }
@@ -194,6 +212,43 @@ mod tests {
             for j in (i + 1)..digests.len() {
                 assert_ne!(digests[i], digests[j], "variants {i} and {j} collide");
             }
+        }
+    }
+
+    #[test]
+    fn mask_digest_hashes_set_pixels_in_raster_order() {
+        // The definition, pixel by pixel; `digest_masks` walks RLE runs.
+        fn per_pixel(masks: &[(u16, Mask)]) -> u64 {
+            let mut sorted: Vec<&(u16, Mask)> = masks.iter().collect();
+            sorted.sort_by_key(|(label, _)| *label);
+            let mut h = FNV_OFFSET;
+            for (label, mask) in sorted {
+                h = fnv1a64_extend(h, &label.to_le_bytes());
+                h = fnv1a64_extend(h, &mask.width().to_le_bytes());
+                h = fnv1a64_extend(h, &mask.height().to_le_bytes());
+                for (x, y) in mask.iter_set() {
+                    h = fnv1a64_extend(h, &x.to_le_bytes());
+                    h = fnv1a64_extend(h, &y.to_le_bytes());
+                }
+            }
+            h
+        }
+        // 70 px wide, so runs cross both row ends and 64-pixel chunks.
+        let mut wide = Mask::new(70, 5);
+        wide.fill_rect(60, 0, 10, 2);
+        wide.fill_rect(0, 1, 5, 3);
+        wide.set(69, 4, true);
+        let mut full = Mask::new(64, 2);
+        full.fill_rect(0, 0, 64, 2);
+        let empty = Mask::new(8, 8);
+        let sets = [
+            vec![(3, wide.clone()), (1, full.clone())],
+            vec![(1, full), (3, wide)],
+            vec![(2, empty)],
+            vec![],
+        ];
+        for masks in &sets {
+            assert_eq!(digest_masks(masks), per_pixel(masks));
         }
     }
 }

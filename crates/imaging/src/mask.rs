@@ -280,16 +280,37 @@ impl Mask {
     /// without materialising an [`RleMask`], so a wire encoder can write
     /// the runs straight into its output buffer.
     pub fn for_each_rle_run(&self, mut emit: impl FnMut(u32)) {
+        const CHUNK: usize = 64;
+        let bits = &self.bits;
         let mut current = false;
         let mut len = 0u32;
-        for &b in &self.bits {
-            if b == current {
+        let mut i = 0;
+        while i < bits.len() {
+            // An aligned chunk that only continues the current run is
+            // skipped whole: the fold vectorizes, where the per-pixel
+            // branch below does not.
+            if i % CHUNK == 0 {
+                if let Some(chunk) = bits.get(i..i + CHUNK) {
+                    let continues = if current {
+                        chunk.iter().fold(true, |all, &b| all & b)
+                    } else {
+                        !chunk.iter().fold(false, |any, &b| any | b)
+                    };
+                    if continues {
+                        len += CHUNK as u32;
+                        i += CHUNK;
+                        continue;
+                    }
+                }
+            }
+            if bits[i] == current {
                 len += 1;
             } else {
                 emit(len);
-                current = b;
+                current = bits[i];
                 len = 1;
             }
+            i += 1;
         }
         emit(len);
     }
@@ -389,21 +410,10 @@ impl RleMask {
 
     /// Decodes back into a bitmap mask.
     pub fn to_mask(&self) -> Mask {
-        let mut mask = Mask::new(self.width, self.height);
-        let mut i = 0usize;
-        let mut value = false;
-        for &run in &self.runs {
-            for _ in 0..run {
-                if value {
-                    let x = (i as u32) % self.width;
-                    let y = (i as u32) / self.width;
-                    mask.set(x, y, true);
-                }
-                i += 1;
-            }
-            value = !value;
-        }
-        mask
+        // Only `Mask::to_rle` builds an `RleMask`, so the runs cover the
+        // frame exactly.
+        Mask::from_rle_runs(self.width, self.height, self.runs.iter().copied())
+            .expect("RleMask runs cover width * height")
     }
 
     /// Size of the encoded representation in bytes (4 bytes per run plus an
