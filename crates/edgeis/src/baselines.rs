@@ -34,8 +34,7 @@ fn observed_through(
     encoded: &edgeis_codec::EncodedFrame,
 ) -> FrameObservation {
     let mut quality = BTreeMap::new();
-    for id in input.frame.labels.instance_ids() {
-        let gt = input.frame.labels.instance_mask(id);
+    for (id, gt) in input.frame.labels.instance_masks() {
         quality.insert(id, encoded.instance_quality(&gt));
     }
     FrameObservation {

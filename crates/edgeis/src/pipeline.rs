@@ -161,8 +161,7 @@ impl<'w> DeviceFrames<'w> {
         // (after the bootstrap warmup).
         let mut ious = Vec::new();
         if i >= self.config.warmup_frames {
-            for id in frame.labels.instance_ids() {
-                let gt = frame.labels.instance_mask(id);
+            for (id, gt) in frame.labels.instance_masks() {
                 if gt.area() < self.config.min_scored_area {
                     continue;
                 }
@@ -227,13 +226,8 @@ mod tests {
 
         fn process_frame(&mut self, input: &FrameInput<'_>, _now: SimMs) -> FrameOutput {
             self.processed.push(input.index);
-            let labels = &input.frame.labels;
             FrameOutput {
-                masks: labels
-                    .instance_ids()
-                    .into_iter()
-                    .map(|id| (id, labels.instance_mask(id)))
-                    .collect(),
+                masks: input.frame.labels.instance_masks(),
                 mobile_ms: self.mobile_ms,
                 tx_bytes: 7,
                 transmitted: true,

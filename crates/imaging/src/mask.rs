@@ -525,6 +525,54 @@ impl LabelMap {
         }
     }
 
+    /// Every instance's binary mask, `(id, mask)` in ascending id order:
+    /// the same masks as [`LabelMap::instance_mask`] for each id of
+    /// [`LabelMap::instance_ids`], built in one scan of the map that fills
+    /// each run of equal labels at once.
+    pub fn instance_masks(&self) -> Vec<(u16, Mask)> {
+        // `slot[l]` is one past the index of label `l`'s mask, 0 if unseen.
+        let mut slot: Vec<u16> = Vec::new();
+        let mut masks: Vec<(u16, Mask)> = Vec::new();
+        let mut start = 0;
+        while start < self.labels.len() {
+            let l = self.labels[start];
+            let end = self.run_end(start);
+            if l != 0 {
+                let l = usize::from(l);
+                if l >= slot.len() {
+                    slot.resize(l + 1, 0);
+                }
+                if slot[l] == 0 {
+                    masks.push((l as u16, Mask::new(self.width, self.height)));
+                    // At most 65535 non-background ids, so this fits.
+                    slot[l] = masks.len() as u16;
+                }
+                masks[usize::from(slot[l]) - 1].1.bits[start..end].fill(true);
+            }
+            start = end;
+        }
+        masks.sort_unstable_by_key(|&(id, _)| id);
+        masks
+    }
+
+    /// One past the end of the run of equal labels (in raster order) that
+    /// starts at index `start`. Whole 16-label chunks are compared at once,
+    /// with a fold that vectorizes, then the rest one by one.
+    fn run_end(&self, start: usize) -> usize {
+        let l = self.labels[start];
+        let mut end = start + 1;
+        while let Some(chunk) = self.labels.get(end..end + 16) {
+            if !chunk.iter().fold(true, |same, &x| same & (x == l)) {
+                break;
+            }
+            end += 16;
+        }
+        while self.labels.get(end) == Some(&l) {
+            end += 1;
+        }
+        end
+    }
+
     /// Fraction of pixels that are non-background.
     pub fn foreground_fraction(&self) -> f64 {
         let fg = self.labels.iter().filter(|&&l| l != 0).count();
@@ -679,6 +727,25 @@ mod tests {
         assert_eq!(lm.instance_mask(3).area(), 2);
         assert_eq!(lm.instance_mask(7).area(), 1);
         assert!((lm.foreground_fraction() - 3.0 / 36.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn instance_masks_equal_the_per_id_masks() {
+        // Ids in five different 64-bit words of the `instance_ids` bitset,
+        // set out of id order so the one-scan build has to sort.
+        let mut lm = LabelMap::new(9, 7);
+        for (i, id) in [700u16, 3, 64, 63, 65, 129, u16::MAX, 3, 700, 64]
+            .into_iter()
+            .enumerate()
+        {
+            let i = i as u32 * 5;
+            lm.set(i % 9, i / 9, id);
+        }
+        let ids = lm.instance_ids();
+        assert_eq!(ids, vec![3, 63, 64, 65, 129, 700, u16::MAX]);
+        let per_id: Vec<(u16, Mask)> = ids.iter().map(|&id| (id, lm.instance_mask(id))).collect();
+        assert_eq!(lm.instance_masks(), per_id);
+        assert!(LabelMap::new(4, 4).instance_masks().is_empty());
     }
 
     #[test]

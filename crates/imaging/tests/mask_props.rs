@@ -1,7 +1,7 @@
 //! Oracle properties of the dense mask primitives: the separable,
 //! bounding-box-limited `Mask::dilate`/`erode`, the slice-scanning
-//! `Mask::bounding_box`, and the single-pass `LabelMap::instance_ids` and
-//! `instance_mask` must equal the straightforward per-pixel bodies kept
+//! `Mask::bounding_box`, and the single-pass `LabelMap::instance_ids`,
+//! `instance_mask` and `instance_masks` must equal the straightforward per-pixel bodies kept
 //! below as oracles, on random masks and on the edge cases (empty and full
 //! masks, single corner pixels, 1×N and N×1 shapes, radii beyond the
 //! image).
@@ -232,6 +232,11 @@ fn label_map_extraction_matches_the_dense_oracles() {
                 "label {id}"
             );
         }
+        let per_id: Vec<(u16, Mask)> = ids
+            .iter()
+            .map(|&id| (id, instance_mask_oracle(&lm, id)))
+            .collect();
+        assert_eq!(lm.instance_masks(), per_id, "{w}x{h}");
     });
 }
 

@@ -82,6 +82,18 @@ impl Shape {
         }
     }
 
+    /// Half-extents of the local axis-aligned box that holds the shape
+    /// (`(r, half_height, r)` for a cylinder).
+    pub(crate) fn half_extents(&self) -> Vec3 {
+        match *self {
+            Shape::Cuboid { half_extents } => half_extents,
+            Shape::Cylinder {
+                radius,
+                half_height,
+            } => Vec3::new(radius, half_height, radius),
+        }
+    }
+
     /// Ray–shape intersection in the local frame: returns the smallest
     /// positive `t` along `origin + t * dir`.
     pub fn intersect_local(&self, origin: Vec3, dir: Vec3) -> Option<f64> {

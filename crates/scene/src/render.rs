@@ -127,20 +127,21 @@ impl Scene {
         // What depends only on the frame is computed once, with the same
         // floating-point operations a per-pixel computation would use, so
         // every output bit is unchanged: the objects alive at `t`
-        // (birth/death churn) with their poses and bounding spheres, the
-        // normalized image-plane x of each column, and the lighting as a
-        // per-value tone table.
+        // (birth/death churn) with their poses, bounding spheres and
+        // screen rectangles, the normalized image-plane x of each column,
+        // and the lighting as a per-value tone table.
         //
         // The small vectors are sized up front and allocated before the
         // frame buffers: grown piecemeal, or allocated after the buffers,
         // they fragmented the heap enough to raise perfbench's peak RSS on
         // `patrol_steady` by 2%.
+        let near_reach = NEAR * max_corner_ray_length(camera);
         let mut live = Vec::with_capacity(self.objects.len());
         live.extend(
             self.objects
                 .iter()
                 .filter(|o| o.is_active_at(t))
-                .map(|object| LiveObject::new(object, t, cam_center)),
+                .map(|object| LiveObject::new(object, t, camera, t_cw, near_reach)),
         );
         let norm_x: Vec<f64> = (0..w)
             .map(|u| camera.normalize(Vec2::new(u as f64 + 0.5, 0.0)).x)
@@ -159,7 +160,10 @@ impl Scene {
                 let mut best_obj: Option<&LiveObject> = None;
 
                 for obj in &live {
-                    // Cull by bounding sphere.
+                    // Cull by screen rectangle, then by bounding sphere.
+                    if !obj.rect.contains(u, v) {
+                        continue;
+                    }
                     let proj = obj.to_center.dot(dir);
                     let closest2 = obj.to_center_norm2 - proj * proj;
                     if proj < -obj.radius || closest2 > obj.radius2 {
@@ -215,6 +219,116 @@ impl Scene {
     }
 }
 
+/// Camera-frame depth of the plane that clips each object's box before
+/// its corners are projected to a screen rectangle.
+const NEAR: f64 = 0.05;
+
+/// Pixels added on each side of a screen rectangle. They cover the
+/// rounding of the corner projections and of the per-pixel rays.
+const RECT_PAD: f64 = 2.0;
+
+/// The longest `|(x, y, 1)|` over the image's four corners in normalized
+/// image-plane coordinates. Every pixel ray's camera-frame direction is
+/// `(x, y, 1)` over that length, so a hit at distance `d` along it lies
+/// at depth at least `d / max_corner_ray_length`.
+fn max_corner_ray_length(camera: &Camera) -> f64 {
+    let (w, h) = (f64::from(camera.width), f64::from(camera.height));
+    [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h)]
+        .into_iter()
+        .map(|(u, v)| {
+            let n = camera.normalize(Vec2::new(u, v));
+            Vec3::new(n.x, n.y, 1.0).norm()
+        })
+        .fold(0.0, f64::max)
+}
+
+/// An inclusive pixel rectangle that holds every pixel whose ray can hit
+/// an object. Empty when `x0 > x1`.
+struct PixelRect {
+    x0: u32,
+    x1: u32,
+    y0: u32,
+    y1: u32,
+}
+
+impl PixelRect {
+    const EMPTY: Self = Self {
+        x0: 1,
+        x1: 0,
+        y0: 1,
+        y1: 0,
+    };
+
+    fn full(camera: &Camera) -> Self {
+        Self {
+            x0: 0,
+            x1: camera.width - 1,
+            y0: 0,
+            y1: camera.height - 1,
+        }
+    }
+
+    /// The padded screen rectangle of the local box `[-half, half]` seen
+    /// through `t_co` (object → camera), clipped at depth [`NEAR`].
+    ///
+    /// The part of the box in front of the near plane is a convex
+    /// polytope whose vertices are the box corners in front of the plane
+    /// and the points where the 12 box edges cross it. Perspective
+    /// projection keeps it convex, so its image lies inside the bounding
+    /// rectangle of those vertices' projections. A pixel is inside the
+    /// rectangle when its centre `(u + ½, v + ½)` is.
+    fn of_box(camera: &Camera, t_co: &SE3, half: Vec3) -> Self {
+        let corners: [Vec3; 8] = std::array::from_fn(|i| {
+            let pick = |bit: usize, e: f64| if i & bit == 0 { -e } else { e };
+            t_co.transform(Vec3::new(pick(1, half.x), pick(2, half.y), pick(4, half.z)))
+        });
+        let (mut lo, mut hi) = (
+            Vec2::new(f64::INFINITY, f64::INFINITY),
+            Vec2::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        );
+        let mut include = |p: Vec3| {
+            let x = camera.fx * p.x / p.z + camera.cx;
+            let y = camera.fy * p.y / p.z + camera.cy;
+            lo = Vec2::new(lo.x.min(x), lo.y.min(y));
+            hi = Vec2::new(hi.x.max(x), hi.y.max(y));
+        };
+        for (i, &a) in corners.iter().enumerate() {
+            if a.z >= NEAR {
+                include(a);
+            }
+            for bit in [1, 2, 4] {
+                let b = corners[i | bit];
+                if i & bit == 0 && (a.z < NEAR) != (b.z < NEAR) {
+                    let s = (NEAR - a.z) / (b.z - a.z);
+                    let p = a + (b - a) * s;
+                    include(Vec3::new(p.x, p.y, NEAR));
+                }
+            }
+        }
+        let (w, h) = (f64::from(camera.width), f64::from(camera.height));
+        let x0 = (lo.x - RECT_PAD - 0.5).ceil().max(0.0);
+        let x1 = (hi.x + RECT_PAD - 0.5).floor().min(w - 1.0);
+        let y0 = (lo.y - RECT_PAD - 0.5).ceil().max(0.0);
+        let y1 = (hi.y + RECT_PAD - 0.5).floor().min(h - 1.0);
+        // Also false when no vertex lies in front of the plane (lo = +∞).
+        if x0 <= x1 && y0 <= y1 {
+            Self {
+                x0: x0 as u32,
+                x1: x1 as u32,
+                y0: y0 as u32,
+                y1: y1 as u32,
+            }
+        } else {
+            Self::EMPTY
+        }
+    }
+
+    #[inline]
+    fn contains(&self, u: u32, v: u32) -> bool {
+        self.x0 <= u && u <= self.x1 && self.y0 <= v && v <= self.y1
+    }
+}
+
 /// An object that exists at the frame's time, with the per-frame
 /// quantities the pixel loop reads.
 struct LiveObject {
@@ -233,24 +347,44 @@ struct LiveObject {
     /// Bounding-sphere radius, and its square.
     radius: f64,
     radius2: f64,
+    /// The pixels whose rays can hit the object; the rest skip it.
+    rect: PixelRect,
 }
 
 impl LiveObject {
-    fn new(object: &SceneObject, t: f64, cam_center: Vec3) -> Self {
+    /// `near_reach` is [`NEAR`] times [`max_corner_ray_length`]: a camera
+    /// at least that far from the object's box sees every hit on it at
+    /// depth ≥ [`NEAR`], in front of the plane [`PixelRect::of_box`]
+    /// clips at. A closer camera tests the object at every pixel.
+    fn new(object: &SceneObject, t: f64, camera: &Camera, t_cw: &SE3, near_reach: f64) -> Self {
+        let cam_center = t_cw.camera_center();
         let pose_wo = object.pose_at(t);
         let pose_ow = pose_wo.inverse();
         let to_center = pose_wo.translation - cam_center;
         let radius = object.shape.bounding_radius();
+        let origin_local = pose_ow.transform(cam_center);
+        let half = object.shape.half_extents();
+        let gap = Vec3::new(
+            (origin_local.x.abs() - half.x).max(0.0),
+            (origin_local.y.abs() - half.y).max(0.0),
+            (origin_local.z.abs() - half.z).max(0.0),
+        );
+        let rect = if gap.norm_squared() < near_reach * near_reach {
+            PixelRect::full(camera)
+        } else {
+            PixelRect::of_box(camera, &(*t_cw * pose_wo), half)
+        };
         Self {
             shape: object.shape,
             texture_seed: object.texture_seed,
             label: if object.is_background { 0 } else { object.id },
             pose_ow,
-            origin_local: pose_ow.transform(cam_center),
+            origin_local,
             to_center,
             to_center_norm2: to_center.norm_squared(),
             radius,
             radius2: radius * radius,
+            rect,
         }
     }
 }

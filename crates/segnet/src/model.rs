@@ -155,8 +155,7 @@ impl EdgeModel {
     ) -> InferenceResult {
         // Ground-truth instance boxes (visible content of the frame).
         let mut instances: Vec<(u16, BBox, edgeis_imaging::Mask)> = Vec::new();
-        for id in obs.labels.instance_ids() {
-            let mask = obs.labels.instance_mask(id);
+        for (id, mask) in obs.labels.instance_masks() {
             if mask.area() < self.min_instance_area {
                 continue;
             }
