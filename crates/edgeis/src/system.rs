@@ -180,11 +180,6 @@ pub struct ResilienceConfig {
     pub retry_backoff_base_ms: f64,
     /// Backoff ceiling, ms.
     pub retry_backoff_max_ms: f64,
-    /// Deterministic jitter on the (capped) backoff: retry `k` waits
-    /// `backoff * (1 ± frac)`, keyed by `(device, attempt)` so devices
-    /// recovering from a shared fault fan out instead of hammering the
-    /// surviving edge in lockstep. 0 disables (bit-exact legacy backoff).
-    pub retry_jitter_frac: f64,
     /// Consecutive timeouts that trip the outage detector.
     pub outage_after_timeouts: u32,
     /// Spacing of link probes while in the outage state, ms.
@@ -209,7 +204,6 @@ impl Default for ResilienceConfig {
             max_retries: 2,
             retry_backoff_base_ms: 100.0,
             retry_backoff_max_ms: 1600.0,
-            retry_jitter_frac: 0.0,
             outage_after_timeouts: 2,
             probe_interval_ms: 66.0,
             probe_bytes: 256,
@@ -833,20 +827,8 @@ impl EdgeIsSystem {
         if self.retry_attempt < res.max_retries {
             self.retry_attempt += 1;
             self.retry_pending = true;
-            let mut backoff = (res.retry_backoff_base_ms
-                * 2f64.powi(self.retry_attempt as i32 - 1))
-            .min(res.retry_backoff_max_ms);
-            if res.retry_jitter_frac > 0.0 {
-                // Thundering-herd fix: a shared fault times out every
-                // device's requests on the same frame, so un-jittered
-                // backoff re-synchronizes their retries at the surviving
-                // edge. The jitter is a hash of (device, attempt) — fully
-                // deterministic, no RNG stream added to the sim state.
-                let unit = (crate::hash::fnv1a64_words([self.device_id, self.retry_attempt as u64])
-                    >> 11) as f64
-                    / (1u64 << 53) as f64;
-                backoff *= 1.0 + res.retry_jitter_frac * (2.0 * unit - 1.0);
-            }
+            let backoff = (res.retry_backoff_base_ms * 2f64.powi(self.retry_attempt as i32 - 1))
+                .min(res.retry_backoff_max_ms);
             self.next_tx_allowed_ms = now + backoff;
         }
         if self.consecutive_timeouts >= res.outage_after_timeouts {
@@ -1633,61 +1615,5 @@ mod tests {
         assert!((sys.next_tx_allowed_ms - 200.0).abs() < 1e-9);
         sys.note_failures(1, 0.0);
         assert!((sys.next_tx_allowed_ms - 350.0).abs() < 1e-9, "capped");
-    }
-
-    #[test]
-    fn retry_jitter_spreads_backoff_across_devices() {
-        let camera = Camera::with_hfov(1.2, 64, 48);
-        let build = |device: u64| {
-            let mut cfg = EdgeIsConfig::full(camera, 9);
-            cfg.resilience.retry_backoff_base_ms = 100.0;
-            cfg.resilience.retry_backoff_max_ms = 1600.0;
-            cfg.resilience.retry_jitter_frac = 0.5;
-            cfg.resilience.outage_after_timeouts = 100; // keep out of Outage
-            let mut sys = EdgeIsSystem::new(cfg, LinkKind::Wifi5);
-            sys.set_device_id(device);
-            sys
-        };
-        // Sixteen devices all time out at the same instant (a shared edge
-        // crash does exactly this).
-        let mut gates: Vec<f64> = (0..16u64)
-            .map(|device| {
-                let mut sys = build(device);
-                sys.note_failures(1, 0.0);
-                sys.next_tx_allowed_ms
-            })
-            .collect();
-        // Every backoff stays inside the jitter band around the nominal
-        // 100 ms first retry...
-        for &g in &gates {
-            assert!((50.0..150.0).contains(&g), "backoff {g} outside ±50% band");
-        }
-        // ...but the herd is actually spread out, not synchronized.
-        gates.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut distinct = 1;
-        for w in gates.windows(2) {
-            if (w[1] - w[0]).abs() > 1e-9 {
-                distinct += 1;
-            }
-        }
-        assert!(distinct >= 8, "only {distinct}/16 distinct retry gates");
-        assert!(
-            gates.last().unwrap() - gates.first().unwrap() > 10.0,
-            "jittered gates span less than 10 ms"
-        );
-        // The jitter is deterministic: rebuilding a device reproduces its
-        // gate bit-for-bit.
-        let mut again = build(3);
-        again.note_failures(1, 0.0);
-        let mut reference = build(3);
-        reference.note_failures(1, 0.0);
-        assert_eq!(again.next_tx_allowed_ms, reference.next_tx_allowed_ms);
-        // Later attempts respect the cap even with jitter applied: the
-        // factor multiplies the capped value, never exceeds 1.5x max.
-        let mut sys = build(5);
-        for _ in 0..8 {
-            sys.note_failures(1, 0.0);
-        }
-        assert!(sys.next_tx_allowed_ms < 1600.0 * 1.5 + 1e-9);
     }
 }

@@ -36,26 +36,6 @@ impl Descriptor {
             .map(|(a, b)| (a ^ b).count_ones())
             .sum()
     }
-
-    /// Hamming distance with an early exit at the half-way point: the
-    /// return value is exact when below `cap` and otherwise only guaranteed
-    /// to be `>= cap`, which is all a best-two scan needs to discard the
-    /// candidate. A single mid-point check is used because a branch per
-    /// word costs more than the two XOR+popcounts it saves. On the brute
-    /// matcher's dense scans even that single check measured slower than
-    /// the plain four-word sum, so `match_descriptors` always takes the
-    /// full distance (the opt-in toggle was measured, rejected and
-    /// removed — see DESIGN.md §14); the spatial matcher keeps using this
-    /// against its running second-best, where candidate lists are short
-    /// and the cap is usually tight.
-    #[inline]
-    pub fn distance_capped(&self, other: &Descriptor, cap: u32) -> u32 {
-        let half = (self.0[0] ^ other.0[0]).count_ones() + (self.0[1] ^ other.0[1]).count_ones();
-        if half >= cap {
-            return half;
-        }
-        half + (self.0[2] ^ other.0[2]).count_ones() + (self.0[3] ^ other.0[3]).count_ones()
-    }
 }
 
 /// Configuration for [`detect_orb`].
@@ -81,6 +61,13 @@ impl Default for OrbConfig {
         }
     }
 }
+
+/// FAST's scan border: keypoints are detected only at least this many
+/// pixels from every edge of their pyramid level. It holds the FAST
+/// circle (3 px), the orientation disc (7 px) and every BRIEF footprint
+/// ([`BriefPattern::from_pairs`] keeps each point less than this far
+/// from its keypoint), so none of them reads past a level edge.
+pub const FAST_BORDER: u32 = 16;
 
 /// Bresenham circle of radius 3 used by FAST-9 (16 pixels).
 const FAST_CIRCLE: [(i64, i64); 16] = [
@@ -208,58 +195,26 @@ fn orientation_fast(img: &GrayImage, x: u32, y: u32, r: i64) -> f32 {
     (m01 as f64).atan2(m10 as f64) as f32
 }
 
-use crate::simd::{BriefPattern, BRIEF_PATCH, BRIEF_REACH};
+use crate::simd::BriefPattern;
 
 /// The shipped rotated-BRIEF descriptor of the keypoint at level pixel
-/// `(x, y)`: the kernel reads the level in place where its window
-/// [`crate::simd::brief_fits`], and otherwise (within about 23 px of a
-/// border) a [`BRIEF_PATCH`]-square clamp-to-edge copy of the
-/// neighbourhood. The patch holds exactly the bytes `get_clamped` loads,
-/// so both routes equal the clamped oracle [`reference::brief_descriptor`].
+/// `(x, y)`, read from the level in place: FAST's scan border keeps every
+/// footprint inside it ([`BriefPattern`]), so the bits equal the clamped
+/// oracle [`reference::brief_descriptor`]'s.
 fn brief_descriptor(
     img: &GrayImage,
     (x, y): (u32, u32),
     angle: f32,
     pattern: &BriefPattern,
 ) -> Descriptor {
-    let data = img.as_bytes();
     let w = img.width() as usize;
-    let mut bits = if crate::simd::brief_fits(data.len(), w, x as usize, y as usize) {
-        crate::simd::brief_bits(data, w, (0, 0), (x, y), angle, pattern)
-    } else {
-        let mut patch = [0u8; BRIEF_PATCH * BRIEF_PATCH];
-        let origin = (x as i64 - BRIEF_REACH as i64, y as i64 - BRIEF_REACH as i64);
-        clamped_patch(img, origin, &mut patch);
-        crate::simd::brief_bits(&patch, BRIEF_PATCH, origin, (x, y), angle, pattern)
-    };
+    let mut bits = crate::simd::brief_bits(img.as_bytes(), w, (x, y), angle, pattern);
     // The conformance canary corrupts every shipped descriptor, so a
     // silently diverged kernel is provably caught.
     if crate::test_hooks::brief_fast_corruption_enabled() {
         bits[0] ^= 1;
     }
     Descriptor(bits)
-}
-
-/// Fills `patch` (row-major, [`BRIEF_PATCH`] square) with the level's
-/// clamp-to-edge pixels from `origin` on: patch pixel `(c, r)` is
-/// `img.get_clamped(origin.0 + c, origin.1 + r)`.
-fn clamped_patch(img: &GrayImage, origin: (i64, i64), patch: &mut [u8; BRIEF_PATCH * BRIEF_PATCH]) {
-    let (w, h) = (img.width() as i64, img.height() as i64);
-    let side = BRIEF_PATCH as i64;
-    // Patch columns lo..hi fall inside the level; the rest repeat the
-    // row's edge pixel.
-    let lo = (-origin.0).clamp(0, side) as usize;
-    let hi = (w - origin.0).clamp(0, side) as usize;
-    for (r, out) in patch.chunks_exact_mut(BRIEF_PATCH).enumerate() {
-        let sy = (origin.1 + r as i64).clamp(0, h - 1);
-        let row = &img.as_bytes()[(sy * w) as usize..((sy + 1) * w) as usize];
-        out[..lo].fill(row[0]);
-        if lo < hi {
-            let start = (origin.0 + lo as i64) as usize;
-            out[lo..hi].copy_from_slice(&row[start..start + (hi - lo)]);
-        }
-        out[hi..].fill(row[row.len() - 1]);
-    }
 }
 
 /// Reusable buffers for [`detect_orb_with_scratch`]: the BRIEF pattern,
@@ -356,7 +311,7 @@ pub fn detect_orb_with_scratch(
         if width < 32 || height < 32 {
             break;
         }
-        let border = 16u32;
+        let border = FAST_BORDER;
 
         // FAST-9 scan, y-then-x: candidates are pushed in scan order.
         scratch.candidates.clear();
@@ -509,7 +464,9 @@ fn suppress_non_maxima(
 /// Not a production path; hidden from docs.
 #[doc(hidden)]
 pub mod reference {
-    use super::{suppress_non_maxima, Descriptor, GrayImage, Keypoint, OrbConfig, FAST_CIRCLE};
+    use super::{
+        suppress_non_maxima, Descriptor, GrayImage, Keypoint, OrbConfig, FAST_BORDER, FAST_CIRCLE,
+    };
     use edgeis_rng::StdRng;
 
     pub use crate::simd::BriefPair;
@@ -607,7 +564,7 @@ pub mod reference {
             if width < 32 || height < 32 {
                 break;
             }
-            let border = 16u32;
+            let border = FAST_BORDER;
             let mut candidates = Vec::new();
             for y in border..height - border {
                 for x in border..width - border {
@@ -883,9 +840,9 @@ mod tests {
 
     #[test]
     fn fast_paths_identical_near_borders() {
-        // Keypoints between the 16 px scan border and the kernel's
-        // in-place window (about 23 px) are described from clamp-to-edge
-        // patches; squares packed against the border put winners there.
+        // Squares packed against the 16 px scan border put winners on
+        // and near it, where the widest BRIEF points sample the level's
+        // edge pixels.
         let mut img = GrayImage::new(96, 96);
         img.fill(30);
         for &(sx, sy) in &[(17u32, 17u32), (70, 17), (17, 70), (70, 70), (44, 44)] {
@@ -944,51 +901,16 @@ mod tests {
     }
 
     #[test]
-    fn clamped_patch_is_get_clamped() {
-        // Origins hanging over every border, and wholly outside the
-        // level on either side, on noise so every edge pixel differs
-        // from its neighbour.
-        let mut s = 0x9e37_79b9u64;
-        let noise = (0..60 * 50)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s as u8
-            })
-            .collect();
-        let img = GrayImage::from_raw(60, 50, noise);
-        for origin in [
-            (-22, -22),
-            (-5, 30),
-            (40, -10),
-            (30, 20),
-            (-60, 5),
-            (70, 70),
-        ] {
-            let mut patch = [0u8; BRIEF_PATCH * BRIEF_PATCH];
-            clamped_patch(&img, origin, &mut patch);
-            for (i, &v) in patch.iter().enumerate() {
-                let (c, r) = ((i % BRIEF_PATCH) as i64, (i / BRIEF_PATCH) as i64);
-                assert_eq!(v, img.get_clamped(origin.0 + c, origin.1 + r), "{origin:?}");
-            }
-        }
-    }
-
-    #[test]
     fn border_band_matches_clamped_oracle_at_full_reach() {
         // The shipped pattern's farthest point is 15.88 px from the
-        // keypoint, inside FAST's 16 px border, so detection never
-        // samples past a level edge. These pairs sit on the ±15 square,
-        // up to 15·√2 px out once rotated: a keypoint 16–23 px from a
-        // border then samples past the edge (negative coordinates
-        // included) on every angle, under both dispatch arms.
+        // keypoint. These pairs sit on the 15.99 px circle, the farthest
+        // a pattern may reach: from a keypoint on FAST's 16 px border
+        // they sample the level's first and last columns and rows on
+        // every angle. Keypoints 16–23 px from each border, both
+        // dispatch arms.
+        let point = |t: f64| (15.99 * t.cos(), 15.99 * t.sin());
         let pairs: Vec<reference::BriefPair> = (0..256)
-            .map(|i| {
-                let t = -15.0 + 30.0 * i as f64 / 255.0;
-                let s = if i % 2 == 0 { 15.0 } else { -15.0 };
-                ((s, t), (-t, s))
-            })
+            .map(|i| (point(i as f64 * 0.37), point(i as f64 * 1.91 + 2.0)))
             .collect();
         let pattern = BriefPattern::from_pairs(&pairs);
         let mut state = 0x2545_f491u64;
@@ -1017,6 +939,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches FAST's 16 px border")]
+    fn brief_pattern_reaching_the_border_is_refused() {
+        let mut pairs = reference::brief_pattern();
+        pairs[100].1 = (0.0, f64::from(FAST_BORDER));
+        BriefPattern::from_pairs(&pairs);
     }
 
     #[test]
@@ -1063,20 +993,6 @@ mod tests {
             }
         }
         assert!(scratch.peak_bytes() > 0);
-    }
-
-    #[test]
-    fn capped_distance_exact_below_cap() {
-        let img = textured_image(96, 96, 0.0);
-        let (_, descs) = detect_orb(&img, &OrbConfig::default());
-        for a in descs.iter().take(8) {
-            for b in descs.iter().take(8) {
-                let full = a.distance(b);
-                assert_eq!(a.distance_capped(b, u32::MAX), full);
-                assert_eq!(a.distance_capped(b, full + 1), full);
-                assert!(a.distance_capped(b, full / 2) >= full / 2);
-            }
-        }
     }
 
     #[test]

@@ -56,6 +56,6 @@ pub use features::{
 pub use image::GrayImage;
 pub use integral::{gradient_energy, gradient_energy_into, IntegralImage};
 pub use mask::{iou, LabelMap, Mask, RleMask};
-pub use matching::{match_descriptors, match_descriptors_spatial, Match, MatchConfig};
+pub use matching::{match_descriptors, Match, MatchConfig};
 pub use simd::SimdCaps;
 pub use tracker::{CorrelationTracker, MotionVectorField};

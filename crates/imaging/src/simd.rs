@@ -29,6 +29,8 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use crate::features::FAST_BORDER;
+
 /// Which instruction-set extensions the dispatcher may use. SSE2 is part
 /// of the x86_64 baseline, so `blur`/`fast` only need the architecture;
 /// `avx2` gates the wider blur rows and the BRIEF kernel.
@@ -409,26 +411,21 @@ pub fn brief_available() -> bool {
     caps().avx2
 }
 
-/// How far, in whole pixels, a rotated pattern point can land from its
-/// keypoint. Pattern offsets lie in `[-15, 15]` per axis, so a rotated
-/// offset has magnitude ≤ 15·√2 ≈ 21.21 and its floor lies in
-/// `-BRIEF_REACH..BRIEF_REACH`: a sample's 2×2 footprint stays within
-/// `BRIEF_REACH` pixels of the keypoint on every axis.
-pub const BRIEF_REACH: usize = 22;
-
-/// Side of the square clamp-to-edge patch a keypoint near a level border
-/// is described from, with the keypoint at patch pixel
-/// `(BRIEF_REACH, BRIEF_REACH)`: the `2·BRIEF_REACH + 1` footprint
-/// columns and rows plus the two bytes each 4-byte row gather reads past
-/// a footprint's right column, rounded up to 48.
-pub const BRIEF_PATCH: usize = 48;
-
 /// One BRIEF comparison: a pair of (x, y) offsets around the keypoint.
 pub type BriefPair = ((f64, f64), (f64, f64));
 
 /// The 256 BRIEF comparison pairs in structure-of-arrays layout, rows
-/// `ax`, `ay`, `bx`, `by`. Every offset lies in `[-15, 15]` (checked on
-/// construction), which bounds [`brief_bits`]' loads.
+/// `ax`, `ay`, `bx`, `by`.
+///
+/// Every point lies less than [`FAST_BORDER`] px from the keypoint
+/// (checked on construction), and rotation keeps that radius. So at a
+/// keypoint FAST can emit, at least [`FAST_BORDER`] px from every edge
+/// of its level ([`brief_fits`]), every 2×2 bilinear footprint lies in
+/// the level. The 4-byte row gathers of [`brief_bits`]' AVX2 kernel read
+/// two bytes past a footprint's right column; those bytes are never
+/// used, and they stay in the buffer: only a point at least 15 px below
+/// the keypoint reaches the level's last row, and it lies less than
+/// √(16² − 15²) < 6 px to the keypoint's side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BriefPattern([[f64; 256]; 4]);
 
@@ -437,14 +434,20 @@ impl BriefPattern {
     ///
     /// # Panics
     ///
-    /// Panics unless there are exactly 256 pairs, every offset in
-    /// `[-15, 15]`.
+    /// Panics unless there are exactly 256 pairs, every point less than
+    /// [`FAST_BORDER`] px from the keypoint.
     pub fn from_pairs(pairs: &[BriefPair]) -> BriefPattern {
         assert_eq!(pairs.len(), 256, "BRIEF has 256 pairs");
+        let border = f64::from(FAST_BORDER);
         let mut rows = [[0.0f64; 256]; 4];
         for (i, &((ax, ay), (bx, by))) in pairs.iter().enumerate() {
+            for (px, py) in [(ax, ay), (bx, by)] {
+                assert!(
+                    px * px + py * py < border * border,
+                    "BRIEF point ({px}, {py}) reaches FAST's {FAST_BORDER} px border"
+                );
+            }
             for (row, v) in rows.iter_mut().zip([ax, ay, bx, by]) {
-                assert!(v.abs() <= 15.0, "BRIEF offset {v} outside [-15, 15]");
                 row[i] = v;
             }
         }
@@ -452,53 +455,44 @@ impl BriefPattern {
     }
 }
 
-/// Whether [`brief_bits`] can describe the keypoint at `(x, y)` of a
-/// row-major buffer `len` bytes long with row stride `stride`: every
-/// footprint pixel within [`BRIEF_REACH`] of the keypoint lies in its
-/// row, and the last row gather (`(y + BRIEF_REACH) · stride + x +
-/// BRIEF_REACH + 2`) lies in the buffer.
+/// Whether the keypoint at `(x, y)` of a row-major level `len` bytes long
+/// with row stride `stride` lies at least [`FAST_BORDER`] px from every
+/// edge, as every keypoint FAST emits does. There every load of
+/// [`brief_bits`] lies in the level (see [`BriefPattern`]).
 pub fn brief_fits(len: usize, stride: usize, x: usize, y: usize) -> bool {
-    x >= BRIEF_REACH
-        && y >= BRIEF_REACH
-        && x + BRIEF_REACH < stride
-        && (y + BRIEF_REACH) * stride + x + BRIEF_REACH + 2 < len
+    let border = FAST_BORDER as usize;
+    x >= border && y >= border && x + border < stride && (y + border + 1) * stride <= len
 }
 
-/// The 256 rotated-BRIEF bits of the keypoint at level pixel `(x, y)`,
-/// oriented by `angle`, sampled from `data`: a row-major window of the
-/// level with row stride `stride` whose byte 0 is level pixel `origin`.
+/// The 256 rotated-BRIEF bits of the keypoint at pixel `(x, y)` of the
+/// level `data` (row-major, row stride `stride`), oriented by `angle`.
 ///
 /// Bit `i` is set iff the bilinear sample at rotated point `a_i` is below
 /// the one at `b_i`. Each point is `x + (cos·ax − sin·ay)`,
 /// `y + (sin·ax + cos·ay)`; each sample floors it, reads the 2×2
-/// footprint at `(x0 − origin.0, y0 − origin.1)` of the window and
-/// interpolates in `GrayImage::sample_bilinear`'s term order. So the bits
-/// equal the clamped oracle's wherever the window holds the level's
-/// clamp-to-edge pixels. AVX2 runs four pairs per step; the scalar twin
-/// (no AVX2, or `force_caps`) runs the same IEEE operations one at a time.
+/// footprint there and interpolates in `GrayImage::sample_bilinear`'s
+/// term order. The footprint lies in the level, so the bits equal the
+/// clamped oracle's. AVX2 runs four pairs per step; the scalar twin (no
+/// AVX2, or `force_caps`) runs the same IEEE operations one at a time.
 ///
 /// # Panics
 ///
 /// Panics if `angle` is not finite, or unless the keypoint
-/// [`brief_fits`] the window.
+/// [`brief_fits`] the level.
 pub fn brief_bits(
     data: &[u8],
     stride: usize,
-    origin: (i64, i64),
     (x, y): (u32, u32),
     angle: f32,
     pattern: &BriefPattern,
 ) -> [u64; 4] {
-    let (rx, ry) = (x as i64 - origin.0, y as i64 - origin.1);
     assert!(
         angle.is_finite()
-            && rx >= 0
-            && ry >= 0
             && data.len() <= i32::MAX as usize
             && data.len() >= 4
             && stride <= data.len() - 4
-            && brief_fits(data.len(), stride, rx as usize, ry as usize),
-        "BRIEF window does not cover keypoint ({x}, {y}) at angle {angle}"
+            && brief_fits(data.len(), stride, x as usize, y as usize),
+        "BRIEF footprints leave the level at keypoint ({x}, {y}), angle {angle}"
     );
     let (sin, cos) = (angle as f64).sin_cos();
     let at = Rotation {
@@ -506,7 +500,6 @@ pub fn brief_bits(
         y: y as f64,
         sin,
         cos,
-        origin,
     };
     #[cfg(target_arch = "x86_64")]
     {
@@ -521,13 +514,12 @@ pub fn brief_bits(
     brief_bits_scalar(data, stride, &at, pattern)
 }
 
-/// A keypoint's rotation and window origin, shared by both BRIEF tiers.
+/// A keypoint's rotation, shared by both BRIEF tiers.
 struct Rotation {
     x: f64,
     y: f64,
     sin: f64,
     cos: f64,
-    origin: (i64, i64),
 }
 
 /// Scalar twin of [`brief_bits_avx2`].
@@ -539,7 +531,7 @@ fn brief_bits_scalar(
 ) -> [u64; 4] {
     let sample = |px: f64, py: f64| -> f64 {
         let (sx, sy) = rotate_scalar(at, px, py);
-        bilinear_scalar(data, stride, at.origin, sx, sy)
+        bilinear_scalar(data, stride, sx, sy)
     };
     let [ax, ay, bx, by] = &pattern.0;
     let mut bits = [0u64; 4];
@@ -558,14 +550,14 @@ fn rotate_scalar(at: &Rotation, px: f64, py: f64) -> (f64, f64) {
     )
 }
 
-/// Bilinear sample at level point `(sx, sy)` of the window whose byte 0
-/// is level pixel `origin`, in `GrayImage::sample_bilinear`'s term
-/// order: the scalar twin of [`bilinear4_avx2`].
-fn bilinear_scalar(data: &[u8], stride: usize, origin: (i64, i64), sx: f64, sy: f64) -> f64 {
+/// Bilinear sample at level point `(sx, sy)`, in
+/// `GrayImage::sample_bilinear`'s term order: the scalar twin of
+/// [`bilinear4_avx2`].
+fn bilinear_scalar(data: &[u8], stride: usize, sx: f64, sy: f64) -> f64 {
     let (x0, y0) = (sx.floor(), sy.floor());
     let fx = sx - x0;
     let fy = sy - y0;
-    let i = (y0 as i64 - origin.1) as usize * stride + (x0 as i64 - origin.0) as usize;
+    let i = y0 as usize * stride + x0 as usize;
     let (r0, r1) = (&data[i..i + 2], &data[i + stride..i + stride + 2]);
     let (p00, p10) = (r0[0] as f64, r0[1] as f64);
     let (p01, p11) = (r1[0] as f64, r1[1] as f64);
@@ -617,8 +609,6 @@ struct BriefLanes {
     sin: core::arch::x86_64::__m256d,
     cos: core::arch::x86_64::__m256d,
     stride_pd: core::arch::x86_64::__m256d,
-    /// `origin`'s linear index, `oy · stride + ox`.
-    origin: core::arch::x86_64::__m128i,
     stride: core::arch::x86_64::__m128i,
     /// Largest in-bounds gather index of a footprint's top row.
     last: core::arch::x86_64::__m128i,
@@ -627,7 +617,7 @@ struct BriefLanes {
 
 #[cfg(target_arch = "x86_64")]
 impl BriefLanes {
-    /// Broadcasts `at` and the window `data` (row stride `stride`).
+    /// Broadcasts `at` and the level `data` (row stride `stride`).
     ///
     /// # Safety
     ///
@@ -643,7 +633,6 @@ impl BriefLanes {
             sin: _mm256_set1_pd(at.sin),
             cos: _mm256_set1_pd(at.cos),
             stride_pd: _mm256_set1_pd(stride as f64),
-            origin: _mm_set1_epi32((at.origin.1 * stride as i64 + at.origin.0) as i32),
             stride: _mm_set1_epi32(stride as i32),
             last: _mm_set1_epi32((data.len() - stride - 4) as i32),
             base: data.as_ptr() as *const i32,
@@ -714,10 +703,9 @@ unsafe fn bilinear4_avx2(
     let y0 = _mm256_floor_pd(sy);
     let fx = _mm256_sub_pd(sx, x0);
     let fy = _mm256_sub_pd(sy, y0);
-    // (y0 − oy)·stride + (x0 − ox), as y0·stride + x0 in f64 (exact:
-    // integers far below 2⁵³) minus the origin's index in i32.
+    // y0·stride + x0 in f64 (exact: integers far below 2⁵³), then i32.
     let lin = _mm256_add_pd(_mm256_mul_pd(y0, l.stride_pd), x0);
-    let idx = _mm_sub_epi32(_mm256_cvtpd_epi32(lin), l.origin);
+    let idx = _mm256_cvtpd_epi32(lin);
     // `brief_fits` already bounds the index; the clamp never engages on
     // a valid pattern and keeps every gather inside the buffer anyway.
     let idx = _mm_min_epi32(_mm_max_epi32(idx, _mm_setzero_si128()), l.last);
@@ -817,50 +805,43 @@ mod tests {
 
     #[test]
     fn brief_kernel_matches_scalar_twin() {
-        // Random windows, origins (negative ones too, as for a patch
-        // hanging over a level border) and angles, with the pattern's
-        // ±15 extremes planted: the AVX2 kernel (called directly, so a
-        // concurrent forced-scalar test cannot turn it scalar) must
+        // Random levels, keypoints anywhere FAST can emit them (on the
+        // border too) and angles, with points planted on the farthest
+        // circle a pattern may use: the AVX2 kernel (called directly, so
+        // a concurrent forced-scalar test cannot turn it scalar) must
         // reproduce the scalar twin bit for bit.
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
+            let border = FAST_BORDER as usize;
             let mut s = 0xfeedu64;
             for case in 0..64 {
                 let pairs: Vec<_> = (0..256)
                     .map(|i| {
-                        let mut d = || match (i + case) % 17 {
-                            0 => 15.0,
-                            1 => -15.0,
-                            _ => (xorshift(&mut s) % 3001) as f64 / 100.0 - 15.0,
+                        let mut d = || {
+                            let r = match (i + case) % 17 {
+                                0 | 1 => 15.999,
+                                _ => (xorshift(&mut s) % 15_999) as f64 / 1000.0,
+                            };
+                            let t = (xorshift(&mut s) % 62_832) as f64 / 10_000.0;
+                            (r * t.cos(), r * t.sin())
                         };
-                        ((d(), d()), (d(), d()))
+                        (d(), d())
                     })
                     .collect();
                 let pattern = BriefPattern::from_pairs(&pairs);
-                let stride = BRIEF_PATCH + (xorshift(&mut s) % 40) as usize;
-                let rows = BRIEF_PATCH + (xorshift(&mut s) % 40) as usize;
+                let stride = 2 * border + 1 + (xorshift(&mut s) % 40) as usize;
+                let rows = 2 * border + 1 + (xorshift(&mut s) % 40) as usize;
                 let data: Vec<u8> = (0..stride * rows).map(|_| xorshift(&mut s) as u8).collect();
-                // Origins down to -BRIEF_REACH put keypoints near level
-                // pixel 0, so many sample coordinates are negative (where
-                // floor and truncation differ).
-                let origin = (
-                    (xorshift(&mut s) % 40) as i64 - BRIEF_REACH as i64,
-                    (xorshift(&mut s) % 40) as i64 - BRIEF_REACH as i64,
-                );
-                let rx = BRIEF_REACH + (xorshift(&mut s) as usize) % (stride - 2 * BRIEF_REACH);
-                let ry = BRIEF_REACH + (xorshift(&mut s) as usize) % (rows - 2 * BRIEF_REACH - 1);
-                if !brief_fits(data.len(), stride, rx, ry) {
-                    continue;
-                }
-                let kp = ((origin.0 + rx as i64) as u32, (origin.1 + ry as i64) as u32);
+                let x = border + (xorshift(&mut s) as usize) % (stride - 2 * border);
+                let y = border + (xorshift(&mut s) as usize) % (rows - 2 * border);
+                assert!(brief_fits(data.len(), stride, x, y));
                 let angle = (xorshift(&mut s) % 20_000) as f32 / 20_000.0 * 7.0 - 3.5;
                 let (sin, cos) = (angle as f64).sin_cos();
                 let at = Rotation {
-                    x: kp.0 as f64,
-                    y: kp.1 as f64,
+                    x: x as f64,
+                    y: y as f64,
                     sin,
                     cos,
-                    origin,
                 };
                 // SAFETY: avx2 was detected just above.
                 let simd = unsafe { brief_bits_avx2(&data, stride, &at, &pattern) };
@@ -886,7 +867,6 @@ mod tests {
                     y: 73.5,
                     sin,
                     cos,
-                    origin: (0, 0),
                 };
                 for _ in 0..256 {
                     let mut d = || (xorshift(&mut s) % 3001) as f64 / 100.0 - 15.0;
@@ -917,46 +897,42 @@ mod tests {
     #[test]
     fn brief_sample_matches_scalar() {
         // The kernel's floor, gathers and bilinear stage alone, at
-        // sub-pixel positions whose 2×2 footprint lies in the window
-        // (level coordinates shifted by a window origin, negative ones
-        // included): bitwise equality with the scalar sample.
+        // sub-pixel positions whose 2×2 footprint lies in the level:
+        // bitwise equality with the scalar sample.
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
             use core::arch::x86_64::*;
             let w = 64usize;
             let mut s = 0xc0ffeeu64;
             let data: Vec<u8> = (0..w * w).map(|_| xorshift(&mut s) as u8).collect();
-            for origin in [(0i64, 0i64), (-20, 7), (13, -30)] {
-                let at = Rotation {
-                    x: 0.0,
-                    y: 0.0,
-                    sin: 0.0,
-                    cos: 1.0,
-                    origin,
-                };
-                for _ in 0..256 {
-                    let mut c = |o: i64| o as f64 + (xorshift(&mut s) % 620) as f64 / 10.0;
-                    let (qx, qy) = (
-                        [c(origin.0), c(origin.0), c(origin.0), c(origin.0)],
-                        [c(origin.1), c(origin.1), c(origin.1), c(origin.1)],
+            let at = Rotation {
+                x: 0.0,
+                y: 0.0,
+                sin: 0.0,
+                cos: 1.0,
+            };
+            for _ in 0..768 {
+                let mut c = || (xorshift(&mut s) % 620) as f64 / 10.0;
+                let (qx, qy) = ([c(), c(), c(), c()], [c(), c(), c(), c()]);
+                let mut simd = [0.0f64; 4];
+                // SAFETY: avx2 was detected just above; `data` fits i32
+                // and every footprint (x0 ≤ 61, y0 ≤ 61) lies in it.
+                unsafe {
+                    let lanes = BriefLanes::new(&data, w, &at);
+                    let v = bilinear4_avx2(
+                        &lanes,
+                        _mm256_loadu_pd(qx.as_ptr()),
+                        _mm256_loadu_pd(qy.as_ptr()),
                     );
-                    let mut simd = [0.0f64; 4];
-                    // SAFETY: avx2 was detected just above; `data` fits
-                    // i32 and every footprint (x0 ≤ 61, y0 ≤ 61 in the
-                    // window) lies in it.
-                    unsafe {
-                        let lanes = BriefLanes::new(&data, w, &at);
-                        let v = bilinear4_avx2(
-                            &lanes,
-                            _mm256_loadu_pd(qx.as_ptr()),
-                            _mm256_loadu_pd(qy.as_ptr()),
-                        );
-                        _mm256_storeu_pd(simd.as_mut_ptr(), v);
-                    }
-                    for k in 0..4 {
-                        let scalar = bilinear_scalar(&data, w, origin, qx[k], qy[k]);
-                        assert_eq!(simd[k].to_bits(), scalar.to_bits(), "origin {origin:?}");
-                    }
+                    _mm256_storeu_pd(simd.as_mut_ptr(), v);
+                }
+                for k in 0..4 {
+                    let scalar = bilinear_scalar(&data, w, qx[k], qy[k]);
+                    assert_eq!(
+                        simd[k].to_bits(),
+                        scalar.to_bits(),
+                        "lane {k} of {qx:?} {qy:?}"
+                    );
                 }
             }
         }

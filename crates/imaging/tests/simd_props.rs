@@ -13,13 +13,11 @@
 //!
 //! The descriptor properties check every shipped descriptor, one by one,
 //! against the clamped oracle `reference::brief_descriptor` at its own
-//! keypoint, under both dispatch arms: keypoints described in place and
-//! those described from a clamp-to-edge border patch alike.
+//! keypoint, under both dispatch arms, keypoints on FAST's border band
+//! included.
 
-use edgeis_imaging::features::reference;
-use edgeis_imaging::simd::{
-    brief_fits, detected_caps, force_caps, BriefPattern, BRIEF_PATCH, BRIEF_REACH,
-};
+use edgeis_imaging::features::{reference, FAST_BORDER};
+use edgeis_imaging::simd::{brief_fits, detected_caps, force_caps, BriefPattern};
 use edgeis_imaging::{
     detect_orb, match_descriptors, Descriptor, GrayImage, Keypoint, MatchConfig, OrbConfig,
     SimdCaps,
@@ -156,13 +154,14 @@ fn forced_scalar_caps_fall_back_identically() {
     });
 }
 
-/// What a descriptor check covered: shipped keypoints per pyramid level,
-/// those described from a border patch, and level-2 keypoints 16–23 px
-/// from each border (left, top, right, bottom).
+/// What a descriptor check covered, per pyramid level: shipped keypoints
+/// and those 16–22 px from the nearest level edge, where the widest
+/// pattern points sample the edge's neighbourhood; and level-2 keypoints
+/// 16–23 px from each border (left, top, right, bottom).
 #[derive(Debug, Default)]
 struct Coverage {
     levels: [usize; 3],
-    patched: usize,
+    band: [usize; 3],
     level2_band: [usize; 4],
 }
 
@@ -179,10 +178,11 @@ fn check_every_descriptor(img: &GrayImage, caps: SimdCaps, cov: &mut Coverage) {
         let scale = (1u64 << kp.level) as f64;
         let (x, y) = ((kp.x / scale) as usize, (kp.y / scale) as usize);
         let (w, h) = (level.width() as usize, level.height() as usize);
+        let edges = [x, y, w - 1 - x, h - 1 - y];
         cov.levels[kp.level as usize] += 1;
-        cov.patched += !brief_fits(w * h, w, x, y) as usize;
+        cov.band[kp.level as usize] += (16..=22).contains(edges.iter().min().unwrap()) as usize;
         if kp.level == 2 {
-            for (b, d) in [x, y, w - 1 - x, h - 1 - y].into_iter().enumerate() {
+            for (b, d) in edges.into_iter().enumerate() {
                 cov.level2_band[b] += (16..=23).contains(&d) as usize;
             }
         }
@@ -201,8 +201,8 @@ fn every_descriptor_matches_clamped_oracle() {
         }
     });
     assert!(
-        cov.levels.iter().all(|&n| n > 0) && cov.patched > 0,
-        "a level or the border patch went unchecked: {cov:?}"
+        cov.levels.iter().chain(&cov.band).all(|&n| n > 0),
+        "a level or its border band went unchecked: {cov:?}"
     );
 }
 
@@ -211,7 +211,8 @@ fn border_band_corners_match_clamped_oracle() {
     // Bright 6×6 squares on the level-2 grid of a 320×240 frame (80×60
     // at level 2), drawn as 24×24 blocks at full resolution, with a
     // corner 16 and 23 px from each border of level 2: both ends of the
-    // band between FAST's 16 px border and the kernel's in-place window.
+    // band next to FAST's 16 px border where the widest pattern points
+    // sample the level edge's neighbourhood.
     let mut img = GrayImage::new(320, 240);
     img.fill(40);
     let (w2, h2) = (80u32, 60u32);
@@ -240,37 +241,52 @@ fn border_band_corners_match_clamped_oracle() {
 }
 
 #[test]
-fn brief_patch_covers_reach_and_gather_slack() {
-    // A rotated pattern offset has magnitude ≤ 15·√2 < BRIEF_REACH, so
-    // its floor lies in -BRIEF_REACH..BRIEF_REACH: checked on the real
-    // pattern at every keypoint column of a QVGA level and a dense sweep
-    // of f32 angles.
+fn brief_reach_and_gathers_stay_inside_level() {
+    // The shipped pattern at keypoints on FAST's border of a QVGA level
+    // (x = 16 and w − 17, likewise y), over a dense sweep of f32 angles:
+    // every bilinear footprint lies in the level, and so does every
+    // 4-byte row gather, which reads two bytes past the footprint's
+    // right column. `brief_fits` accepts exactly the keypoints FAST can
+    // emit.
     let pairs = reference::brief_pattern();
-    BriefPattern::from_pairs(&pairs); // every offset in [-15, 15]
-    assert!(15.0 * 2f64.sqrt() < BRIEF_REACH as f64);
-    let reach = BRIEF_REACH as i64;
-    for step in 0..2048 {
-        let angle = (step as f32 / 2048.0 - 0.5) * 2.0 * std::f32::consts::PI;
+    BriefPattern::from_pairs(&pairs); // every point within the border
+    let (w, h) = (320i64, 240i64);
+    let b = FAST_BORDER as i64;
+    let fits = |x: i64, y: i64| brief_fits((w * h) as usize, w as usize, x as usize, y as usize);
+    let corners = [
+        (b, b),
+        (w - 1 - b, b),
+        (b, h - 1 - b),
+        (w - 1 - b, h - 1 - b),
+    ];
+    for (x, y) in corners {
+        assert!(fits(x, y), "({x}, {y}) is on the border");
+        for (ox, oy) in [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)] {
+            let inside = (b..w - b).contains(&ox) && (b..h - b).contains(&oy);
+            assert_eq!(fits(ox, oy), inside, "({ox}, {oy})");
+        }
+    }
+    let steps = 1 << 14;
+    for step in 0..=steps {
+        let angle = std::f32::consts::PI * (2.0 * step as f32 / steps as f32 - 1.0);
         let (sin, cos) = (angle as f64).sin_cos();
-        for x in [16u32, 17, 160, 303] {
-            let xf = x as f64;
+        for (x, y) in corners {
+            let (xf, yf) = (x as f64, y as f64);
             for &((ax, ay), (bx, by)) in &pairs {
                 for (px, py) in [(ax, ay), (bx, by)] {
-                    for s in [xf + (cos * px - sin * py), xf + (sin * px + cos * py)] {
-                        let d = s.floor() as i64 - x as i64;
-                        assert!((-reach..reach).contains(&d), "offset {d} at angle {angle}");
-                    }
+                    let x0 = (xf + (cos * px - sin * py)).floor() as i64;
+                    let y0 = (yf + (sin * px + cos * py)).floor() as i64;
+                    assert!(
+                        x0 >= 0 && x0 + 1 < w && y0 >= 0 && y0 + 1 < h,
+                        "footprint ({x0}, {y0}) of ({x}, {y}) at angle {angle}"
+                    );
+                    let last_gather_byte = (y0 + 1) * w + x0 + 3;
+                    assert!(
+                        last_gather_byte < w * h,
+                        "gather past the level at ({x}, {y}), angle {angle}"
+                    );
                 }
             }
         }
     }
-    // The patch is a valid window around its keypoint: the full reach on
-    // every side, the footprint's second row, and the two bytes each
-    // 4-byte row gather reads past a footprint's right column.
-    assert!(brief_fits(
-        BRIEF_PATCH * BRIEF_PATCH,
-        BRIEF_PATCH,
-        BRIEF_REACH,
-        BRIEF_REACH
-    ));
 }

@@ -71,17 +71,6 @@ pub enum Shape {
 }
 
 impl Shape {
-    /// Radius of the bounding sphere, used for visibility culling.
-    pub fn bounding_radius(&self) -> f64 {
-        match *self {
-            Shape::Cuboid { half_extents } => half_extents.norm(),
-            Shape::Cylinder {
-                radius,
-                half_height,
-            } => (radius * radius + half_height * half_height).sqrt(),
-        }
-    }
-
     /// Half-extents of the local axis-aligned box that holds the shape
     /// (`(r, half_height, r)` for a cylinder).
     pub(crate) fn half_extents(&self) -> Vec3 {
@@ -487,19 +476,6 @@ mod tests {
             Vec3::ZERO,
         )
         .with_lifetime(2.0, 2.0);
-    }
-
-    #[test]
-    fn bounding_radius() {
-        let c = Shape::Cuboid {
-            half_extents: Vec3::new(3.0, 4.0, 0.0),
-        };
-        assert!((c.bounding_radius() - 5.0).abs() < 1e-12);
-        let cy = Shape::Cylinder {
-            radius: 3.0,
-            half_height: 4.0,
-        };
-        assert!((cy.bounding_radius() - 5.0).abs() < 1e-12);
     }
 
     #[test]

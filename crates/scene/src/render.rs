@@ -127,9 +127,9 @@ impl Scene {
         // What depends only on the frame is computed once, with the same
         // floating-point operations a per-pixel computation would use, so
         // every output bit is unchanged: the objects alive at `t`
-        // (birth/death churn) with their poses, bounding spheres and
-        // screen rectangles, the normalized image-plane x of each column,
-        // and the lighting as a per-value tone table.
+        // (birth/death churn) with their poses and screen rectangles, the
+        // normalized image-plane x of each column, and the lighting as a
+        // per-value tone table.
         //
         // The small vectors are sized up front and allocated before the
         // frame buffers: grown piecemeal, or allocated after the buffers,
@@ -160,13 +160,7 @@ impl Scene {
                 let mut best_obj: Option<&LiveObject> = None;
 
                 for obj in &live {
-                    // Cull by screen rectangle, then by bounding sphere.
                     if !obj.rect.contains(u, v) {
-                        continue;
-                    }
-                    let proj = obj.to_center.dot(dir);
-                    let closest2 = obj.to_center_norm2 - proj * proj;
-                    if proj < -obj.radius || closest2 > obj.radius2 {
                         continue;
                     }
                     // Intersect in the object frame.
@@ -340,13 +334,6 @@ struct LiveObject {
     pose_ow: SE3,
     /// Camera center in the object's local frame.
     origin_local: Vec3,
-    /// World-frame vector from the camera center to the object origin,
-    /// and its squared length.
-    to_center: Vec3,
-    to_center_norm2: f64,
-    /// Bounding-sphere radius, and its square.
-    radius: f64,
-    radius2: f64,
     /// The pixels whose rays can hit the object; the rest skip it.
     rect: PixelRect,
 }
@@ -360,8 +347,6 @@ impl LiveObject {
         let cam_center = t_cw.camera_center();
         let pose_wo = object.pose_at(t);
         let pose_ow = pose_wo.inverse();
-        let to_center = pose_wo.translation - cam_center;
-        let radius = object.shape.bounding_radius();
         let origin_local = pose_ow.transform(cam_center);
         let half = object.shape.half_extents();
         let gap = Vec3::new(
@@ -380,10 +365,6 @@ impl LiveObject {
             label: if object.is_background { 0 } else { object.id },
             pose_ow,
             origin_local,
-            to_center,
-            to_center_norm2: to_center.norm_squared(),
-            radius,
-            radius2: radius * radius,
             rect,
         }
     }
