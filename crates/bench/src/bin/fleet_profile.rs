@@ -3,9 +3,9 @@
 //! Sweeps fleet size × serving configuration on the shared edge and
 //! writes `results/BENCH_edge_serving.json`:
 //!
-//! - `serial_fifo` — the paper's single-tenant FIFO [`EdgeServer`]
-//!   (`MultiDeviceConfig::serving = None`), the incumbent every serving
-//!   lever is measured against.
+//! - `serial_fifo` — the paper's single-tenant FIFO edge,
+//!   [`ServingConfig::serial_fifo`] (`MultiDeviceConfig::serving = None`),
+//!   the incumbent every serving lever is measured against.
 //! - `batch4` — one lane, cross-request batching up to 4.
 //! - `shard4` — four lanes with device affinity, no batching.
 //! - `full` — the default [`ServingConfig`]: 4 lanes × batch 4 +
@@ -87,28 +87,12 @@ fn run_cell(
         queue_wait_hist.merge_from(&Histogram::from_samples(&r.edge_queue_wait_samples()));
     }
     let mean_iou = reports.iter().map(|r| r.mean_iou()).sum::<f64>() / reports.len().max(1) as f64;
-    let (shed_rate, batch_occupancy, cache_hit_rate) = match &stats {
-        Some(s) => {
-            let attempts = s.served + s.sheds();
-            let shed_rate = if attempts == 0 {
-                0.0
-            } else {
-                s.sheds() as f64 / attempts as f64
-            };
-            (shed_rate, s.batch_occupancy(), s.cache_hit_rate())
-        }
-        None => {
-            // Serial backend: shed rejects are only visible as delivered
-            // shed responses on the mobile side.
-            let sheds: u64 = reports.iter().map(|r| r.resilience.shed_responses).sum();
-            let sent: usize = reports
-                .iter()
-                .flat_map(|r| r.records.iter())
-                .filter(|rec| rec.transmitted)
-                .count();
-            let attempts = sent.max(1) as f64;
-            (sheds as f64 / attempts, 0.0, 0.0)
-        }
+    let stats = stats.expect("every backend reports serving stats");
+    let attempts = stats.served + stats.sheds();
+    let shed_rate = if attempts == 0 {
+        0.0
+    } else {
+        stats.sheds() as f64 / attempts as f64
     };
     Cell {
         config: config_name,
@@ -119,8 +103,8 @@ fn run_cell(
         sim_seconds: frames as f64 / config.fps,
         mean_iou,
         shed_rate,
-        batch_occupancy,
-        cache_hit_rate,
+        batch_occupancy: stats.batch_occupancy(),
+        cache_hit_rate: stats.cache_hit_rate(),
     }
 }
 

@@ -1,9 +1,9 @@
 //! Hand-rolled JSON writing and reading shared by the bench binaries.
 //!
 //! The stack deliberately has no JSON dependency; every `results/*.json`
-//! artifact is emitted through [`JsonWriter`] so the quoting, float
-//! formatting and indentation rules live in exactly one place instead of
-//! being re-implemented per binary. Reading goes through the telemetry
+//! artifact is emitted through [`document`] and its [`JsonObject`] so the
+//! quoting, float formatting and indentation rules live in exactly one
+//! place instead of being re-implemented per binary. Reading goes through the telemetry
 //! crate's one JSON parser, re-exported here as [`parse`].
 
 use std::fmt::Write as _;

@@ -8,9 +8,9 @@
 //!
 //! Attribution model: the run's *reference* accuracy is the mean IoU of
 //! `healthy`-labelled frames — what a frame scores when nothing is
-//! wrong, by the run's own evidence. Each
-//! [`FrameOutcome`](edgeis::metrics::FrameOutcome) label is then charged
-//! `max(0, reference − label_mean) × label_samples` of *shortfall*.
+//! wrong, by the run's own evidence. Each [`FrameOutcome`] label is then
+//! charged `max(0, reference − label_mean) × label_samples` of
+//! *shortfall*.
 //! Because the overall mean is the sample-weighted mean of label means,
 //! the label shortfalls decompose the run's total accuracy gap exactly
 //! (healthy contributes zero by construction, and a label that scores

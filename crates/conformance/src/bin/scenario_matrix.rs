@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Each golden scenario is recorded once; the trace is scored against its
-//! committed [`ScenarioSlo`] and byte-checked against its golden. A
+//! committed [`edgeis::slo::ScenarioSlo`] and byte-checked against its golden. A
 //! machine-readable verdict is written to
 //! `target/conformance/scenario_matrix.verdict.json` (uploaded as a CI
 //! artifact), and the process exits non-zero if any scenario misses a

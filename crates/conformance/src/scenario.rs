@@ -263,14 +263,17 @@ pub const PATROL_DRIFT_FULL_FRAMES: usize = 10_000;
 /// ~30% headroom — p99 is mostly virtual-clock but keyframe cadence
 /// (and with it queueing) shifts with measured stage wall-clock, so a
 /// tight ceiling would only measure the host. `EXPERIMENTS.md` has the
-/// re-measurement recipe.
+/// re-measurement recipe. The per-scenario "Sweep" ranges below are the
+/// `seed_sweep` test's current mean-IoU readings, not the
+/// calibration-time ones.
 pub fn matrix_scenarios() -> Vec<MatrixScenario> {
     vec![
         // Jog-speed ego-motion is the paper's hardest regime (Fig. 12):
         // the map dies and rebuilds repeatedly, so the honest floor is
         // low. Before the accuracy-recovery work (permissive init
         // fallback, bootstrap urgency, track-loss reset) one of the three
-        // sweep seeds never initialized at all and scored 0.0.
+        // sweep seeds never initialized at all and scored 0.0. Sweep
+        // 0.175–0.267.
         MatrixScenario {
             name: "urban_rush",
             preset: datasets::urban_rush,
@@ -284,7 +287,8 @@ pub fn matrix_scenarios() -> Vec<MatrixScenario> {
             },
             tweak: stock_config,
         },
-        // Measured 0.512–0.537 across seeds.
+        // Sweep 0.389–0.616; seed +101 is below the floor (ROADMAP
+        // item 1).
         MatrixScenario {
             name: "crowd_occlusion",
             preset: datasets::crowd_occlusion,
@@ -298,7 +302,7 @@ pub fn matrix_scenarios() -> Vec<MatrixScenario> {
             },
             tweak: stock_config,
         },
-        // Measured 0.549–0.790 across seeds.
+        // Sweep 0.624–0.766.
         MatrixScenario {
             name: "lighting_shift",
             preset: datasets::lighting_shift,
@@ -312,7 +316,7 @@ pub fn matrix_scenarios() -> Vec<MatrixScenario> {
             },
             tweak: stock_config,
         },
-        // Measured 0.571–0.642 across seeds.
+        // Sweep 0.645–0.725.
         MatrixScenario {
             name: "object_churn",
             preset: datasets::object_churn,
@@ -326,8 +330,8 @@ pub fn matrix_scenarios() -> Vec<MatrixScenario> {
             },
             tweak: stock_config,
         },
-        // Measured 0.547–0.741 across seeds; the same budgets gate the
-        // 10k-frame `--full` drift run.
+        // Sweep 0.739–0.793; the same budgets gate the 10k-frame
+        // `--full` drift run.
         MatrixScenario {
             name: "patrol_drift",
             preset: datasets::patrol_drift,
@@ -344,7 +348,7 @@ pub fn matrix_scenarios() -> Vec<MatrixScenario> {
         // 640×480 over Wi-Fi: ~4× the uplink bytes per keyframe pushes
         // the p99 well past the QVGA scenarios, and the first usable map
         // lands late, dragging the mean down (per-instance IoU reaches
-        // 0.7–0.9 once warm). Measured 0.334–0.392 across seeds.
+        // 0.7–0.9 once warm). Sweep 0.270–0.518.
         MatrixScenario {
             name: "atrium_hires",
             preset: datasets::atrium_hires,
@@ -384,9 +388,11 @@ impl Scenario {
 pub fn golden_scenarios() -> Vec<Scenario> {
     // Legacy budgets follow the same calibration rule as the matrix
     // (observed IoU minus margin, observed p99 plus ~30–50% headroom).
-    // Under the in-repo noise stream and the shipped defaults they
-    // measure 0.519/385ms, 0.385/383ms and 0.850/283ms respectively;
-    // single_faulted misses its floor (ROADMAP item 1).
+    // With the serial FIFO edge on `ServingRuntime` and the shipped
+    // defaults they measure 0.667/390ms, 0.713/342ms and 0.850/283ms
+    // respectively. single_faulted clears its floor only because its
+    // last response before the drop window now carries every mask
+    // (ROADMAP item 1).
     let mut scenarios = vec![
         Scenario {
             name: "single_cfrs",
@@ -420,7 +426,7 @@ pub fn golden_scenarios() -> Vec<Scenario> {
         },
         Scenario {
             name: "fleet_failover",
-            // Same calibration rule; measured 0.719/283ms.
+            // Same calibration rule; measured 0.750/283ms.
             slo: ScenarioSlo {
                 min_iou: 0.60,
                 max_p99_ms: 400.0,

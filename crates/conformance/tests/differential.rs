@@ -252,15 +252,16 @@ fn non_default_branches_and_outcome_labels_are_pinned() {
         .expect("single_faulted is a golden scenario");
     folds.push(("single_faulted", trace_and_outcome_fold(&faulted.record())));
 
-    // Re-recorded when the cold start gained its `bootstrapping` label
-    // and the VO tracker began rendering the last edge answer while it
-    // shows no mask; a refactor must leave every fold unchanged.
+    // Re-recorded when the edge became one engine (the serial FIFO
+    // edge draws per-request seeded noise) and the VO's unrefinable
+    // objects fell back to T_co = T_cw; a refactor must leave every fold
+    // unchanged.
     let expected: Vec<(&str, u64)> = vec![
-        ("best-effort", 0x5b865f896d9e6b2e),
-        ("baseline+MAMT", 0x7fead7ece24c51b6),
-        ("baseline+CIIA", 0xe393207a6232db24),
-        ("baseline+CFRS", 0xad751f4029fbe984),
-        ("single_faulted", 0x9aab906dd797f140),
+        ("best-effort", 0xda409e19d8b80cdc),
+        ("baseline+MAMT", 0x48c19016f355b335),
+        ("baseline+CIIA", 0x7926f1026e55fa07),
+        ("baseline+CFRS", 0x9e18f0bf2a8a1414),
+        ("single_faulted", 0xcb4d8be261beba08),
     ];
     assert_eq!(folds, expected);
 }

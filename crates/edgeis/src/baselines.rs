@@ -4,8 +4,9 @@
 //! the paper's evaluation does).
 
 use crate::cost::MobileCostModel;
-use crate::edge::{EdgeServer, PendingResponse};
+use crate::edge::PendingResponse;
 use crate::resources::{ResourceConfig, ResourceLedger};
+use crate::serving::{ServingConfig, ServingRuntime};
 use crate::system::{FrameInput, FrameOutput, SegmentationSystem};
 use edgeis_codec::{encode, QualityLevel, TileGrid, TilePlan};
 use edgeis_geometry::Camera;
@@ -110,6 +111,12 @@ impl SegmentationSystem for PureMobileSystem {
     }
 }
 
+/// The paper's serial FIFO edge serving one baseline device.
+fn serial_edge(camera: Camera, seed: u64) -> ServingRuntime {
+    let model = EdgeModel::new(ModelKind::MaskRcnn, camera.width, camera.height, seed);
+    ServingRuntime::new(model, seed, ServingConfig::serial_fifo())
+}
+
 // ---------------------------------------------------------------------------
 // EAAR
 // ---------------------------------------------------------------------------
@@ -121,7 +128,7 @@ pub struct EaarSystem {
     camera: Camera,
     cost: MobileCostModel,
     link: Link,
-    server: EdgeServer,
+    server: ServingRuntime,
     /// Pending responses with the global displacement at send time.
     pending: Vec<(PendingResponse, (f64, f64))>,
     prev_image: Option<GrayImage>,
@@ -139,12 +146,7 @@ impl EaarSystem {
             camera,
             cost: MobileCostModel::default(),
             link: Link::of_kind(link_kind, seed ^ 0x33),
-            server: EdgeServer::new(EdgeModel::new(
-                ModelKind::MaskRcnn,
-                camera.width,
-                camera.height,
-                seed ^ 0x44,
-            )),
+            server: serial_edge(camera, seed ^ 0x44),
             pending: Vec::new(),
             prev_image: None,
             cached: Vec::new(),
@@ -221,10 +223,10 @@ impl SegmentationSystem for EaarSystem {
             let arrival = self
                 .link
                 .transmit(tx_bytes, now + mobile_ms, Direction::Uplink);
-            if let Some(resp) = self
+            let resp = self
                 .server
-                .submit(input.index, &obs, None, arrival, &mut self.link)
-            {
+                .submit(0, input.index, &obs, None, arrival, &mut self.link);
+            if let Some(resp) = resp {
                 self.pending.push((resp, self.accum_disp));
             }
         }
@@ -256,7 +258,7 @@ pub struct EdgeDuetSystem {
     camera: Camera,
     cost: MobileCostModel,
     link: Link,
-    server: EdgeServer,
+    server: ServingRuntime,
     pending: Vec<PendingResponse>,
     /// Per object: tracker, the response mask and the box position the
     /// mask was cached at.
@@ -274,12 +276,7 @@ impl EdgeDuetSystem {
             camera,
             cost: MobileCostModel::default(),
             link: Link::of_kind(link_kind, seed ^ 0x55),
-            server: EdgeServer::new(EdgeModel::new(
-                ModelKind::MaskRcnn,
-                camera.width,
-                camera.height,
-                seed ^ 0x66,
-            )),
+            server: serial_edge(camera, seed ^ 0x66),
             pending: Vec::new(),
             tracked: Vec::new(),
             tile_size: 32,
@@ -352,10 +349,10 @@ impl SegmentationSystem for EdgeDuetSystem {
             let arrival = self
                 .link
                 .transmit(tx_bytes, now + mobile_ms, Direction::Uplink);
-            if let Some(resp) = self
+            let resp = self
                 .server
-                .submit(input.index, &obs, None, arrival, &mut self.link)
-            {
+                .submit(0, input.index, &obs, None, arrival, &mut self.link);
+            if let Some(resp) = resp {
                 self.pending.push(resp);
             }
         }

@@ -7,7 +7,8 @@
 //! promises:
 //!
 //! 1. **No necromancy** — no request is ever answered by an edge the
-//!    script says was dead at arrival ([`FleetStats::dead_edge_responses`]
+//!    script says was dead at arrival
+//!    ([`FleetStats::dead_edge_responses`](crate::fleet::FleetStats::dead_edge_responses)
 //!    stays 0).
 //! 2. **Bounded churn** — the handoff count never exceeds what the
 //!    per-device cooldown permits (no flapping storms).

@@ -49,7 +49,7 @@ pub mod trace;
 pub mod wire;
 
 pub use cfrs::{CfrsConfig, CfrsDecision, CfrsPlanner};
-pub use edge::{EdgeFaultConfig, EdgeServer, PendingResponse, SharedEdge};
+pub use edge::{EdgeFaultConfig, PendingResponse, SharedEdge};
 pub use experiment::{run_system, run_system_with_faults, ExperimentConfig, FaultPlan, SystemKind};
 pub use fleet::{
     rendezvous_rank, EdgeFleet, FleetConfig, FleetStats, HandoffRecord, PlacementPolicy,

@@ -6,7 +6,7 @@
 //! contend for the shared GPU FIFO, so per-device result latency grows
 //! with fleet size — the effect this module measures.
 
-use crate::edge::{EdgeFaultConfig, EdgeServer, SharedEdge};
+use crate::edge::{EdgeFaultConfig, SharedEdge};
 use crate::fleet::{EdgeFleet, FleetConfig, FleetStats};
 use crate::metrics::{FrameOutcome, Report};
 use crate::pipeline::{class_map, DeviceFrames, PipelineConfig};
@@ -42,9 +42,10 @@ pub struct MultiDeviceConfig {
     pub link_faults: Option<FaultSchedule>,
     /// Edge-side fault model, installed on the shared server.
     pub edge_faults: Option<EdgeFaultConfig>,
-    /// Serving-runtime configuration for the shared edge. `None` keeps the
-    /// paper's serial FIFO [`EdgeServer`]; `Some` enables the batched /
-    /// sharded / cached / admission-controlled [`ServingRuntime`].
+    /// Serving-runtime configuration for the shared edge. `None` is the
+    /// paper's serial FIFO edge ([`ServingConfig::serial_fifo`]); `Some`
+    /// picks another [`ServingRuntime`] configuration (batched, sharded,
+    /// cached, admission-controlled).
     pub serving: Option<ServingConfig>,
     /// Multi-edge fleet configuration. `Some` replaces the single shared
     /// edge with an [`EdgeFleet`] of serving replicas (its own
@@ -96,7 +97,7 @@ where
 }
 
 /// [`run_multi_device`], also returning the shared edge's serving
-/// accounting (`None` when the run used the serial FIFO backend).
+/// accounting (always `Some`: every backend is a serving runtime).
 pub fn run_multi_device_with_stats<F>(
     make_world: F,
     config: &MultiDeviceConfig,
@@ -105,7 +106,7 @@ where
     F: Fn(u64) -> World,
 {
     let (reports, serving, _) = run_multi_device_with_fleet(make_world, config);
-    (reports, serving)
+    (reports, Some(serving))
 }
 
 /// [`run_multi_device_with_stats`], also returning the fleet-tier
@@ -113,7 +114,7 @@ where
 pub fn run_multi_device_with_fleet<F>(
     make_world: F,
     config: &MultiDeviceConfig,
-) -> (Vec<Report>, Option<ServingStats>, Option<FleetStats>)
+) -> (Vec<Report>, ServingStats, Option<FleetStats>)
 where
     F: Fn(u64) -> World,
 {
@@ -135,14 +136,11 @@ where
             config.camera.height,
             config.seed ^ 0x777,
         );
-        match &config.serving {
-            None => SharedEdge::new(EdgeServer::new(model)),
-            Some(serving) => SharedEdge::serving(ServingRuntime::new(
-                model,
-                config.seed ^ 0x777,
-                serving.clone(),
-            )),
-        }
+        let serving = config
+            .serving
+            .clone()
+            .unwrap_or_else(ServingConfig::serial_fifo);
+        SharedEdge::serving(ServingRuntime::new(model, config.seed ^ 0x777, serving))
     };
     if config.fleet.is_none() {
         if let Some(edge_faults) = &config.edge_faults {
@@ -280,11 +278,14 @@ mod tests {
             run_multi_device_with_stats(datasets::indoor_simple, &serial);
         let (serving_reports, serving_stats) =
             run_multi_device_with_stats(datasets::indoor_simple, &serving);
-        assert!(
-            serial_stats.is_none(),
-            "serial backend has no serving stats"
-        );
-        let stats = serving_stats.expect("serving backend must report stats");
+        // The serial FIFO edge serves every request alone and caches
+        // nothing.
+        let serial_stats = serial_stats.expect("every backend reports serving stats");
+        assert!(serial_stats.served > 0, "the serial edge served nothing");
+        assert_eq!(serial_stats.batches, serial_stats.served);
+        assert_eq!(serial_stats.batch_joins, 0);
+        assert_eq!(serial_stats.cache_hits, 0);
+        let stats = serving_stats.expect("every backend reports serving stats");
         assert!(stats.served > 0, "nothing was served");
 
         // The serving runtime must not cost accuracy relative to the
@@ -378,7 +379,6 @@ mod tests {
         let (reports, serving, fleet) =
             run_multi_device_with_fleet(datasets::indoor_simple, &failover);
         let stats = fleet.expect("fleet backend must report fleet stats");
-        let serving = serving.expect("fleet backend must report merged serving stats");
         assert_eq!(reports.len(), 4);
         assert!(stats.handoffs >= 1, "nobody was evacuated off the crash");
         assert_eq!(stats.dead_edge_responses, 0, "a dead edge answered");

@@ -1,10 +1,11 @@
 //! Batched, sharded edge-serving runtime.
 //!
-//! [`crate::edge::EdgeServer`] models the paper's single-tenant edge: one
-//! GPU, one FIFO. The field deployment (§VI-G) instead parks eight devices
-//! on one Jetson, and the roadmap's "heavy traffic" goal needs an edge
-//! that behaves like a serving system, not a mutex. This module adds the
-//! three classic serving levers on the same virtual clock:
+//! This is the only single-edge engine. Its [`ServingConfig::serial_fifo`]
+//! preset is the paper's single-tenant edge: one GPU, one FIFO. The field
+//! deployment (§VI-G) instead parks eight devices on one Jetson, and the
+//! roadmap's "heavy traffic" goal needs an edge that behaves like a
+//! serving system, not a mutex. The other presets add the three classic
+//! serving levers on the same virtual clock:
 //!
 //! 1. **Cross-request batching** — requests landing on a lane while a
 //!    batch is still waiting to execute join it and pay only the marginal
@@ -29,9 +30,9 @@
 //! execution start and current finish; each joining member extends the
 //! finish by its marginal cost and completes at the new finish. Member
 //! `i`'s completion never depends on members that join later, so the
-//! simulation can answer each submit synchronously. A serial config
-//! (1 lane, batch 1, window 0) reduces exactly to [`EdgeServer`]'s
-//! `max(arrival, busy_until) + total_ms` FIFO formula.
+//! simulation can answer each submit synchronously. The serial config
+//! (1 lane, batch 1, window 0) reduces exactly to the FIFO formula
+//! `start = max(arrival, busy_until)`, `done = start + total_ms`.
 
 use crate::edge::{corrupt_payload, envelope_context, EdgeFaultConfig, PendingResponse};
 use crate::wire::ENVELOPE_LEN;
@@ -101,9 +102,10 @@ impl Default for ServingConfig {
 }
 
 impl ServingConfig {
-    /// The serial-FIFO reference configuration: one lane, no batching, no
-    /// window, no cache, infinite admission horizon — the exact semantics
-    /// of [`crate::edge::EdgeServer`].
+    /// The paper's edge: one lane, no batching, no window, no cache,
+    /// infinite admission horizon — one GPU serving requests in FIFO order.
+    /// `EdgeIsSystem::new`, the baselines and a multi-device run without a
+    /// serving config all use it.
     pub fn serial_fifo() -> Self {
         Self {
             lanes: 1,
@@ -642,15 +644,8 @@ impl ServingRuntime {
         } = plan;
 
         // Crash-in-flight: processing caught by an opening window is lost
-        // (per request, mirroring `EdgeServer`'s semantics).
-        if let Some((_, crash_end)) = self
-            .faults
-            .crash_windows
-            .iter()
-            .copied()
-            .filter(|&(s, _)| s >= exec_start && s < completion)
-            .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
-        {
+        // with the process (per request).
+        if let Some((_, crash_end)) = self.faults.crash_opening_in(exec_start, completion) {
             self.recover_from_crash(crash_end);
             self.stats.crash_losses += 1;
             if let Some(ctx) = &ctx {
@@ -819,20 +814,98 @@ mod tests {
 
     #[test]
     fn serial_config_matches_fifo_queueing_formula() {
+        // Every request starts at max(arrival, busy), waits start -
+        // arrival and holds the single lane until start + total_ms, in
+        // arrival order across devices.
         let mut rt = ServingRuntime::new(model(1), 1, ServingConfig::serial_fifo());
-        let mut link = clean_link(1);
         let obs = observation();
-        let r1 = rt.submit(0, 0, &obs, None, 10.0, &mut link).unwrap();
-        let first_done = 10.0 + r1.stats.total_ms();
-        assert!((rt.busy_until_for(0) - first_done).abs() < 1e-9);
-        // Second request from another device queues behind the first on
-        // the single lane, exactly EdgeServer's max(arrival, busy) start.
-        let r2 = rt.submit(1, 1, &obs, None, 20.0, &mut link).unwrap();
-        assert!((r2.queue_wait_ms - (first_done - 20.0)).abs() < 1e-9);
-        let second_done = first_done + r2.stats.total_ms();
-        assert!((rt.busy_until_for(1) - second_done).abs() < 1e-9);
-        assert_eq!(rt.stats().batches, 2);
+        let mut busy = 0.0f64;
+        let mut waited = 0;
+        for (i, (device, at)) in [(0u64, 10.0), (1, 20.0), (0, 600.0), (2, 605.0), (1, 5000.0)]
+            .into_iter()
+            .enumerate()
+        {
+            let r = rt
+                .submit(device, i as u64, &obs, None, at, &mut clean_link(1))
+                .unwrap();
+            let start = at.max(busy);
+            assert!(
+                (r.queue_wait_ms - (start - at)).abs() < 1e-9,
+                "request {i}: queue wait {} != FIFO formula {}",
+                r.queue_wait_ms,
+                start - at
+            );
+            busy = start + r.stats.total_ms();
+            assert!((rt.busy_until_for(device) - busy).abs() < 1e-9);
+            assert!((rt.busy_until() - busy).abs() < 1e-9);
+            waited += (r.queue_wait_ms > 0.0) as u32;
+        }
+        assert!(waited > 0, "no request ever queued behind another");
+        assert_eq!(rt.stats().served, 5);
+        assert_eq!(rt.stats().batches, 5);
         assert_eq!(rt.stats().batch_joins, 0);
+    }
+
+    #[test]
+    fn responses_arrive_after_inference_plus_downlink() {
+        let mut rt = ServingRuntime::new(model(2), 2, ServingConfig::serial_fifo());
+        let obs = observation();
+        let r = rt
+            .submit(0, 0, &obs, None, 10.0, &mut clean_link(2))
+            .unwrap();
+        assert!(r.arrive_ms > 10.0 + r.stats.total_ms());
+        let (frame_id, detections) = r.decode().unwrap();
+        assert_eq!(frame_id, 0);
+        assert!(!detections.is_empty());
+    }
+
+    #[test]
+    fn in_flight_processing_lost_when_crash_opens() {
+        let obs = observation();
+        // Price the request first, so the window opens mid-inference.
+        let mut probe = ServingRuntime::new(model(4), 4, ServingConfig::serial_fifo());
+        let infer_ms = probe
+            .submit(0, 0, &obs, None, 0.0, &mut clean_link(4))
+            .unwrap()
+            .stats
+            .total_ms();
+        assert!(infer_ms > 1.0, "model too fast to test in-flight crash");
+
+        let mut rt = ServingRuntime::new(model(4), 4, ServingConfig::serial_fifo());
+        let start = 5000.0;
+        let opens = start + infer_ms * 0.5;
+        rt.set_faults(EdgeFaultConfig {
+            crash_windows: vec![(opens, opens + 50.0)],
+            ..Default::default()
+        });
+        assert!(rt
+            .submit(0, 0, &obs, None, start, &mut clean_link(4))
+            .is_none());
+        assert_eq!(rt.crash_losses(), 1);
+        assert_eq!(rt.stats().served, 0);
+    }
+
+    #[test]
+    fn corrupted_delivery_fails_decode() {
+        use edgeis_netsim::FaultSchedule;
+        let mut rt = ServingRuntime::new(model(6), 6, ServingConfig::serial_fifo());
+        let mut link = clean_link(6);
+        link.set_faults(FaultSchedule::new(6).corruption(0.0, 1e9, 1.0));
+        let obs = observation();
+        let mut rejected = 0;
+        for i in 0..8u64 {
+            let r = rt
+                .submit(0, i, &obs, None, i as f64 * 500.0, &mut link)
+                .expect("corruption delivers, never drops");
+            rejected += r.decode().is_err() as u32;
+        }
+        // Byte flips overwhelmingly break framing/RLE checks; a flip can
+        // land in a don't-care float without breaking decode, so require
+        // most, not all, to be rejected.
+        assert!(
+            rejected >= 6,
+            "only {rejected}/8 corrupted payloads rejected"
+        );
     }
 
     #[test]
@@ -1123,34 +1196,6 @@ mod tests {
             .submit(1, 1, &obs, None, 2050.0, &mut clean_link(11))
             .unwrap();
         assert!(r.arrive_ms >= 2100.0);
-    }
-
-    #[test]
-    fn serial_preset_reduces_to_edge_server_queue_math() {
-        // The serial_fifo preset must reproduce EdgeServer's FIFO formula
-        // on every request: start = max(arrival, busy), wait = start -
-        // arrival, busy = start + total_ms. (Absolute times cannot be
-        // compared against an actual EdgeServer because its evolving RNG
-        // stream yields different per-request service times than the
-        // seeded scheme.)
-        let mut rt = ServingRuntime::new(model(12), 12, ServingConfig::serial_fifo());
-        let obs = observation();
-        let mut expected_busy = 0.0f64;
-        for i in 0..5u64 {
-            let at = i as f64 * 100.0;
-            let r = rt
-                .submit(0, i, &obs, None, at, &mut clean_link(13))
-                .unwrap();
-            let start = at.max(expected_busy);
-            assert!(
-                (r.queue_wait_ms - (start - at)).abs() < 1e-9,
-                "request {i}: queue wait {} != FIFO formula {}",
-                r.queue_wait_ms,
-                start - at
-            );
-            expected_busy = start + r.stats.total_ms();
-            assert!((rt.busy_until_for(0) - expected_busy).abs() < 1e-9);
-        }
     }
 
     #[test]

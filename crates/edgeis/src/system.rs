@@ -8,9 +8,10 @@
 
 use crate::cfrs::{CfrsConfig, CfrsDecision, CfrsPlanner, TransmitReason};
 use crate::cost::MobileCostModel;
-use crate::edge::{EdgeFaultConfig, EdgeServer, PendingResponse, SharedEdge};
+use crate::edge::{EdgeFaultConfig, PendingResponse, SharedEdge};
 use crate::metrics::{FrameOutcome, ResilienceStats, StageBreakdownMs};
 use crate::resources::{ResourceConfig, ResourceLedger};
+use crate::serving::{ServingConfig, ServingRuntime};
 use crate::trace::{
     digest_masks, digest_uplink, fnv1a64_extend, pose_vector, FrameTrace, FNV_OFFSET,
 };
@@ -686,7 +687,8 @@ fn health_level(health: LinkHealth) -> f64 {
 }
 
 impl EdgeIsSystem {
-    /// Builds the system over the given link, with its own edge server.
+    /// Builds the system over the given link, with its own edge: the
+    /// paper's serial FIFO server ([`ServingConfig::serial_fifo`]).
     pub fn new(config: EdgeIsConfig, link_kind: LinkKind) -> Self {
         let model = EdgeModel::new(
             config.model,
@@ -694,7 +696,8 @@ impl EdgeIsSystem {
             config.camera.height,
             config.seed ^ 0x22,
         );
-        Self::with_shared_edge(config, link_kind, SharedEdge::new(EdgeServer::new(model)))
+        let edge = ServingRuntime::new(model, config.seed ^ 0x22, ServingConfig::serial_fifo());
+        Self::with_shared_edge(config, link_kind, SharedEdge::serving(edge))
     }
 
     /// Builds the system against an existing (shared) edge server — used

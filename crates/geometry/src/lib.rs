@@ -11,7 +11,7 @@
 //! - the normalized 8-point algorithm, fundamental / essential matrices and
 //!   pose recovery ([`epipolar`]),
 //! - linear triangulation ([`triangulate`]),
-//! - a generic [`ransac`] driver,
+//! - a generic [`ransac`](mod@ransac) driver,
 //! - Gauss–Newton pose-only bundle adjustment with a Huber kernel ([`ba`]).
 //!
 //! Everything is `f64`, deterministic and allocation-light; no external

@@ -282,7 +282,7 @@ pub fn detect_orb(img: &GrayImage, config: &OrbConfig) -> (Vec<Keypoint>, Vec<De
 /// Each SIMD kernel (blur row, FAST compass pre-test, BRIEF) runs when its
 /// CPU feature is present and falls back to its scalar twin otherwise;
 /// [`crate::simd::force_caps`] pins the fallback. Every combination is
-/// bit-identical to the clamped [`reference`] detector (test-enforced).
+/// bit-identical to the clamped [`reference`](mod@reference) detector (test-enforced).
 pub fn detect_orb_with_scratch(
     img: &GrayImage,
     config: &OrbConfig,

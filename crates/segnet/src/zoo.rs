@@ -58,23 +58,16 @@ impl ZooConfig {
 
 /// The resolved models an edge serves from: one [`EdgeModel`] per tier.
 ///
-/// This is the single tier/profile resolution path shared by the serial
-/// `EdgeServer` (always one tier) and the batched `ServingRuntime`
-/// (one per zoo tier), so both answer "which model and profile serves
-/// tier `t`?" identically.
+/// This is the single tier/profile resolution path of the edge's
+/// `ServingRuntime` (one model without a zoo, one per zoo tier), so every
+/// serving configuration answers "which model and profile serves tier
+/// `t`?" identically.
 #[derive(Debug)]
 pub struct TierSet {
     models: Vec<EdgeModel>,
 }
 
 impl TierSet {
-    /// A single-model set (tier 0 only) — the pre-zoo behaviour.
-    pub fn single(model: EdgeModel) -> Self {
-        Self {
-            models: vec![model],
-        }
-    }
-
     /// Resolves a zoo against a primary model: one sibling per tier at the
     /// primary's frame size. With `zoo = None` the set is just the primary.
     ///
@@ -103,12 +96,6 @@ impl TierSet {
     /// The model serving tier `tier`.
     pub fn model(&self, tier: usize) -> &EdgeModel {
         &self.models[tier]
-    }
-
-    /// Mutable access to a tier's model (the serial server's evolving-RNG
-    /// `infer` path needs it).
-    pub fn model_mut(&mut self, tier: usize) -> &mut EdgeModel {
-        &mut self.models[tier]
     }
 
     /// The profile of tier `tier`.

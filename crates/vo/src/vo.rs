@@ -535,9 +535,10 @@ impl VisualOdometry {
             }
             None => {
                 // Too small / too far (paper): fall back to the static
-                // assumption T_co = T_cw.
+                // assumption T_co = T_cw. `t_co_current` keeps the last
+                // refined pose as the next refine's starting point.
                 obj.lost_frames += 1;
-                obj.t_co_current.unwrap_or(*camera_pose)
+                *camera_pose
             }
         };
 
@@ -1140,5 +1141,43 @@ impl VisualOdometry {
             created += 1;
         }
         created
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use edgeis_geometry::{Vec3, SO3};
+
+    #[test]
+    fn unrefinable_object_falls_back_to_the_static_assumption() {
+        let camera = Camera::with_hfov(1.2, 160, 120);
+        let mut vo = VisualOdometry::new(camera, VoConfig::default());
+        let mut mask = Mask::new(160, 120);
+        mask.fill_rect(40, 30, 20, 20);
+        // The object's last refined pose is far from where the camera is
+        // now: reusing it would report a large world motion.
+        let stale = SE3::new(SO3::from_yaw(0.4), Vec3::new(3.0, -1.0, 2.0));
+        let mut obj = TrackedObject::new(7, Vec::new(), mask, 0, SE3::identity());
+        obj.t_co_current = Some(stale);
+        vo.objects.insert(7, obj);
+
+        // No matched observations (fewer than the 3 a refine needs).
+        let camera_pose = SE3::new(SO3::from_yaw(-0.1), Vec3::new(0.5, 0.0, 0.2));
+        let frame = ProcessedFrame::new(1, 0.0, Vec::new(), Vec::new());
+        let track = vo.track_object(7, &frame, &[], &camera_pose);
+
+        let motion = track
+            .world_motion
+            .expect("a tracked object reports its motion");
+        assert!(
+            motion.translation.norm() < 1e-12,
+            "T_co = T_cw moves nothing"
+        );
+        assert!(motion.rotation.log().norm() < 1e-12);
+        assert_eq!(track.matched_points, 0);
+        let obj = &vo.objects[&7];
+        assert_eq!(obj.lost_frames, 1);
+        assert_eq!(obj.t_co_current, Some(stale), "the refine seed is kept");
     }
 }
