@@ -330,6 +330,114 @@ impl SharedEdge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::{ServingConfig, ServingRuntime};
+    use edgeis_imaging::LabelMap;
+    use edgeis_netsim::LinkKind;
+    use edgeis_segnet::{EdgeModel, ModelKind};
+    use std::collections::BTreeMap;
+
+    fn observation() -> FrameObservation {
+        let mut labels = LabelMap::new(160, 120);
+        for y in 40..90 {
+            for x in 50..110 {
+                labels.set(x, y, 1);
+            }
+        }
+        let mut classes = BTreeMap::new();
+        classes.insert(1u16, 2u8);
+        FrameObservation::pristine(labels, classes)
+    }
+
+    /// The paper's edge: one GPU serving requests in FIFO order.
+    fn serial_edge(seed: u64) -> ServingRuntime {
+        let model = EdgeModel::new(ModelKind::MaskRcnn, 160, 120, seed);
+        ServingRuntime::new(model, seed, ServingConfig::serial_fifo())
+    }
+
+    #[test]
+    fn fifo_queueing() {
+        let mut edge = serial_edge(2);
+        let mut link = Link::of_kind(LinkKind::Wifi5, 2);
+        let obs = observation();
+        let r1 = edge.submit(0, 0, &obs, None, 0.0, &mut link).unwrap();
+        let busy_after_first = edge.busy_until();
+        let r2 = edge.submit(0, 1, &obs, None, 1.0, &mut link).unwrap();
+        // Second inference starts only after the first finished.
+        assert!(edge.busy_until() >= busy_after_first + r2.stats.total_ms() - 1e-9);
+        assert!((r2.queue_wait_ms - (busy_after_first - 1.0)).abs() < 1e-9);
+        assert!(r2.arrive_ms > r1.arrive_ms);
+    }
+
+    #[test]
+    fn crash_window_loses_requests_and_restarts() {
+        let mut edge = serial_edge(3);
+        edge.set_faults(EdgeFaultConfig {
+            crash_windows: vec![(1000.0, 2000.0)],
+            restart_ms: 100.0,
+            ..Default::default()
+        });
+        let mut link = Link::of_kind(LinkKind::Wifi5, 3);
+        let obs = observation();
+        // Before the crash: fine.
+        assert!(edge.submit(0, 0, &obs, None, 0.0, &mut link).is_some());
+        // During the crash: lost.
+        assert!(edge.submit(0, 1, &obs, None, 1500.0, &mut link).is_none());
+        assert_eq!(edge.crash_losses(), 1);
+        // After restart (window end + restart), the edge serves again but
+        // cannot start before the restart completed.
+        let resp = edge.submit(0, 2, &obs, None, 2050.0, &mut link).unwrap();
+        assert!(resp.arrive_ms >= 2100.0);
+    }
+
+    #[test]
+    fn overload_sheds_beyond_queue_horizon() {
+        let mut edge = serial_edge(5);
+        edge.set_faults(EdgeFaultConfig {
+            shed_queue_horizon_ms: 50.0,
+            ..Default::default()
+        });
+        let mut link = Link::of_kind(LinkKind::Wifi5, 5);
+        let obs = observation();
+        // Pile up requests at the same arrival time until the queue horizon
+        // is exceeded.
+        let mut shed_seen = false;
+        for i in 0..20 {
+            if let Some(resp) = edge.submit(0, i, &obs, None, 0.0, &mut link) {
+                if resp.shed {
+                    shed_seen = true;
+                    let (_, detections) = resp.decode().unwrap();
+                    assert!(detections.is_empty(), "shed reject carries no results");
+                }
+            }
+        }
+        assert!(shed_seen, "queue never exceeded the shed horizon");
+        assert!(edge.shed_count() > 0);
+    }
+
+    #[test]
+    fn brownout_stretches_inference_but_delivers() {
+        let obs = observation();
+        let mut baseline = serial_edge(7);
+        let mut link = Link::of_kind(LinkKind::Wifi5, 7);
+        let clean = baseline.submit(0, 0, &obs, None, 100.0, &mut link).unwrap();
+        let clean_busy = baseline.busy_until();
+
+        let mut slowed = serial_edge(7);
+        slowed.set_faults(EdgeFaultConfig {
+            brownout_windows: vec![(0.0, 10_000.0, 3.0)],
+            ..Default::default()
+        });
+        let mut link = Link::of_kind(LinkKind::Wifi5, 7);
+        let resp = slowed.submit(0, 0, &obs, None, 100.0, &mut link).unwrap();
+        assert!(
+            slowed.busy_until() > clean_busy + resp.stats.total_ms(),
+            "brownout did not stretch occupancy: {} vs {}",
+            slowed.busy_until(),
+            clean_busy
+        );
+        assert!(resp.arrive_ms > clean.arrive_ms);
+        assert!(resp.decode().is_ok(), "brownout slows, never corrupts");
+    }
 
     #[test]
     fn brownout_windows_multiply_inside_and_vanish_outside() {

@@ -1131,6 +1131,32 @@ mod tests {
     }
 
     #[test]
+    fn serial_preset_reduces_to_edge_server_queue_math() {
+        // One device issuing back-to-back requests on the serial_fifo
+        // preset sees the single-server FIFO formula on every request:
+        // start = max(arrival, busy), wait = start - arrival,
+        // busy = start + total_ms.
+        let mut rt = ServingRuntime::new(model(12), 12, ServingConfig::serial_fifo());
+        let obs = observation();
+        let mut expected_busy = 0.0f64;
+        for i in 0..5u64 {
+            let at = i as f64 * 100.0;
+            let r = rt
+                .submit(0, i, &obs, None, at, &mut clean_link(13))
+                .unwrap();
+            let start = at.max(expected_busy);
+            assert!(
+                (r.queue_wait_ms - (start - at)).abs() < 1e-9,
+                "request {i}: queue wait {} != FIFO formula {}",
+                r.queue_wait_ms,
+                start - at
+            );
+            expected_busy = start + r.stats.total_ms();
+            assert!((rt.busy_until_for(0) - expected_busy).abs() < 1e-9);
+        }
+    }
+
+    #[test]
     fn shed_horizon_is_per_lane() {
         let cfg = ServingConfig {
             lanes: 2,
