@@ -11,7 +11,7 @@
 
 use edgeis_conformance::assert_identical;
 use edgeis_geometry::{Camera, Vec2, SE3};
-use edgeis_imaging::{iou, LabelMap, Mask};
+use edgeis_imaging::{extract_contours, iou, LabelMap, Mask};
 use edgeis_segnet::{
     fast_nms, greedy_nms, prune_rois, BBox, EdgeModel, FrameObservation, ModelKind, Roi,
 };
@@ -56,7 +56,7 @@ fn mask_transfer_is_shift_equivariant() {
 
     let out_base = transfer_mask(
         &camera,
-        &base,
+        &extract_contours(&base),
         &anchors_for(&base),
         &SE3::identity(),
         &config,
@@ -67,7 +67,7 @@ fn mask_transfer_is_shift_equivariant() {
         let shifted = shift_mask(&base, dx, dy);
         let out_shifted = transfer_mask(
             &camera,
-            &shifted,
+            &extract_contours(&shifted),
             &anchors_for(&shifted),
             &SE3::identity(),
             &config,

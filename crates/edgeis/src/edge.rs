@@ -275,38 +275,12 @@ impl SharedEdge {
         }
     }
 
-    /// When the edge next becomes free (any lane, for the serving
-    /// backend; any edge, for the fleet).
-    pub fn busy_until(&self) -> SimMs {
-        match &*self.backend() {
-            EdgeBackend::Serving(s) => s.busy_until(),
-            EdgeBackend::Fleet(f) => f.busy_until(),
-        }
-    }
-
     /// When `device`'s queue (its lane on its assigned edge, for the
     /// serving and fleet backends) frees up.
     pub fn busy_until_for(&self, device: u64) -> SimMs {
         match &*self.backend() {
             EdgeBackend::Serving(s) => s.busy_until_for(device),
             EdgeBackend::Fleet(f) => f.busy_until_for(device),
-        }
-    }
-
-    /// Requests lost to crash windows so far.
-    pub fn crash_losses(&self) -> u64 {
-        match &*self.backend() {
-            EdgeBackend::Serving(s) => s.crash_losses(),
-            EdgeBackend::Fleet(f) => f.crash_losses(),
-        }
-    }
-
-    /// Requests shed so far (overload horizon, plus admission deadline for
-    /// the serving backend).
-    pub fn shed_count(&self) -> u64 {
-        match &*self.backend() {
-            EdgeBackend::Serving(s) => s.shed_count(),
-            EdgeBackend::Fleet(f) => f.shed_count(),
         }
     }
 

@@ -322,22 +322,9 @@ impl EdgeFleet {
         self.edges[self.assigned_edge(device)].busy_until_for(device)
     }
 
-    /// The earliest any lane on any edge frees up.
-    pub fn busy_until(&self) -> SimMs {
-        self.edges
-            .iter()
-            .map(|e| e.busy_until())
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Requests lost to crash windows, summed over edges.
     pub fn crash_losses(&self) -> u64 {
         self.edges.iter().map(|e| e.crash_losses()).sum()
-    }
-
-    /// Requests shed, summed over edges.
-    pub fn shed_count(&self) -> u64 {
-        self.edges.iter().map(|e| e.shed_count()).sum()
     }
 
     /// A device's resilience state machine moved: an outage steers it

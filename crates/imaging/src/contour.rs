@@ -70,23 +70,36 @@ const DIRS: [(i64, i64); 8] = [
 ///
 /// Components are discovered in scan order; holes are not traced (the paper
 /// only needs the outer boundary of each instance mask).
+///
+/// Every set pixel lies inside the mask's bounding box, so the scan and
+/// the `visited` map cover only the box: past the one chunked pass of
+/// [`Mask::bounding_box`], the cost is O(box), not O(frame).
 pub fn extract_contours(mask: &Mask) -> Vec<Contour> {
+    let Some((bx0, by0, bx1, by1)) = mask.bounding_box() else {
+        return Vec::new();
+    };
     let w = mask.width() as i64;
     let h = mask.height() as i64;
-    let mut visited = vec![false; (w * h) as usize];
+    let mut visited = Visited {
+        x0: bx0 as i64,
+        y0: by0 as i64,
+        width: (bx1 - bx0) as i64,
+        bits: vec![false; ((bx1 - bx0) * (by1 - by0)) as usize],
+    };
     let mut contours = Vec::new();
+    let mut seeds = Vec::new();
 
     let inside = |x: i64, y: i64| mask.get_or_false(x, y);
 
-    for y in 0..h {
-        for x in 0..w {
-            if !inside(x, y) || visited[(y * w + x) as usize] {
+    for y in by0 as i64..by1 as i64 {
+        for x in bx0 as i64..bx1 as i64 {
+            if !inside(x, y) || visited.get(x, y) {
                 continue;
             }
             // Boundary start: an inside pixel whose west neighbour is outside.
             if inside(x - 1, y) {
                 // Interior pixel of a row-run; mark visited to avoid restart.
-                visited[(y * w + x) as usize] = true;
+                visited.set(x, y);
                 continue;
             }
 
@@ -100,7 +113,7 @@ pub fn extract_contours(mask: &Mask) -> Vec<Contour> {
             let max_steps = (4 * (w + h) * 4) as usize + 16;
             loop {
                 contour.push((current.0 as u32, current.1 as u32));
-                visited[(current.1 * w + current.0) as usize] = true;
+                visited.set(current.0, current.1);
                 // Search neighbours clockwise from backtrack+1.
                 let mut found = None;
                 for k in 1..=8 {
@@ -125,31 +138,81 @@ pub fn extract_contours(mask: &Mask) -> Vec<Contour> {
             }
             contours.push(Contour { points: contour });
 
-            // Mark the whole component visited via flood fill so other
-            // boundary pixels of the same blob do not re-trigger tracing.
-            let mut stack = vec![(x, y)];
-            while let Some((fx, fy)) = stack.pop() {
-                if !inside(fx, fy) || visited[(fy * w + fx) as usize] && (fx, fy) != (x, y) {
-                    continue;
-                }
-                visited[(fy * w + fx) as usize] = true;
-                for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
-                    let nx = fx + dx;
-                    let ny = fy + dy;
-                    if nx >= 0
-                        && ny >= 0
-                        && nx < w
-                        && ny < h
-                        && inside(nx, ny)
-                        && !visited[(ny * w + nx) as usize]
-                    {
-                        stack.push((nx, ny));
+            // Mark what the start reaches through inside, unvisited pixels
+            // (4-connected) so other boundary pixels of the same blob do not
+            // re-trigger tracing. The traced boundary is already visited and
+            // blocks the fill, exactly as a per-pixel flood from the start
+            // would see it.
+            seeds.clear();
+            seeds.extend([(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]);
+            span_fill(mask, &mut visited, &mut seeds);
+        }
+    }
+    contours
+}
+
+/// `extract_contours`' visited flags, indexed over the mask's bounding box.
+struct Visited {
+    x0: i64,
+    y0: i64,
+    width: i64,
+    bits: Vec<bool>,
+}
+
+impl Visited {
+    /// Index of `(x, y)`, which must lie in the box.
+    #[inline]
+    fn index(&self, x: i64, y: i64) -> usize {
+        ((y - self.y0) * self.width + (x - self.x0)) as usize
+    }
+
+    #[inline]
+    fn get(&self, x: i64, y: i64) -> bool {
+        self.bits[self.index(x, y)]
+    }
+
+    #[inline]
+    fn set(&mut self, x: i64, y: i64) {
+        let i = self.index(x, y);
+        self.bits[i] = true;
+    }
+}
+
+/// Scanline flood fill: marks visited every pixel 4-connected to a seed
+/// through pixels that are set in `mask` and not yet visited. Each seed
+/// grows into a horizontal span, and each run of such pixels directly
+/// above or below a span becomes one new seed.
+fn span_fill(mask: &Mask, visited: &mut Visited, seeds: &mut Vec<(i64, i64)>) {
+    // Set pixels all lie in the box, so `visited` is only read in it.
+    let free = |visited: &Visited, x: i64, y: i64| mask.get_or_false(x, y) && !visited.get(x, y);
+    while let Some((sx, sy)) = seeds.pop() {
+        if !free(visited, sx, sy) {
+            continue;
+        }
+        let (mut lx, mut rx) = (sx, sx);
+        while free(visited, lx - 1, sy) {
+            lx -= 1;
+        }
+        while free(visited, rx + 1, sy) {
+            rx += 1;
+        }
+        for x in lx..=rx {
+            visited.set(x, sy);
+        }
+        for ny in [sy - 1, sy + 1] {
+            let mut x = lx;
+            while x <= rx {
+                if free(visited, x, ny) {
+                    seeds.push((x, ny));
+                    while x <= rx && free(visited, x, ny) {
+                        x += 1;
                     }
+                } else {
+                    x += 1;
                 }
             }
         }
     }
-    contours
 }
 
 /// Rasterizes a closed polygon (floating-point vertices) into a mask using
@@ -157,6 +220,10 @@ pub fn extract_contours(mask: &Mask) -> Vec<Contour> {
 ///
 /// This is the inverse of contour extraction used by mask transfer: the
 /// projected contour pixels become the polygon, the fill recovers the mask.
+///
+/// Only the rows whose centre `y + 0.5` lies in the vertices' y-range can
+/// cross an edge, so only those are scanned; one crossings buffer serves
+/// every row and each span is filled as a slice.
 pub fn fill_polygon(width: u32, height: u32, polygon: &[(f64, f64)]) -> Mask {
     let mut mask = Mask::new(width, height);
     if polygon.len() < 3 {
@@ -167,10 +234,17 @@ pub fn fill_polygon(width: u32, height: u32, polygon: &[(f64, f64)]) -> Mask {
         return mask;
     }
 
-    for y in 0..height {
+    // An edge crosses row `y` only when `min(y0, y1) <= y + 0.5 <
+    // max(y0, y1)` (NaN vertices cross nothing, and `f64::min`/`max` skip
+    // them here).
+    let y_min = polygon.iter().fold(f64::INFINITY, |m, p| m.min(p.1));
+    let y_max = polygon.iter().fold(f64::NEG_INFINITY, |m, p| m.max(p.1));
+    let rows = first_row_reaching(y_min, height)..first_row_reaching(y_max, height);
+    let mut xs: Vec<f64> = Vec::new();
+    for y in rows {
         let yc = y as f64 + 0.5;
         // Collect x-crossings of the scanline with polygon edges.
-        let mut xs: Vec<f64> = Vec::new();
+        xs.clear();
         for i in 0..polygon.len() {
             let (x0, y0) = polygon[i];
             let (x1, y1) = polygon[(i + 1) % polygon.len()];
@@ -180,14 +254,14 @@ pub fn fill_polygon(width: u32, height: u32, polygon: &[(f64, f64)]) -> Mask {
             }
         }
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        for pair in xs.chunks(2) {
-            if pair.len() < 2 {
-                continue;
-            }
+        let row = mask.row_mut(y);
+        for pair in xs.chunks_exact(2) {
+            // `x_start >= 0` and `x_end <= width - 1` (a NaN crossing
+            // clamps to the row's end), so a non-empty span is in the row.
             let x_start = pair[0].ceil().max(0.0) as i64;
             let x_end = pair[1].floor().min(width as f64 - 1.0) as i64;
-            for x in x_start..=x_end {
-                mask.set_checked(x, y as i64, true);
+            if x_start <= x_end {
+                row[x_start as usize..=x_end as usize].fill(true);
             }
         }
     }
@@ -196,6 +270,14 @@ pub fn fill_polygon(width: u32, height: u32, polygon: &[(f64, f64)]) -> Mask {
         mask.set_checked(x.round() as i64, y.round() as i64, true);
     }
     mask
+}
+
+/// The first row `y` in `0..=height` whose centre `y + 0.5` is at least
+/// `v` (`height` when none is). `v - 0.5` is exact for `0.25 <= v < 2^52`
+/// (Sterbenz below 1, a shared grid above), and outside that range any
+/// rounding is absorbed by the clamp.
+fn first_row_reaching(v: f64, height: u32) -> u32 {
+    (v - 0.5).ceil().clamp(0.0, height as f64) as u32
 }
 
 #[cfg(test)]

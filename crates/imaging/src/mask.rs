@@ -108,25 +108,25 @@ impl Mask {
 
     /// Whether no pixel is set.
     pub fn is_empty(&self) -> bool {
-        !self.bits.iter().any(|&b| b)
+        first_set(&self.bits).is_none()
     }
 
     /// Tight bounding box `(x0, y0, x1, y1)` with exclusive max, or `None`
     /// for an empty mask.
     ///
-    /// Empty rows are skipped with slice scans, and after the first set
-    /// row only the columns outside the current box are searched.
+    /// The first and last set pixels give the rows; the pixels before and
+    /// after them are skipped 64 at a time. After the first set row only
+    /// the columns outside the current box are searched.
     pub fn bounding_box(&self) -> Option<(u32, u32, u32, u32)> {
         let w = self.width as usize;
-        let occupied = |row: &[bool]| row.contains(&true);
-        let y0 = self.bits.chunks_exact(w).position(occupied)?;
-        let y1 = self.bits.chunks_exact(w).rposition(occupied)? + 1;
+        let y0 = first_set(&self.bits)? / w;
+        let y1 = last_set(&self.bits)? / w + 1;
         let (mut x0, mut x1) = (w, 0);
         for row in self.bits.chunks_exact(w).take(y1).skip(y0) {
-            if let Some(x) = row[..x0].iter().position(|&b| b) {
+            if let Some(x) = first_set(&row[..x0]) {
                 x0 = x;
             }
-            if let Some(dx) = row[x1..].iter().rposition(|&b| b) {
+            if let Some(dx) = last_set(&row[x1..]) {
                 x1 += dx + 1;
             }
         }
@@ -134,20 +134,28 @@ impl Mask {
     }
 
     /// Centroid of the set pixels, or `None` for an empty mask.
+    ///
+    /// Sums integer coordinates over the bounding box's rows. While the
+    /// sums stay below 2^53 (any mask up to 2^17 pixels a side), every
+    /// partial sum of a per-pixel `f64` accumulation is exact too, so the
+    /// result is that accumulation's to the bit.
     pub fn centroid(&self) -> Option<(f64, f64)> {
-        let mut sx = 0.0;
-        let mut sy = 0.0;
-        let mut n = 0usize;
-        for y in 0..self.height {
-            for x in 0..self.width {
-                if self.bits[self.idx(x, y)] {
-                    sx += x as f64;
-                    sy += y as f64;
-                    n += 1;
-                }
+        let (x0, y0, x1, y1) = self.bounding_box()?;
+        let w = self.width as usize;
+        let (x0, x1) = (x0 as usize, x1 as usize);
+        let (mut sx, mut sy, mut n) = (0u64, 0u64, 0u64);
+        for y in y0 as usize..y1 as usize {
+            let row = &self.bits[y * w + x0..y * w + x1];
+            let (mut row_sx, mut row_n) = (0u64, 0u64);
+            for (x, &b) in (x0 as u64..).zip(row) {
+                row_sx += x * b as u64;
+                row_n += b as u64;
             }
+            sx += row_sx;
+            sy += y as u64 * row_n;
+            n += row_n;
         }
-        (n > 0).then(|| (sx / n as f64, sy / n as f64))
+        Some((sx as f64 / n as f64, sy as f64 / n as f64))
     }
 
     /// Morphological dilation by a square structuring element of the given
@@ -226,6 +234,38 @@ impl Mask {
             }
         }
         out
+    }
+
+    /// Row `y` of the bitmap, for kernels that fill whole spans.
+    pub(crate) fn row_mut(&mut self, y: u32) -> &mut [bool] {
+        let w = self.width as usize;
+        &mut self.bits[y as usize * w..(y as usize + 1) * w]
+    }
+
+    /// Sets every pixel that is set in `other` (in-place union), ORing
+    /// only the rows of `other`'s bounding box.
+    ///
+    /// # Panics
+    ///
+    /// Panics if sizes differ.
+    pub fn union_with(&mut self, other: &Mask) {
+        assert_eq!(
+            (self.width, self.height),
+            (other.width, other.height),
+            "mask size mismatch"
+        );
+        let Some((x0, y0, x1, y1)) = other.bounding_box() else {
+            return;
+        };
+        let w = self.width as usize;
+        let (x0, x1) = (x0 as usize, x1 as usize);
+        for y in y0 as usize..y1 as usize {
+            let span = y * w + x0..y * w + x1;
+            self.bits[span.clone()]
+                .iter_mut()
+                .zip(&other.bits[span])
+                .for_each(|(d, &s)| *d |= s);
+        }
     }
 
     /// Intersection area with another mask.
@@ -352,14 +392,18 @@ impl Mask {
         })
     }
 
-    /// Iterates over set pixel coordinates.
+    /// Iterates over set pixel coordinates in raster order, visiting only
+    /// the bounding box's rows.
     pub fn iter_set(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let w = self.width;
-        self.bits
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(move |(i, _)| ((i as u32) % w, (i as u32) / w))
+        let w = self.width as usize;
+        let (x0, y0, x1, y1) = self.bounding_box().unwrap_or((0, 0, 0, 0));
+        (y0..y1).flat_map(move |y| {
+            let row = &self.bits[y as usize * w..][x0 as usize..x1 as usize];
+            (x0..)
+                .zip(row)
+                .filter(|&(_, &b)| b)
+                .map(move |(x, _)| (x, y))
+        })
     }
 }
 
@@ -376,6 +420,41 @@ pub fn iou(a: &Mask, b: &Mask) -> f64 {
         return 1.0;
     }
     a.intersection_area(b) as f64 / union as f64
+}
+
+/// Pixels per chunk that [`first_set`] and [`last_set`] test at once.
+const SCAN_CHUNK: usize = 64;
+
+/// Whether any pixel of `chunk` is set, as a fold without early exit over
+/// a fixed-size chunk: it vectorizes, where `contains` and `any` test one
+/// pixel at a time.
+#[inline]
+fn any_set(chunk: &[bool]) -> bool {
+    let chunk: &[bool; SCAN_CHUNK] = chunk.try_into().expect("a whole chunk");
+    chunk.iter().fold(false, |any, &b| any | b)
+}
+
+/// Index of the first set pixel: clear chunks are skipped whole, then the
+/// chunk holding it (or the short tail) is searched.
+fn first_set(bits: &[bool]) -> Option<usize> {
+    let mut chunks = bits.chunks_exact(SCAN_CHUNK);
+    let tail = chunks.remainder().len();
+    let start = match chunks.position(any_set) {
+        Some(i) => i * SCAN_CHUNK,
+        None => bits.len() - tail,
+    };
+    Some(start + bits[start..].iter().position(|&b| b)?)
+}
+
+/// Index of the last set pixel, the mirror of [`first_set`].
+fn last_set(bits: &[bool]) -> Option<usize> {
+    let mut chunks = bits.rchunks_exact(SCAN_CHUNK);
+    let head = chunks.remainder().len();
+    let end = match chunks.position(any_set) {
+        Some(i) => bits.len() - i * SCAN_CHUNK,
+        None => head,
+    };
+    bits[..end].iter().rposition(|&b| b)
 }
 
 /// Calls `f(start, end)` for each maximal run of set pixels in `row`.

@@ -2,7 +2,7 @@
 //! individually, which "yields better performance in dynamic scenarios").
 
 use edgeis_geometry::SE3;
-use edgeis_imaging::Mask;
+use edgeis_imaging::{extract_contours, Contour, Mask};
 
 /// A tracked object instance: its labeled map points, its cached accurate
 /// mask (from the edge) and the camera-relative poses needed for transfer.
@@ -18,7 +18,10 @@ pub struct TrackedObject {
     /// Map-point indices belonging to this object.
     pub point_ids: Vec<usize>,
     /// Most recent accurate mask from the edge.
-    pub source_mask: Mask,
+    source_mask: Mask,
+    /// `source_mask`'s contours, traced once per annotation: every frame's
+    /// mask transfer projects them. Set only together with the mask.
+    source_contours: Vec<Contour>,
     /// Frame id the source mask belongs to.
     pub source_frame: u64,
     /// Camera pose relative to the object frame at the source frame
@@ -47,6 +50,7 @@ impl TrackedObject {
         Self {
             label,
             point_ids,
+            source_contours: extract_contours(&source_mask),
             source_mask,
             source_frame,
             t_co_source,
@@ -54,6 +58,17 @@ impl TrackedObject {
             motion_since_tx: 0.0,
             lost_frames: 0,
         }
+    }
+
+    /// Most recent accurate mask from the edge.
+    pub fn source_mask(&self) -> &Mask {
+        &self.source_mask
+    }
+
+    /// The contours of [`Self::source_mask`], as
+    /// [`edgeis_imaging::extract_contours`] traces them.
+    pub fn source_contours(&self) -> &[Contour] {
+        &self.source_contours
     }
 
     /// Whether the object currently has enough points for pose estimation
@@ -76,6 +91,7 @@ impl TrackedObject {
 
     /// Updates the source annotation after a fresh edge mask arrives.
     pub fn refresh_annotation(&mut self, mask: Mask, frame_id: u64, t_co: SE3) {
+        self.source_contours = extract_contours(&mask);
         self.source_mask = mask;
         self.source_frame = frame_id;
         self.t_co_source = t_co;

@@ -8,7 +8,7 @@
 //! camera frame, moved through the relative transform and re-projected.
 
 use edgeis_geometry::{Camera, Vec2, SE3};
-use edgeis_imaging::{extract_contours, fill_polygon, Mask};
+use edgeis_imaging::{fill_polygon, Contour, Mask};
 
 /// A feature anchored inside the source mask with a known depth in the
 /// source camera frame.
@@ -36,20 +36,20 @@ pub enum DepthStat {
 }
 
 impl DepthStat {
-    /// Folds depths listed in (distance, index) rank order.
-    fn fold(self, depths: &[f64]) -> f64 {
+    /// Folds depths listed in (distance, index) rank order. The median
+    /// reorders `depths` in place.
+    fn fold(self, depths: &mut [f64]) -> f64 {
         debug_assert!(!depths.is_empty());
         match self {
             DepthStat::Mean => depths.iter().sum::<f64>() / depths.len() as f64,
             DepthStat::Median => {
-                // Rank order is by pixel distance, not depth: sort a copy.
-                let mut sorted = depths.to_vec();
-                sorted.sort_by(f64::total_cmp);
-                let mid = sorted.len() / 2;
-                if sorted.len() % 2 == 1 {
-                    sorted[mid]
+                // Rank order is by pixel distance, not depth.
+                depths.sort_by(f64::total_cmp);
+                let mid = depths.len() / 2;
+                if depths.len() % 2 == 1 {
+                    depths[mid]
                 } else {
-                    (sorted[mid - 1] + sorted[mid]) / 2.0
+                    (depths[mid - 1] + depths[mid]) / 2.0
                 }
             }
         }
@@ -81,7 +81,9 @@ impl Default for TransferConfig {
     }
 }
 
-/// Transfers `source_mask` into the current frame.
+/// Transfers a source mask, given as its `contours`
+/// ([`edgeis_imaging::extract_contours`] of the mask), into the current
+/// frame.
 ///
 /// * `t_rel` maps source-camera-frame coordinates to current-camera-frame
 ///   coordinates. For a static object this is
@@ -93,16 +95,12 @@ impl Default for TransferConfig {
 /// project validly (object left the view or the geometry degenerated).
 pub fn transfer_mask(
     camera: &Camera,
-    source_mask: &Mask,
+    contours: &[Contour],
     anchors: &[DepthAnchor],
     t_rel: &SE3,
     config: &TransferConfig,
 ) -> Option<Mask> {
-    if anchors.is_empty() {
-        return None;
-    }
-    let contours = extract_contours(source_mask);
-    if contours.is_empty() {
+    if anchors.is_empty() || contours.is_empty() {
         return None;
     }
 
@@ -111,8 +109,9 @@ pub fn transfer_mask(
     let mut valid_pts = 0usize;
 
     let mut polygon: Vec<(f64, f64)> = Vec::new();
+    let mut scratch = KnnScratch::default();
 
-    for contour in &contours {
+    for contour in contours {
         if contour.len() < 3 {
             continue;
         }
@@ -122,7 +121,7 @@ pub fn transfer_mask(
         for &(sx, sy) in &contour.points {
             total_pts += 1;
             let s = Vec2::new(sx as f64, sy as f64);
-            let depth = knn_depth_linear_stat(s, anchors, config.k_nearest, config.depth_stat);
+            let depth = scratch.depth(s, anchors, config.k_nearest, config.depth_stat);
             if depth <= 1e-9 {
                 continue;
             }
@@ -137,10 +136,10 @@ pub fn transfer_mask(
             continue;
         }
         let filled = fill_polygon(camera.width, camera.height, &polygon);
-        out = Some(match out {
-            None => filled,
-            Some(acc) => union(acc, filled),
-        });
+        match &mut out {
+            None => out = Some(filled),
+            Some(acc) => acc.union_with(&filled),
+        }
     }
 
     if total_pts == 0 || (valid_pts as f64) < config.min_valid_fraction * total_pts as f64 {
@@ -162,33 +161,55 @@ pub fn knn_depth_linear_stat(
     k: usize,
     stat: DepthStat,
 ) -> f64 {
-    debug_assert!(!anchors.is_empty());
-    let k = k.max(1).min(anchors.len());
-    // Partial selection of the k smallest distances.
-    let mut dists: Vec<(f64, f64)> = anchors
-        .iter()
-        .map(|a| (a.pixel.distance(pixel), a.depth))
-        .collect();
-    dists.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let depths: Vec<f64> = dists.iter().take(k).map(|&(_, d)| d).collect();
-    stat.fold(&depths)
+    KnnScratch::default().depth(pixel, anchors, k, stat)
 }
 
-fn union(mut a: Mask, b: Mask) -> Mask {
-    for (x, y) in b.iter_set() {
-        a.set(x, y, true);
+/// Buffers for the k-NN depth fold, reused across the contour points of
+/// one [`transfer_mask`] call.
+#[derive(Default)]
+struct KnnScratch {
+    /// `(pixel distance, depth)` of every anchor.
+    dists: Vec<(f64, f64)>,
+    /// The k nearest depths, in rank order.
+    depths: Vec<f64>,
+}
+
+impl KnnScratch {
+    /// [`knn_depth_linear_stat`] into these buffers.
+    fn depth(&mut self, pixel: Vec2, anchors: &[DepthAnchor], k: usize, stat: DepthStat) -> f64 {
+        debug_assert!(!anchors.is_empty());
+        let k = k.max(1).min(anchors.len());
+        self.dists.clear();
+        self.dists
+            .extend(anchors.iter().map(|a| (a.pixel.distance(pixel), a.depth)));
+        self.dists
+            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        self.depths.clear();
+        self.depths
+            .extend(self.dists.iter().take(k).map(|&(_, d)| d));
+        stat.fold(&mut self.depths)
     }
-    a
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use edgeis_geometry::{Vec3, SO3};
-    use edgeis_imaging::iou;
+    use edgeis_imaging::{extract_contours, iou};
 
     fn cam() -> Camera {
         Camera::new(120.0, 120.0, 80.0, 60.0, 160, 120)
+    }
+
+    /// Transfers `mask` with the default configuration.
+    fn transfer(mask: &Mask, anchors: &[DepthAnchor], t_rel: &SE3) -> Option<Mask> {
+        transfer_mask(
+            &cam(),
+            &extract_contours(mask),
+            anchors,
+            t_rel,
+            &TransferConfig::default(),
+        )
     }
 
     /// Builds a square mask plus a grid of anchors at constant depth.
@@ -210,14 +231,7 @@ mod tests {
     #[test]
     fn identity_transform_reproduces_mask() {
         let (mask, anchors) = square_fixture(3.0);
-        let out = transfer_mask(
-            &cam(),
-            &mask,
-            &anchors,
-            &SE3::identity(),
-            &TransferConfig::default(),
-        )
-        .unwrap();
+        let out = transfer(&mask, &anchors, &SE3::identity()).unwrap();
         assert!(iou(&mask, &out) > 0.9, "IoU {}", iou(&mask, &out));
     }
 
@@ -227,8 +241,7 @@ mod tests {
         // Camera moves right by 0.25 m: t_rel = [I | (-0.25, 0, 0)] maps
         // source camera coords to current camera coords.
         let t_rel = SE3::new(SO3::identity(), Vec3::new(-0.25, 0.0, 0.0));
-        let out =
-            transfer_mask(&cam(), &mask, &anchors, &t_rel, &TransferConfig::default()).unwrap();
+        let out = transfer(&mask, &anchors, &t_rel).unwrap();
         // Expected pixel shift: fx * tx / z = 120 * -0.25 / 3 = -10 px.
         let mut expected = Mask::new(160, 120);
         expected.fill_rect(50, 40, 40, 40);
@@ -240,8 +253,7 @@ mod tests {
         let (mask, anchors) = square_fixture(3.0);
         // Camera moves 1m toward the object.
         let t_rel = SE3::new(SO3::identity(), Vec3::new(0.0, 0.0, -1.0));
-        let out =
-            transfer_mask(&cam(), &mask, &anchors, &t_rel, &TransferConfig::default()).unwrap();
+        let out = transfer(&mask, &anchors, &t_rel).unwrap();
         assert!(
             out.area() as f64 > mask.area() as f64 * 1.5,
             "area {} -> {}",
@@ -256,14 +268,7 @@ mod tests {
     #[test]
     fn no_anchors_gives_none() {
         let (mask, _) = square_fixture(3.0);
-        assert!(transfer_mask(
-            &cam(),
-            &mask,
-            &[],
-            &SE3::identity(),
-            &TransferConfig::default()
-        )
-        .is_none());
+        assert!(transfer(&mask, &[], &SE3::identity()).is_none());
     }
 
     #[test]
@@ -272,9 +277,7 @@ mod tests {
         // Moving the camera 5 m forward, past the object, puts it behind
         // the camera: z = 2 - 5 < 0 in current-camera coordinates.
         let t_rel = SE3::new(SO3::identity(), Vec3::new(0.0, 0.0, -5.0));
-        assert!(
-            transfer_mask(&cam(), &mask, &anchors, &t_rel, &TransferConfig::default()).is_none()
-        );
+        assert!(transfer(&mask, &anchors, &t_rel).is_none());
     }
 
     #[test]
@@ -371,8 +374,7 @@ mod tests {
         let (mask, anchors) = square_fixture(3.0);
         // Small camera yaw.
         let t_rel = SE3::new(SO3::from_yaw(0.05), Vec3::ZERO);
-        let out =
-            transfer_mask(&cam(), &mask, &anchors, &t_rel, &TransferConfig::default()).unwrap();
+        let out = transfer(&mask, &anchors, &t_rel).unwrap();
         let (cx, _) = out.centroid().unwrap();
         // Yaw about +Y moves the projection; just require a clear shift.
         assert!((cx - 80.0).abs() > 2.0, "centroid barely moved: {cx}");
@@ -397,8 +399,7 @@ mod tests {
             }
         }
         let t_rel = SE3::new(SO3::identity(), Vec3::new(-0.3, 0.0, 0.0));
-        let out =
-            transfer_mask(&cam(), &mask, &anchors, &t_rel, &TransferConfig::default()).unwrap();
+        let out = transfer(&mask, &anchors, &t_rel).unwrap();
         let bbox = out.bounding_box().unwrap();
         let src_bbox = mask.bounding_box().unwrap();
         // Left (near) edge shifts more than right (far) edge.

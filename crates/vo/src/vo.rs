@@ -552,7 +552,7 @@ impl VisualOdometry {
         let obj = self.objects.get(&label).expect("object exists");
         let mut mask = transfer_mask(
             &self.camera,
-            &obj.source_mask,
+            obj.source_contours(),
             &anchors,
             &t_rel,
             &self.config.transfer,
@@ -606,7 +606,7 @@ impl VisualOdometry {
                 continue;
             }
             let inside = obj
-                .source_mask
+                .source_mask()
                 .get_or_false(kp.x.round() as i64, kp.y.round() as i64);
             if !inside {
                 continue;

@@ -306,3 +306,61 @@ fn faster_motion_degrades_tracking() {
         "walking should not be worse than jogging: walk {sw:.3} vs jog {sj:.3}"
     );
 }
+
+#[test]
+fn transfer_follows_a_refreshed_annotation() {
+    // After an edge annotation changes an object's shape, the next frame's
+    // transferred mask must follow the new contour, not the one traced
+    // from the object's previous annotation (that one scores about 0.53
+    // against the new mask here; the refreshed one about 0.94).
+    let world = datasets::indoor_simple(2);
+    let cam = camera();
+    let mut vo = VisualOdometry::new(cam, VoConfig::default());
+    let render = |i: usize| {
+        let t = i as f64 / FPS;
+        (
+            t,
+            world.scene.render_at(&cam, &world.trajectory.pose_at(t), t),
+        )
+    };
+    for i in 0..=20 {
+        let (t, frame) = render(i);
+        let out = vo.process_frame(&frame.image, t);
+        if i % 10 == 0 {
+            let _ = vo.apply_edge_masks(out.frame_id, &frame.labels);
+        }
+    }
+    assert!(vo.is_tracking());
+
+    // Frame 21 re-annotates the largest transferred object with a mask
+    // grown by 8 px into the background around it.
+    let (t, frame) = render(21);
+    let out = vo.process_frame(&frame.image, t);
+    let id = frame
+        .labels
+        .instance_ids()
+        .into_iter()
+        .filter(|&id| out.mask_for(id).is_some())
+        .max_by_key(|&id| frame.labels.instance_mask(id).area())
+        .expect("an object is transferred at frame 21");
+    let old = frame.labels.instance_mask(id);
+    let mut labels = frame.labels.clone();
+    for (x, y) in old.dilate(8).iter_set() {
+        if labels.get(x, y) == 0 {
+            labels.set(x, y, id);
+        }
+    }
+    let grown = labels.instance_mask(id);
+    vo.apply_edge_masks(out.frame_id, &labels).unwrap();
+
+    let (t, frame) = render(22);
+    let out = vo.process_frame(&frame.image, t);
+    let pred = out
+        .mask_for(id)
+        .expect("the re-annotated object is transferred");
+    let (to_grown, to_old) = (iou(pred, &grown), iou(pred, &old));
+    assert!(
+        to_grown > 0.8 && to_grown > to_old + 0.15,
+        "transfer ignores the refreshed annotation: IoU {to_grown:.3} to the new mask, {to_old:.3} to the old one"
+    );
+}
