@@ -67,7 +67,6 @@ fn slo_arm(seed: u64, frames: usize, failover: bool) -> SloArm {
     };
     let (reports, _, stats) =
         run_multi_device_with_fleet(edgeis_scene::datasets::indoor_simple, &config);
-    let stats = stats.expect("fleet backend always reports fleet stats");
     let recovery_ms: Vec<f64> = reports
         .iter()
         .flat_map(|r| r.unhealthy_episode_times_ms())

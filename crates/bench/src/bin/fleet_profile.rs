@@ -76,8 +76,8 @@ fn run_cell(
         serving,
         ..Default::default()
     };
-    let (reports, stats) =
-        run_multi_device_with_stats(edgeis_scene::datasets::indoor_simple, &config);
+    let (reports, stats, _) =
+        run_multi_device_with_fleet(edgeis_scene::datasets::indoor_simple, &config);
     // One histogram per device, merged — order-independent, so a sharded
     // collection pipeline would aggregate to the same percentiles.
     let latency_hist = Histogram::new();
@@ -87,7 +87,6 @@ fn run_cell(
         queue_wait_hist.merge_from(&Histogram::from_samples(&r.edge_queue_wait_samples()));
     }
     let mean_iou = reports.iter().map(|r| r.mean_iou()).sum::<f64>() / reports.len().max(1) as f64;
-    let stats = stats.expect("every backend reports serving stats");
     let attempts = stats.served + stats.sheds();
     let shed_rate = if attempts == 0 {
         0.0
@@ -151,7 +150,6 @@ fn run_fleet_cell(
     };
     let (reports, _, stats) =
         run_multi_device_with_fleet(edgeis_scene::datasets::indoor_simple, &config);
-    let stats = stats.expect("fleet backend always reports fleet stats");
     let latency_hist = Histogram::new();
     for r in &reports {
         latency_hist.merge_from(&Histogram::from_samples(&r.response_latency_samples()));
@@ -219,9 +217,8 @@ fn run_zoo_cell(
         }),
         ..Default::default()
     };
-    let (reports, stats) =
-        run_multi_device_with_stats(edgeis_scene::datasets::indoor_simple, &config);
-    let stats = stats.expect("serving backend always reports serving stats");
+    let (reports, stats, _) =
+        run_multi_device_with_fleet(edgeis_scene::datasets::indoor_simple, &config);
     let latency_hist = Histogram::new();
     for r in &reports {
         latency_hist.merge_from(&Histogram::from_samples(&r.response_latency_samples()));

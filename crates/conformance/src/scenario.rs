@@ -183,7 +183,6 @@ pub fn record_fleet_failover(name: &str) -> Trace {
         ..Default::default()
     };
     let (reports, _, stats) = run_multi_device_with_fleet(datasets::indoor_simple, &config);
-    let stats = stats.expect("fleet backend always reports fleet stats");
     assert!(
         stats.handoffs >= 1,
         "failover scenario recorded no handoff; the trace would not cover the fleet tier"

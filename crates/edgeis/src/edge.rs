@@ -1,14 +1,16 @@
-//! What every edge engine shares: the response a device receives, the
+//! What the edge tier shares: the response a device receives, the
 //! edge-side fault model (crash/restart, overload shedding, brownout) and
-//! the [`SharedEdge`] handle that devices submit through. The engines
-//! themselves are [`crate::serving::ServingRuntime`] (the paper's serial
-//! FIFO edge is its [`crate::serving::ServingConfig::serial_fifo`] preset)
-//! and the multi-edge [`crate::fleet::EdgeFleet`].
+//! the [`SharedEdge`] handle that devices submit through. There is one
+//! engine, [`crate::serving::ServingRuntime`], and one way to reach it:
+//! an [`EdgeFleet`] of its replicas behind placement. The paper's serial
+//! FIFO edge is a one-replica fleet under the
+//! [`crate::serving::ServingConfig::serial_fifo`] preset.
 //!
 //! Responses travel as *wire-encoded bytes* (see [`crate::wire`]): the
 //! mobile side must decode them, so corrupted payloads are rejected by the
 //! real framing checks instead of being silently trusted.
 
+use crate::fleet::{EdgeFleet, FleetStats};
 use crate::wire::ENVELOPE_LEN;
 use edgeis_netsim::{Link, SimMs};
 use edgeis_rng::StdRng;
@@ -17,7 +19,7 @@ use edgeis_telemetry::{Telemetry, TraceContext};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// An inference response travelling back to the mobile device.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingResponse {
     /// The mobile frame id the request was made for.
     pub frame_id: u64,
@@ -170,89 +172,61 @@ pub(crate) fn corrupt_payload(mut raw: Vec<u8>, rng: &mut StdRng) -> Vec<u8> {
     raw
 }
 
-/// The engine behind a [`SharedEdge`] handle: one serving runtime (the
-/// paper's single-tenant FIFO edge under `ServingConfig::serial_fifo`),
-/// or a fleet of them.
-// One instance per harness, always behind `Arc<Mutex<..>>` — the
-// variant size spread never multiplies across a collection.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum EdgeBackend {
-    Serving(crate::serving::ServingRuntime),
-    Fleet(crate::fleet::EdgeFleet),
-}
-
-/// A shareable handle to one edge node, so several mobile devices can
+/// A shareable handle to the edge tier, so several mobile devices can
 /// contend for the same GPU (the paper's field study attaches 8 devices to
-/// a single Jetson AGX Xavier). The edge is one
-/// [`crate::serving::ServingRuntime`] (serial FIFO, or with cross-request
-/// batching, sharded lanes, guidance caching and admission control) or a
-/// multi-edge [`crate::fleet::EdgeFleet`].
+/// a single Jetson AGX Xavier). Behind it is always one
+/// [`EdgeFleet`]: the paper's single edge is a one-replica fleet under
+/// [`crate::serving::ServingConfig::serial_fifo`], which computes exactly
+/// what a bare [`crate::serving::ServingRuntime`] does (placement has one
+/// edge to pick, so nothing ever hands off).
 #[derive(Debug, Clone)]
 pub struct SharedEdge {
-    inner: Arc<Mutex<EdgeBackend>>,
+    inner: Arc<Mutex<EdgeFleet>>,
 }
 
 impl SharedEdge {
-    /// Wraps a serving runtime for sharing.
-    pub fn serving(runtime: crate::serving::ServingRuntime) -> Self {
+    /// Wraps a fleet for sharing.
+    pub fn new(fleet: EdgeFleet) -> Self {
         Self {
-            inner: Arc::new(Mutex::new(EdgeBackend::Serving(runtime))),
+            inner: Arc::new(Mutex::new(fleet)),
         }
     }
 
-    /// Wraps a multi-edge fleet for sharing.
-    pub fn fleet(fleet: crate::fleet::EdgeFleet) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(EdgeBackend::Fleet(fleet))),
-        }
-    }
-
-    /// The locked backend.
-    fn backend(&self) -> MutexGuard<'_, EdgeBackend> {
+    /// The locked fleet.
+    fn fleet(&self) -> MutexGuard<'_, EdgeFleet> {
         self.inner
             .lock()
-            .expect("a device thread panicked while holding the edge backend")
+            .expect("a device thread panicked while holding the edge fleet")
     }
 
-    /// Installs the edge fault model on the shared backend. For a fleet
-    /// the same config is applied to every edge (the per-edge fault script
-    /// in [`crate::fleet::FleetConfig`] is the targeted alternative).
+    /// Installs one edge fault model on every edge of the fleet (the
+    /// per-edge fault script in [`crate::fleet::FleetConfig`] is the
+    /// targeted alternative).
     pub fn set_faults(&self, faults: EdgeFaultConfig) {
-        match &mut *self.backend() {
-            EdgeBackend::Serving(s) => s.set_faults(faults),
-            EdgeBackend::Fleet(f) => f.set_faults_all(faults),
-        }
+        self.fleet().set_faults_all(faults);
     }
 
-    /// Installs a telemetry hub on the shared backend. Idempotent; each
-    /// device's `EdgeIsSystem::set_telemetry` calls this, and all clones
-    /// of one `SharedEdge` see the same backend.
+    /// Installs a telemetry hub on the fleet. Idempotent; each device's
+    /// `EdgeIsSystem::set_telemetry` calls this, and all clones of one
+    /// `SharedEdge` see the same fleet.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
-        match &mut *self.backend() {
-            EdgeBackend::Serving(s) => s.set_telemetry(telemetry),
-            EdgeBackend::Fleet(f) => f.set_telemetry(telemetry),
-        }
+        self.fleet().set_telemetry(telemetry);
     }
 
-    /// Feeds a device's link-health transition to the backend. Only the
-    /// fleet acts on it (outage steers the device away from its current
-    /// edge; a return to health lets it go home); the single-edge backends
-    /// have nowhere to move a device and ignore the signal.
+    /// Feeds a device's link-health transition to the fleet: an outage
+    /// steers the device away from its current edge, a return to health
+    /// lets it go home. A one-replica fleet has nowhere to move it.
     pub fn report_health(&self, device: u64, health: crate::system::LinkHealth, now_ms: SimMs) {
-        if let EdgeBackend::Fleet(f) = &mut *self.backend() {
-            f.report_health(device, health, now_ms);
-        }
+        self.fleet().report_health(device, health, now_ms);
     }
 
-    /// Submits a request from `device`. The backend uses the device for
-    /// per-request seeding, lane affinity and the guidance cache (the
-    /// serial FIFO preset has one lane and no cache), and the fleet also
-    /// for placement. The optional
-    /// observability envelope attaches edge-side spans to the originating
-    /// mobile frame's trace, and the optional zoo tier cap (`Some(0)`
-    /// demands the full model — used by CFRS recovery keyframes; ignored
-    /// by backends without a zoo).
+    /// Submits a request from `device`. The fleet uses the device for
+    /// placement, and its edge for per-request seeding, lane affinity and
+    /// the guidance cache (the serial FIFO preset has one lane and no
+    /// cache). The optional observability envelope attaches edge-side
+    /// spans to the originating mobile frame's trace, and the optional zoo
+    /// tier cap (`Some(0)` demands the full model — used by CFRS recovery
+    /// keyframes; ignored by edges without a zoo).
     #[allow(clippy::too_many_arguments)]
     pub fn submit_traced_from(
         &self,
@@ -265,52 +239,38 @@ impl SharedEdge {
         envelope: Option<[u8; ENVELOPE_LEN]>,
         tier_cap: Option<usize>,
     ) -> Option<PendingResponse> {
-        match &mut *self.backend() {
-            EdgeBackend::Serving(s) => s.submit_traced(
-                device, frame_id, obs, guidance, arrival_ms, link, envelope, tier_cap,
-            ),
-            EdgeBackend::Fleet(f) => f.submit_traced(
-                device, frame_id, obs, guidance, arrival_ms, link, envelope, tier_cap,
-            ),
-        }
+        self.fleet().submit_traced(
+            device, frame_id, obs, guidance, arrival_ms, link, envelope, tier_cap,
+        )
     }
 
-    /// When `device`'s queue (its lane on its assigned edge, for the
-    /// serving and fleet backends) frees up.
+    /// When `device`'s lane on its assigned edge frees up.
     pub fn busy_until_for(&self, device: u64) -> SimMs {
-        match &*self.backend() {
-            EdgeBackend::Serving(s) => s.busy_until_for(device),
-            EdgeBackend::Fleet(f) => f.busy_until_for(device),
-        }
+        self.fleet().busy_until_for(device)
     }
 
-    /// Serving accounting (summed across edges for the fleet).
+    /// Serving accounting, summed across edges.
     pub fn serving_stats(&self) -> crate::serving::ServingStats {
-        match &*self.backend() {
-            EdgeBackend::Serving(s) => s.stats().clone(),
-            EdgeBackend::Fleet(f) => f.merged_serving_stats(),
-        }
+        self.fleet().merged_serving_stats()
     }
 
-    /// Fleet accounting (`None` for a single serving runtime).
-    pub fn fleet_stats(&self) -> Option<crate::fleet::FleetStats> {
-        match &*self.backend() {
-            EdgeBackend::Fleet(f) => Some(f.stats().clone()),
-            EdgeBackend::Serving(_) => None,
-        }
+    /// Fleet accounting.
+    pub fn fleet_stats(&self) -> FleetStats {
+        self.fleet().stats().clone()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::serving::{ServingConfig, ServingRuntime};
     use edgeis_imaging::LabelMap;
     use edgeis_netsim::LinkKind;
-    use edgeis_segnet::{EdgeModel, ModelKind};
+    use edgeis_segnet::{BBox, EdgeModel, GuidanceBox, ModelKind};
     use std::collections::BTreeMap;
 
-    fn observation() -> FrameObservation {
+    /// One 60×50 instance of class 2 on a 160×120 frame.
+    pub(crate) fn observation() -> FrameObservation {
         let mut labels = LabelMap::new(160, 120);
         for y in 40..90 {
             for x in 50..110 {
@@ -322,6 +282,23 @@ mod tests {
         FrameObservation::pristine(labels, classes)
     }
 
+    /// CIIA guidance: one class-2 box over `observation`'s instance,
+    /// shifted to start at `x0`.
+    pub(crate) fn guidance(x0: f64) -> Guidance {
+        Guidance {
+            boxes: vec![GuidanceBox {
+                bbox: BBox::new(x0, 40.0, x0 + 60.0, 90.0),
+                class_id: Some(2),
+                instance: Some(1),
+            }],
+        }
+    }
+
+    /// A fault-free Wi-Fi link.
+    pub(crate) fn clean_link(seed: u64) -> Link {
+        Link::of_kind(LinkKind::Wifi5, seed)
+    }
+
     /// The paper's edge: one GPU serving requests in FIFO order.
     fn serial_edge(seed: u64) -> ServingRuntime {
         let model = EdgeModel::new(ModelKind::MaskRcnn, 160, 120, seed);
@@ -331,7 +308,7 @@ mod tests {
     #[test]
     fn fifo_queueing() {
         let mut edge = serial_edge(2);
-        let mut link = Link::of_kind(LinkKind::Wifi5, 2);
+        let mut link = clean_link(2);
         let obs = observation();
         let r1 = edge.submit(0, 0, &obs, None, 0.0, &mut link).unwrap();
         let busy_after_first = edge.busy_until();
@@ -350,13 +327,13 @@ mod tests {
             restart_ms: 100.0,
             ..Default::default()
         });
-        let mut link = Link::of_kind(LinkKind::Wifi5, 3);
+        let mut link = clean_link(3);
         let obs = observation();
         // Before the crash: fine.
         assert!(edge.submit(0, 0, &obs, None, 0.0, &mut link).is_some());
         // During the crash: lost.
         assert!(edge.submit(0, 1, &obs, None, 1500.0, &mut link).is_none());
-        assert_eq!(edge.crash_losses(), 1);
+        assert_eq!(edge.stats().crash_losses, 1);
         // After restart (window end + restart), the edge serves again but
         // cannot start before the restart completed.
         let resp = edge.submit(0, 2, &obs, None, 2050.0, &mut link).unwrap();
@@ -370,7 +347,7 @@ mod tests {
             shed_queue_horizon_ms: 50.0,
             ..Default::default()
         });
-        let mut link = Link::of_kind(LinkKind::Wifi5, 5);
+        let mut link = clean_link(5);
         let obs = observation();
         // Pile up requests at the same arrival time until the queue horizon
         // is exceeded.
@@ -385,14 +362,14 @@ mod tests {
             }
         }
         assert!(shed_seen, "queue never exceeded the shed horizon");
-        assert!(edge.shed_count() > 0);
+        assert!(edge.stats().sheds() > 0);
     }
 
     #[test]
     fn brownout_stretches_inference_but_delivers() {
         let obs = observation();
         let mut baseline = serial_edge(7);
-        let mut link = Link::of_kind(LinkKind::Wifi5, 7);
+        let mut link = clean_link(7);
         let clean = baseline.submit(0, 0, &obs, None, 100.0, &mut link).unwrap();
         let clean_busy = baseline.busy_until();
 
@@ -401,7 +378,7 @@ mod tests {
             brownout_windows: vec![(0.0, 10_000.0, 3.0)],
             ..Default::default()
         });
-        let mut link = Link::of_kind(LinkKind::Wifi5, 7);
+        let mut link = clean_link(7);
         let resp = slowed.submit(0, 0, &obs, None, 100.0, &mut link).unwrap();
         assert!(
             slowed.busy_until() > clean_busy + resp.stats.total_ms(),

@@ -1,10 +1,13 @@
-//! Multi-edge fleet: placement, live handoff and bounded re-dispatch.
+//! The edge tier: N [`ServingRuntime`] replicas behind placement, live
+//! handoff and bounded re-dispatch.
 //!
-//! The paper (and every module below this one) assumes a single healthy
-//! edge server; PR-1 taught a *device* to survive a bad link, but an edge
-//! crash still stalls every device attached to it. This module turns the
-//! shared edge into a fleet of [`ServingRuntime`] replicas behind a
-//! placement layer:
+//! Every device reaches the edge through an `EdgeFleet` (via
+//! [`crate::edge::SharedEdge`]). The paper's single edge is a one-replica
+//! fleet under [`ServingConfig::serial_fifo`]: with one edge, placement
+//! always picks it, nothing hands off, and a crash-lost request has no
+//! other replica to go to, so the fleet computes exactly what the bare
+//! runtime does (a property test below holds the two equal). More
+//! replicas add what one edge cannot do — survive its own crash:
 //!
 //! 1. **Placement** — rendezvous (highest-random-weight) hashing gives
 //!    every device a deterministic home edge and a deterministic failover
@@ -24,7 +27,7 @@
 //!    next alive ranked edge up to `max_redispatch` times, as a frontend
 //!    that still holds the request buffer would. Exhausted re-dispatch
 //!    degrades to a lost request: the mobile deadline reaps it and MAMT
-//!    coasts, exactly the PR-1 story.
+//!    coasts, as on a single edge.
 //!
 //! All of it runs on the virtual clock and is bit-deterministic: edges
 //! are *replicas* (same model seed, same base seed), so a response's
@@ -109,6 +112,18 @@ impl Default for FleetConfig {
     }
 }
 
+impl FleetConfig {
+    /// A one-replica fleet serving under `serving`: the single edge of
+    /// `EdgeIsSystem::new` and of a multi-device run without a fleet.
+    pub fn one_edge(serving: ServingConfig) -> Self {
+        Self {
+            edges: 1,
+            serving,
+            ..Self::default()
+        }
+    }
+}
+
 /// One recorded device→edge move.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HandoffRecord {
@@ -163,10 +178,9 @@ pub fn rendezvous_rank(device: u64, edges: usize) -> Vec<usize> {
     scored.into_iter().map(|(_, e)| e).collect()
 }
 
-/// N serving replicas behind a placement layer. Plugs into the existing
-/// device plumbing as a [`crate::edge::SharedEdge`] backend, so
-/// `EdgeIsSystem` needs no fleet-specific code beyond reporting its
-/// health transitions.
+/// N serving replicas behind a placement layer. Devices reach it through
+/// a [`crate::edge::SharedEdge`], so `EdgeIsSystem` needs no
+/// fleet-specific code beyond reporting its health transitions.
 #[derive(Debug)]
 pub struct EdgeFleet {
     config: FleetConfig,
@@ -222,16 +236,6 @@ impl EdgeFleet {
             telemetry: Telemetry::disabled(),
             burn: None,
         }
-    }
-
-    /// Number of edges in the fleet.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether the fleet is empty (never: the constructor clamps to ≥ 1).
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
     }
 
     /// The fleet configuration.
@@ -320,11 +324,6 @@ impl EdgeFleet {
     /// backlog admission).
     pub fn busy_until_for(&self, device: u64) -> SimMs {
         self.edges[self.assigned_edge(device)].busy_until_for(device)
-    }
-
-    /// Requests lost to crash windows, summed over edges.
-    pub fn crash_losses(&self) -> u64 {
-        self.edges.iter().map(|e| e.crash_losses()).sum()
     }
 
     /// A device's resilience state machine moved: an outage steers it
@@ -479,7 +478,7 @@ impl EdgeFleet {
         let mut at_edge = edge;
         let mut tries = 0u32;
         loop {
-            let losses_before = self.edges[at_edge].crash_losses();
+            let losses_before = self.edges[at_edge].stats().crash_losses;
             let response = self.edges[at_edge].submit_traced(
                 device, frame_id, obs, guidance, arrival_ms, link, envelope, tier_cap,
             );
@@ -498,7 +497,7 @@ impl EdgeFleet {
                     return Some(resp);
                 }
                 None => {
-                    let crash_lost = self.edges[at_edge].crash_losses() > losses_before;
+                    let crash_lost = self.edges[at_edge].stats().crash_losses > losses_before;
                     if !crash_lost {
                         // Downlink loss: the edge served fine, the link ate
                         // the response. Another edge cannot help — and the
@@ -540,28 +539,86 @@ impl EdgeFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgeis_imaging::LabelMap;
-    use edgeis_netsim::LinkKind;
-    use std::collections::BTreeMap as Map;
-
-    fn observation() -> FrameObservation {
-        let mut labels = LabelMap::new(160, 120);
-        for y in 40..90 {
-            for x in 50..110 {
-                labels.set(x, y, 1);
-            }
-        }
-        let mut classes = Map::new();
-        classes.insert(1u16, 2u8);
-        FrameObservation::pristine(labels, classes)
-    }
-
-    fn clean_link(seed: u64) -> Link {
-        Link::of_kind(LinkKind::Wifi5, seed)
-    }
+    use crate::edge::tests::{clean_link, guidance, observation};
+    use edgeis_rng::for_each_case;
+    use edgeis_segnet::ZooConfig;
 
     fn fleet(config: FleetConfig) -> EdgeFleet {
         EdgeFleet::new(edgeis_segnet::ModelKind::MaskRcnn, 160, 120, 7, 42, config)
+    }
+
+    /// The fold behind [`crate::edge::SharedEdge`]: a one-replica fleet
+    /// with the same model and base seeds computes exactly what a bare
+    /// runtime does — every response and every serving counter — and
+    /// never hands off. Each case draws a serving preset (serial FIFO,
+    /// default, zoo with a tight admission deadline), an edge fault (none,
+    /// a crash window, a brownout, a finite shed horizon) and 16 requests
+    /// from 3 devices with random gaps, guidance and tier caps; the fleet
+    /// also hears random health reports.
+    #[test]
+    fn one_replica_fleet_equals_a_bare_runtime() {
+        let obs = observation();
+        let guidance = guidance(50.0);
+        for_each_case(|rng| {
+            let serving = match rng.random_range(0..3u32) {
+                0 => ServingConfig::serial_fifo(),
+                1 => ServingConfig::default(),
+                _ => ServingConfig {
+                    zoo: Some(ZooConfig::standard()),
+                    admission_deadline_ms: rng.random_range(60.0..300.0),
+                    ..ServingConfig::default()
+                },
+            };
+            let opens = rng.random_range(0.0..400.0);
+            let faults = match rng.random_range(0..4u32) {
+                0 => EdgeFaultConfig::default(),
+                1 => EdgeFaultConfig {
+                    crash_windows: vec![(opens, opens + rng.random_range(20.0..200.0))],
+                    restart_ms: rng.random_range(0.0..100.0),
+                    cold_restart: rng.random_bool(0.5),
+                    ..Default::default()
+                },
+                2 => EdgeFaultConfig {
+                    brownout_windows: vec![(opens, opens + 300.0, rng.random_range(1.5..4.0))],
+                    ..Default::default()
+                },
+                _ => EdgeFaultConfig {
+                    shed_queue_horizon_ms: rng.random_range(10.0..80.0),
+                    ..Default::default()
+                },
+            };
+            let model = EdgeModel::new(ModelKind::MaskRcnn, 160, 120, 7);
+            let mut bare = ServingRuntime::new(model, 42, serving.clone());
+            bare.set_faults(faults.clone());
+            let mut one = fleet(FleetConfig::one_edge(serving));
+            one.set_faults_all(faults);
+
+            let link_seed = rng.random_range(0..1000u64);
+            let mut links: Vec<(Link, Link)> = (0..3)
+                .map(|d| (clean_link(link_seed + d), clean_link(link_seed + d)))
+                .collect();
+            let mut at = 0.0;
+            for frame in 0..16u64 {
+                at += rng.random_range(0.0..60.0);
+                let device = rng.random_range(0..3u64);
+                let guidance = rng.random_bool(0.5).then_some(&guidance);
+                let tier_cap = rng.random_bool(0.2).then_some(0);
+                if rng.random_bool(0.2) {
+                    let health =
+                        [LinkHealth::Outage, LinkHealth::Healthy][rng.random_range(0..2usize)];
+                    one.report_health(device, health, at);
+                }
+                let (bare_link, fleet_link) = &mut links[device as usize];
+                let expected = bare
+                    .submit_traced(device, frame, &obs, guidance, at, bare_link, None, tier_cap);
+                let got = one.submit_traced(
+                    device, frame, &obs, guidance, at, fleet_link, None, tier_cap,
+                );
+                assert_eq!(got, expected, "request {frame} diverged");
+            }
+            assert_eq!(one.merged_serving_stats(), *bare.stats());
+            assert_eq!(one.stats().handoffs, 0);
+        });
     }
 
     #[test]
@@ -651,7 +708,7 @@ mod tests {
         );
         assert_eq!(f.assigned_edge(9), home, "pinned despite the crash");
         assert_eq!(f.stats().handoffs, 0);
-        assert!(f.crash_losses() >= 1);
+        assert!(f.merged_serving_stats().crash_losses >= 1);
     }
 
     #[test]

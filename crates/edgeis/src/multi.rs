@@ -3,19 +3,21 @@
 //! Jetson AGX Xavier, §VI-G).
 //!
 //! All devices run on the same virtual clock; their offloaded frames
-//! contend for the shared GPU FIFO, so per-device result latency grows
-//! with fleet size — the effect this module measures.
+//! contend for one shared edge tier, an [`EdgeFleet`]. By default it is
+//! one replica under [`ServingConfig::serial_fifo`], the paper's single
+//! GPU FIFO, so per-device result latency grows with the number of
+//! devices — the effect this module measures.
 
 use crate::edge::{EdgeFaultConfig, SharedEdge};
 use crate::fleet::{EdgeFleet, FleetConfig, FleetStats};
 use crate::metrics::{FrameOutcome, Report};
 use crate::pipeline::{class_map, DeviceFrames, PipelineConfig};
-use crate::serving::{ServingConfig, ServingRuntime, ServingStats};
+use crate::serving::{ServingConfig, ServingStats};
 use crate::system::{EdgeIsConfig, EdgeIsSystem, SegmentationSystem};
 use edgeis_geometry::Camera;
 use edgeis_netsim::{FaultSchedule, LinkKind};
 use edgeis_scene::World;
-use edgeis_segnet::{EdgeModel, ModelKind};
+use edgeis_segnet::ModelKind;
 
 /// Configuration of a multi-device run.
 #[derive(Debug, Clone)]
@@ -40,15 +42,16 @@ pub struct MultiDeviceConfig {
     /// device re-seeds the schedule so probabilistic faults stay
     /// independent across devices).
     pub link_faults: Option<FaultSchedule>,
-    /// Edge-side fault model, installed on the shared server.
+    /// Edge-side fault model, installed on the single shared edge.
     pub edge_faults: Option<EdgeFaultConfig>,
-    /// Serving-runtime configuration for the shared edge. `None` is the
+    /// Serving configuration of the single shared edge. `None` is the
     /// paper's serial FIFO edge ([`ServingConfig::serial_fifo`]); `Some`
-    /// picks another [`ServingRuntime`] configuration (batched, sharded,
-    /// cached, admission-controlled).
+    /// picks another [`crate::serving::ServingRuntime`] configuration
+    /// (batched, sharded, cached, admission-controlled).
     pub serving: Option<ServingConfig>,
-    /// Multi-edge fleet configuration. `Some` replaces the single shared
-    /// edge with an [`EdgeFleet`] of serving replicas (its own
+    /// Multi-edge fleet configuration. `None` is one edge
+    /// ([`FleetConfig::one_edge`] under `serving`, with `edge_faults`
+    /// installed); `Some` is this fleet of serving replicas (its own
     /// [`ServingConfig`] lives inside [`FleetConfig`]; the `serving` and
     /// `edge_faults` fields above are ignored — per-edge faults come from
     /// the fleet's [`edgeis_netsim::EdgeFaultScript`]).
@@ -97,7 +100,7 @@ where
 }
 
 /// [`run_multi_device`], also returning the shared edge's serving
-/// accounting (always `Some`: every backend is a serving runtime).
+/// accounting (always `Some`).
 pub fn run_multi_device_with_stats<F>(
     make_world: F,
     config: &MultiDeviceConfig,
@@ -110,43 +113,37 @@ where
 }
 
 /// [`run_multi_device_with_stats`], also returning the fleet-tier
-/// accounting (`None` unless the run used a [`FleetConfig`] backend).
+/// accounting.
 pub fn run_multi_device_with_fleet<F>(
     make_world: F,
     config: &MultiDeviceConfig,
-) -> (Vec<Report>, ServingStats, Option<FleetStats>)
+) -> (Vec<Report>, ServingStats, FleetStats)
 where
     F: Fn(u64) -> World,
 {
-    let shared = if let Some(fleet) = &config.fleet {
-        // Fleet edges are replicas: same model seed, same base seed, so a
-        // handoff changes where a request runs but never its payload.
-        SharedEdge::fleet(EdgeFleet::new(
-            ModelKind::MaskRcnn,
-            config.camera.width,
-            config.camera.height,
-            config.seed ^ 0x777,
-            config.seed ^ 0x777,
-            fleet.clone(),
-        ))
-    } else {
-        let model = EdgeModel::new(
-            ModelKind::MaskRcnn,
-            config.camera.width,
-            config.camera.height,
-            config.seed ^ 0x777,
-        );
-        let serving = config
-            .serving
-            .clone()
-            .unwrap_or_else(ServingConfig::serial_fifo);
-        SharedEdge::serving(ServingRuntime::new(model, config.seed ^ 0x777, serving))
-    };
-    if config.fleet.is_none() {
-        if let Some(edge_faults) = &config.edge_faults {
-            shared.set_faults(edge_faults.clone());
-        }
+    let fleet_config = config.fleet.clone().unwrap_or_else(|| {
+        FleetConfig::one_edge(
+            config
+                .serving
+                .clone()
+                .unwrap_or_else(ServingConfig::serial_fifo),
+        )
+    });
+    let cold_window_ms = fleet_config.handoff_cooldown_ms;
+    // Fleet edges are replicas: same model seed, same base seed, so a
+    // handoff changes where a request runs but never its payload.
+    let mut fleet = EdgeFleet::new(
+        ModelKind::MaskRcnn,
+        config.camera.width,
+        config.camera.height,
+        config.seed ^ 0x777,
+        config.seed ^ 0x777,
+        fleet_config,
+    );
+    if let (None, Some(edge_faults)) = (&config.fleet, &config.edge_faults) {
+        fleet.set_faults_all(edge_faults.clone());
     }
+    let shared = SharedEdge::new(fleet);
 
     let worlds: Vec<World> = (0..config.devices)
         .map(|d| make_world(config.seed + d as u64))
@@ -195,23 +192,17 @@ where
     // here from the fleet's own handoff log: frames of the moved device
     // inside the post-handoff residency window, unless a stronger cause
     // already labeled them.
-    if let Some(stats) = shared.fleet_stats() {
-        let window_ms = config
-            .fleet
-            .as_ref()
-            .map(|f| f.handoff_cooldown_ms)
-            .unwrap_or(250.0);
-        for h in &stats.handoff_log {
-            let Some((frames, _)) = devices.get_mut(h.device as usize) else {
-                continue;
-            };
-            for rec in &mut frames.records {
-                if rec.time_ms >= h.at_ms
-                    && rec.time_ms < h.at_ms + window_ms
-                    && rec.outcome == FrameOutcome::Healthy
-                {
-                    rec.outcome = FrameOutcome::HandoffCold;
-                }
+    let fleet_stats = shared.fleet_stats();
+    for h in &fleet_stats.handoff_log {
+        let Some((frames, _)) = devices.get_mut(h.device as usize) else {
+            continue;
+        };
+        for rec in &mut frames.records {
+            if rec.time_ms >= h.at_ms
+                && rec.time_ms < h.at_ms + cold_window_ms
+                && rec.outcome == FrameOutcome::Healthy
+            {
+                rec.outcome = FrameOutcome::HandoffCold;
             }
         }
     }
@@ -226,7 +217,7 @@ where
             resilience: system.resilience_stats().cloned().unwrap_or_default(),
         })
         .collect();
-    (reports, shared.serving_stats(), shared.fleet_stats())
+    (reports, shared.serving_stats(), fleet_stats)
 }
 
 #[cfg(test)]
@@ -274,18 +265,17 @@ mod tests {
             serving: Some(ServingConfig::default()),
             ..serial.clone()
         };
-        let (serial_reports, serial_stats) =
-            run_multi_device_with_stats(datasets::indoor_simple, &serial);
-        let (serving_reports, serving_stats) =
-            run_multi_device_with_stats(datasets::indoor_simple, &serving);
-        // The serial FIFO edge serves every request alone and caches
-        // nothing.
-        let serial_stats = serial_stats.expect("every backend reports serving stats");
+        let (serial_reports, serial_stats, serial_fleet) =
+            run_multi_device_with_fleet(datasets::indoor_simple, &serial);
+        let (serving_reports, stats, _) =
+            run_multi_device_with_fleet(datasets::indoor_simple, &serving);
+        // The serial FIFO edge serves every request alone, caches
+        // nothing, and as a one-replica fleet never hands off.
         assert!(serial_stats.served > 0, "the serial edge served nothing");
         assert_eq!(serial_stats.batches, serial_stats.served);
         assert_eq!(serial_stats.batch_joins, 0);
         assert_eq!(serial_stats.cache_hits, 0);
-        let stats = serving_stats.expect("every backend reports serving stats");
+        assert_eq!(serial_fleet.handoffs, 0);
         assert!(stats.served > 0, "nothing was served");
 
         // The serving runtime must not cost accuracy relative to the
@@ -376,9 +366,8 @@ mod tests {
             ..failover.clone()
         };
 
-        let (reports, serving, fleet) =
+        let (reports, serving, stats) =
             run_multi_device_with_fleet(datasets::indoor_simple, &failover);
-        let stats = fleet.expect("fleet backend must report fleet stats");
         assert_eq!(reports.len(), 4);
         assert!(stats.handoffs >= 1, "nobody was evacuated off the crash");
         assert_eq!(stats.dead_edge_responses, 0, "a dead edge answered");
@@ -392,7 +381,6 @@ mod tests {
         assert!(fleet_iou > 0.2, "failover fleet collapsed: {fleet_iou:.3}");
 
         let (_, _, pinned_stats) = run_multi_device_with_fleet(datasets::indoor_simple, &pinned);
-        let pinned_stats = pinned_stats.expect("fleet stats");
         assert_eq!(pinned_stats.handoffs, 0, "baseline must never hand off");
     }
 }

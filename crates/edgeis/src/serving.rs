@@ -370,16 +370,6 @@ impl ServingRuntime {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Requests lost to crash windows so far.
-    pub fn crash_losses(&self) -> u64 {
-        self.stats.crash_losses
-    }
-
-    /// Requests shed (admission + horizon) so far.
-    pub fn shed_count(&self) -> u64 {
-        self.stats.sheds()
-    }
-
     fn recover_from_crash(&mut self, at: SimMs) {
         let window_end = self
             .faults
@@ -777,39 +767,11 @@ impl ServingRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgeis_imaging::LabelMap;
-    use edgeis_netsim::LinkKind;
-    use edgeis_segnet::{BBox, GuidanceBox, ModelKind};
-    use std::collections::BTreeMap as Map;
-
-    fn observation() -> FrameObservation {
-        let mut labels = LabelMap::new(160, 120);
-        for y in 40..90 {
-            for x in 50..110 {
-                labels.set(x, y, 1);
-            }
-        }
-        let mut classes = Map::new();
-        classes.insert(1u16, 2u8);
-        FrameObservation::pristine(labels, classes)
-    }
-
-    fn guidance(x0: f64) -> Guidance {
-        Guidance {
-            boxes: vec![GuidanceBox {
-                bbox: BBox::new(x0, 40.0, x0 + 60.0, 90.0),
-                class_id: Some(2),
-                instance: Some(1),
-            }],
-        }
-    }
+    use crate::edge::tests::{clean_link, guidance, observation};
+    use edgeis_segnet::ModelKind;
 
     fn model(seed: u64) -> EdgeModel {
         EdgeModel::new(ModelKind::MaskRcnn, 160, 120, seed)
-    }
-
-    fn clean_link(seed: u64) -> Link {
-        Link::of_kind(LinkKind::Wifi5, seed)
     }
 
     #[test]
@@ -881,7 +843,7 @@ mod tests {
         assert!(rt
             .submit(0, 0, &obs, None, start, &mut clean_link(4))
             .is_none());
-        assert_eq!(rt.crash_losses(), 1);
+        assert_eq!(rt.stats().crash_losses, 1);
         assert_eq!(rt.stats().served, 0);
     }
 
@@ -1213,7 +1175,7 @@ mod tests {
         assert!(rt
             .submit(0, 0, &obs, None, 1500.0, &mut clean_link(11))
             .is_none());
-        assert_eq!(rt.crash_losses(), 1);
+        assert_eq!(rt.stats().crash_losses, 1);
         // ...and BOTH lanes restart only after window end + restart.
         assert!(rt.busy_until_for(0) >= 2100.0);
         assert!(rt.busy_until_for(1) >= 2100.0);
@@ -1285,7 +1247,7 @@ mod tests {
         assert!(rt
             .submit(0, 2, &obs, Some(&g), 5200.0, &mut clean_link(15))
             .is_none());
-        assert_eq!(rt.crash_losses(), 1);
+        assert_eq!(rt.stats().crash_losses, 1);
         // Identical guidance after the restart: must miss, not hit stale
         // pre-crash state.
         let r = rt
@@ -1512,7 +1474,7 @@ mod tests {
             lcg >> 33
         };
         let mut t = 0.0;
-        let mut seqs: Map<u64, u64> = Map::new();
+        let mut seqs: BTreeMap<u64, u64> = BTreeMap::new();
         for i in 0..48u64 {
             t += (next() % 24) as f64;
             let dev = next() % 3;

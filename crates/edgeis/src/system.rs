@@ -9,9 +9,10 @@
 use crate::cfrs::{CfrsConfig, CfrsDecision, CfrsPlanner, TransmitReason};
 use crate::cost::MobileCostModel;
 use crate::edge::{EdgeFaultConfig, PendingResponse, SharedEdge};
+use crate::fleet::{EdgeFleet, FleetConfig};
 use crate::metrics::{FrameOutcome, ResilienceStats, StageBreakdownMs};
 use crate::resources::{ResourceConfig, ResourceLedger};
-use crate::serving::{ServingConfig, ServingRuntime};
+use crate::serving::ServingConfig;
 use crate::trace::{
     digest_masks, digest_uplink, fnv1a64_extend, pose_vector, FrameTrace, FNV_OFFSET,
 };
@@ -21,7 +22,7 @@ use edgeis_geometry::Camera;
 use edgeis_imaging::{GrayImage, LabelMap, Mask, MotionVectorField, RleMask};
 use edgeis_netsim::{Direction, FaultSchedule, Link, LinkKind, SimMs};
 use edgeis_scene::RenderedFrame;
-use edgeis_segnet::{EdgeModel, FrameObservation, ModelKind};
+use edgeis_segnet::{FrameObservation, ModelKind};
 use edgeis_telemetry::{ArgValue, BurnTracker, Counter, Gauge, Histogram, Telemetry, TraceContext};
 use edgeis_vo::{VisualOdometry, VoConfig};
 use std::collections::BTreeMap;
@@ -688,16 +689,18 @@ fn health_level(health: LinkHealth) -> f64 {
 
 impl EdgeIsSystem {
     /// Builds the system over the given link, with its own edge: the
-    /// paper's serial FIFO server ([`ServingConfig::serial_fifo`]).
+    /// paper's serial FIFO server, a one-replica fleet under
+    /// [`ServingConfig::serial_fifo`].
     pub fn new(config: EdgeIsConfig, link_kind: LinkKind) -> Self {
-        let model = EdgeModel::new(
+        let edge = EdgeFleet::new(
             config.model,
             config.camera.width,
             config.camera.height,
             config.seed ^ 0x22,
+            config.seed ^ 0x22,
+            FleetConfig::one_edge(ServingConfig::serial_fifo()),
         );
-        let edge = ServingRuntime::new(model, config.seed ^ 0x22, ServingConfig::serial_fifo());
-        Self::with_shared_edge(config, link_kind, SharedEdge::serving(edge))
+        Self::with_shared_edge(config, link_kind, SharedEdge::new(edge))
     }
 
     /// Builds the system against an existing (shared) edge server — used
@@ -802,8 +805,8 @@ impl EdgeIsSystem {
         let from = self.health;
         self.health = to;
         // The edge tier hears about the transition too: a fleet uses it to
-        // steer the device away from (or back to) its home edge. Single-
-        // edge backends ignore the signal.
+        // steer the device away from (or back to) its home edge. A
+        // one-replica fleet has nowhere to steer it.
         self.server.report_health(self.device_id, to, now);
         self.device_event("health.transition", now, None, || {
             vec![
