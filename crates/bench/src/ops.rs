@@ -533,6 +533,19 @@ pub fn diagnosis_json(d: &Diagnosis) -> String {
     })
 }
 
+/// Names the gauge burning fastest, the first label in text order among
+/// equal values; or says that none is above 0.
+fn burning_gauge_text(gauges: &[BurnGauge]) -> String {
+    let worst = gauges
+        .iter()
+        .filter(|g| g.value > 0.0)
+        .min_by(|a, b| b.value.total_cmp(&a.value).then(a.labels.cmp(&b.labels)));
+    match worst {
+        Some(g) => format!("worst {{{}}} = {:.2}", g.labels, g.value),
+        None => "none burning".to_string(),
+    }
+}
+
 /// Renders the human-facing summary printed next to `diagnosis.json`.
 pub fn human_summary(d: &Diagnosis) -> String {
     let mut out = String::new();
@@ -572,16 +585,10 @@ pub fn human_summary(d: &Diagnosis) -> String {
         ));
     }
     if !d.burn_gauges.is_empty() {
-        let worst = d
-            .burn_gauges
-            .iter()
-            .max_by(|a, b| a.value.total_cmp(&b.value))
-            .expect("non-empty");
         out.push_str(&format!(
-            "  final burn gauges: {} series, worst {{{}}} = {:.2}\n",
+            "  final burn gauges: {} series, {}\n",
             d.burn_gauges.len(),
-            worst.labels,
-            worst.value
+            burning_gauge_text(&d.burn_gauges)
         ));
     }
     out
@@ -743,5 +750,23 @@ mod tests {
         let summary = human_summary(&d);
         assert!(summary.contains("tracking_lost"));
         assert!(summary.contains("slo.burn alerts: 1"));
+    }
+
+    #[test]
+    fn burning_gauge_is_none_at_zero_and_first_label_on_ties() {
+        let gauge = |labels: &str, value: f64| BurnGauge {
+            labels: labels.to_string(),
+            value,
+        };
+        let zeros = [gauge("edge=\"1\"", 0.0), gauge("edge=\"0\"", 0.0)];
+        assert_eq!(burning_gauge_text(&zeros), "none burning");
+        let tied = [
+            gauge("device=\"2\"", 1.5),
+            gauge("device=\"1\"", 1.5),
+            gauge("edge=\"0\"", 0.5),
+        ];
+        for gauges in [tied.to_vec(), tied.iter().rev().cloned().collect()] {
+            assert_eq!(burning_gauge_text(&gauges), "worst {device=\"1\"} = 1.50");
+        }
     }
 }

@@ -191,6 +191,9 @@ pub struct EdgeFleet {
     last_handoff_ms: BTreeMap<u64, SimMs>,
     /// Edge a device is steering away from after reporting an outage.
     avoid: BTreeMap<u64, usize>,
+    /// Each device's [`rendezvous_rank`], computed on its first submit
+    /// (the edge count never changes).
+    ranks: BTreeMap<u64, Vec<usize>>,
     stats: FleetStats,
     telemetry: Telemetry,
     /// Per-edge SLO burn tracker + fast-burn gauge (`None` while
@@ -233,6 +236,7 @@ impl EdgeFleet {
             assignment: BTreeMap::new(),
             last_handoff_ms: BTreeMap::new(),
             avoid: BTreeMap::new(),
+            ranks: BTreeMap::new(),
             telemetry: Telemetry::disabled(),
             burn: None,
         }
@@ -348,9 +352,10 @@ impl EdgeFleet {
     }
 
     /// The edge `device`'s next request should target at `now`, with the
-    /// reason a move (if any) would carry.
+    /// reason a move (if any) would carry. The device's rank must be in
+    /// `ranks`.
     fn place(&self, device: u64, now: SimMs) -> (usize, &'static str) {
-        let rank = rendezvous_rank(device, self.edges.len());
+        let rank = &self.ranks[&device];
         if !self.config.failover_enabled {
             return (rank[0], "rebalance");
         }
@@ -376,7 +381,7 @@ impl EdgeFleet {
             if backlog > self.config.overload_horizon_ms {
                 let mut best = target;
                 let mut best_busy = self.edges[target].busy_until_for(device);
-                for &e in &rank {
+                for &e in rank {
                     if Some(e) == avoid || self.config.script.crashed_at(e, now) {
                         continue;
                     }
@@ -449,6 +454,10 @@ impl EdgeFleet {
         envelope: Option<[u8; ENVELOPE_LEN]>,
         tier_cap: Option<usize>,
     ) -> Option<PendingResponse> {
+        let edges = self.edges.len();
+        self.ranks
+            .entry(device)
+            .or_insert_with(|| rendezvous_rank(device, edges));
         let (target, reason) = self.place(device, arrival_ms);
         let edge = match self.assignment.get(&device).copied() {
             None => {
@@ -515,8 +524,9 @@ impl EdgeFleet {
                     }
                     // The frontend still holds the request buffer: evacuate
                     // to the next ranked alive edge and run it there.
-                    let next = rendezvous_rank(device, self.edges.len())
-                        .into_iter()
+                    let next = self.ranks[&device]
+                        .iter()
+                        .copied()
                         .find(|&e| e != at_edge && !self.config.script.crashed_at(e, arrival_ms));
                     match next {
                         None => {

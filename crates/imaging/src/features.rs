@@ -97,8 +97,9 @@ const FAST_CIRCLE: [(i64, i64); 16] = [
 /// overwhelmingly common case); a contiguous arc of 9 always covers at
 /// least 2 of the 4 points spaced 4 apart, so the decision — and on accept
 /// the response, computed from the same pixel values — is bit-identical
-/// to the reference path.
-fn fast9_response_fast(
+/// to the reference path. It is the scalar twin of
+/// [`crate::simd::fast9_corner_mask`], lane by lane.
+pub(crate) fn fast9_response_fast(
     data: &[u8],
     center: usize,
     threshold: i32,
@@ -122,25 +123,24 @@ fn fast9_response_fast(
     }
     let mut bright_mask = 0u16;
     let mut dark_mask = 0u16;
-    let mut diffs = [0i32; 16];
-    for (i, d) in diffs.iter_mut().enumerate() {
+    for i in 0..16 {
         let v = at(i);
-        *d = v - c;
         bright_mask |= ((v > c + t) as u16) << i;
         dark_mask |= ((v < c - t) as u16) << i;
     }
-    // Compass quick-reject on the same bits (positions 0, 4, 8, 12 =
-    // mask 0x1111) — repeats the prefilter's decision, like the reference
-    // path repeats its compass count.
-    if (bright_mask & 0x1111).count_ones() < 2 && (dark_mask & 0x1111).count_ones() < 2 {
-        return None;
-    }
-    if has_circular_run9(bright_mask) || has_circular_run9(dark_mask) {
-        let response: i32 = diffs.iter().map(|d| d.abs()).sum();
-        Some(response as f32)
-    } else {
-        None
-    }
+    (has_circular_run9(bright_mask) || has_circular_run9(dark_mask))
+        .then(|| fast9_response_at(data, center, offsets))
+}
+
+/// The FAST response of a corner: the sum of |v − c| over its 16 circle
+/// pixels, as the reference's `diffs` sum.
+fn fast9_response_at(data: &[u8], center: usize, offsets: &[isize; 16]) -> f32 {
+    let c = data[center] as i32;
+    let sad: i32 = offsets
+        .iter()
+        .map(|&o| (data[(center as isize + o) as usize] as i32 - c).abs())
+        .sum();
+    sad as f32
 }
 
 /// True iff the 16-bit circular mask contains ≥ 9 contiguous set bits —
@@ -158,40 +158,63 @@ fn has_circular_run9(mask: u16) -> bool {
     acc & 0xFFFF != 0
 }
 
-/// Intensity-centroid orientation in a circular patch of radius `r`, for
-/// keypoints at least `r` pixels from every border
-/// (guaranteed by the scan border, 16 ≥ r = 7): walks each row only across
-/// its in-disc extent with direct loads, the same pixels the reference
-/// loop keeps, and accumulates the moments in integers.
+/// Half-width of each row `dy = −7 ..= 7` of the radius-7 orientation
+/// disc: the largest `|dx|` with `dx² + dy² ≤ 7²`, the pixels the
+/// reference loop keeps after its in-disc test.
+const DISC_EXTENT: [i16; 15] = [0, 3, 4, 5, 6, 6, 6, 7, 6, 6, 6, 5, 4, 3, 0];
+
+/// Per disc row `dy`, the weights of the 16 lanes `x − 7 ..= x + 8`:
+/// `dx` and `dy` for the pixels inside the row's extent, 0 elsewhere
+/// (lane 15 is always outside; it holds no pixel).
+const DISC_WEIGHTS: [[[i16; 16]; 2]; 15] = {
+    let mut weights = [[[0; 16]; 2]; 15];
+    let mut row = 0;
+    while row < 15 {
+        let dy = row as i16 - 7;
+        let mut lane = 0;
+        while lane < 15 {
+            let dx = lane as i16 - 7;
+            if dx.abs() <= DISC_EXTENT[row] {
+                weights[row][0][lane] = dx;
+                weights[row][1][lane] = dy;
+            }
+            lane += 1;
+        }
+        row += 1;
+    }
+    weights
+};
+
+/// Intensity-centroid orientation in the radius-7 disc, for keypoints at
+/// least 7 pixels from every border (guaranteed by the scan border,
+/// 16 ≥ 7): each row's 15 pixels are loaded whole and weighted by
+/// [`DISC_WEIGHTS`], so only the pixels the reference loop keeps count.
+/// The moments accumulate per lane in `i16` over the 15 rows and are
+/// summed once: a lane's `m10` part is at most 7 · 15 · 255 = 26,775 and
+/// its `m01` part at most (1 + … + 7) · 2 · 255 = 14,280 in magnitude.
 ///
 /// The angle is bit-identical to the reference's f64 accumulation: every
 /// term `dx·v`, `dy·v` is an integer with magnitude ≤ 7·255 = 1785 and
-/// every partial sum stays far below 2⁵³, so each f64 add is exact and the
-/// reference's sums are these integers (in any grouping, hence the row
-/// sums here). Its accumulators start at +0.0 and a sum that is exactly
-/// zero rounds to +0.0, so a zero moment is +0.0 on both paths, which is
-/// what `atan2` sees.
-fn orientation_fast(img: &GrayImage, x: u32, y: u32, r: i64) -> f32 {
+/// every partial sum stays far below 2⁵³, so each f64 add is exact and
+/// the reference's sums are these integers (in any grouping, hence the
+/// lane sums here). Its accumulators start at +0.0 and a sum that is
+/// exactly zero rounds to +0.0, so a zero moment is +0.0 on both paths,
+/// which is what `atan2` sees.
+fn orientation_fast(img: &GrayImage, x: u32, y: u32) -> f32 {
     let data = img.as_bytes();
-    let w = img.width() as i64;
-    let mut m01 = 0i64;
-    let mut m10 = 0i64;
-    for dy in -r..=r {
-        // Largest |dx| with dx² + dy² ≤ r² — the same pixels the reference
-        // loop keeps after its in-disc test.
-        let mut ext = 0i64;
-        while (ext + 1) * (ext + 1) + dy * dy <= r * r {
-            ext += 1;
+    let w = img.width() as usize;
+    let mut moments = [[0i16; 16]; 2];
+    for (dy, weights) in (-7i32..=7).zip(&DISC_WEIGHTS) {
+        let start = (y as i32 + dy) as usize * w + x as usize - 7;
+        let mut row = [0u8; 16];
+        row[..15].copy_from_slice(&data[start..start + 15]);
+        for (moment, weight) in moments.iter_mut().zip(weights) {
+            for lane in 0..16 {
+                moment[lane] += weight[lane] * row[lane] as i16;
+            }
         }
-        let center = (y as i64 + dy) * w + x as i64;
-        let row = &data[(center - ext) as usize..=(center + ext) as usize];
-        let mut sum = 0i64;
-        for (dx, &v) in (-ext..=ext).zip(row) {
-            m10 += dx * v as i64;
-            sum += v as i64;
-        }
-        m01 += dy * sum;
     }
+    let [m10, m01] = moments.map(|m| m.iter().map(|&v| v as i32).sum::<i32>());
     (m01 as f64).atan2(m10 as f64) as f32
 }
 
@@ -279,7 +302,7 @@ pub fn detect_orb(img: &GrayImage, config: &OrbConfig) -> (Vec<Keypoint>, Vec<De
 
 /// [`detect_orb`] with caller-owned scratch buffers, reused across frames.
 ///
-/// Each SIMD kernel (blur row, FAST compass pre-test, BRIEF) runs when its
+/// Each SIMD kernel (blur row, FAST-9 segment test, BRIEF) runs when its
 /// CPU feature is present and falls back to its scalar twin otherwise;
 /// [`crate::simd::force_caps`] pins the fallback. Every combination is
 /// bit-identical to the clamped [`reference`](mod@reference) detector (test-enforced).
@@ -288,7 +311,6 @@ pub fn detect_orb_with_scratch(
     config: &OrbConfig,
     scratch: &mut OrbScratch,
 ) -> (Vec<Keypoint>, Vec<Descriptor>) {
-    let simd_fast = crate::simd::fast_available();
     let n_levels = (config.n_levels as usize).max(1);
     while scratch.levels.len() < n_levels {
         scratch.levels.push(GrayImage::new(1, 1));
@@ -326,29 +348,20 @@ pub fn detect_orb_with_scratch(
             for y in border..height - border {
                 let row = y as usize * width as usize;
                 let mut x = border as usize;
-                if simd_fast {
-                    // 16 scan positions at a time: the SIMD compass
-                    // pre-test rejects exactly the pixels the scalar
-                    // compass rejects; survivors (rare) run the unchanged
-                    // scalar decision in ascending-x order, so the
-                    // candidate stream is identical.
-                    while x + 16 <= end {
-                        let mut survivors =
-                            crate::simd::fast_compass_mask(data, row, x, width as usize, threshold);
-                        while survivors != 0 {
-                            let k = survivors.trailing_zeros() as usize;
-                            survivors &= survivors - 1;
-                            if let Some(resp) = fast9_response_fast(
-                                data,
-                                row + x + k,
-                                threshold as i32,
-                                &circle_offsets,
-                            ) {
-                                scratch.candidates.push(((x + k) as u32, y, resp));
-                            }
-                        }
-                        x += 16;
+                // 16 scan positions at a time: the segment test kernel
+                // finds exactly the pixels the per-pixel test accepts,
+                // and their responses are pushed in ascending-x order, so
+                // the candidate stream is identical.
+                while x + 16 <= end {
+                    let mut corners =
+                        crate::simd::fast9_corner_mask(data, row + x, &circle_offsets, threshold);
+                    while corners != 0 {
+                        let k = corners.trailing_zeros() as usize;
+                        corners &= corners - 1;
+                        let resp = fast9_response_at(data, row + x + k, &circle_offsets);
+                        scratch.candidates.push(((x + k) as u32, y, resp));
                     }
+                    x += 16;
                 }
                 for x in x..end {
                     if let Some(resp) =
@@ -378,19 +391,15 @@ pub fn detect_orb_with_scratch(
 
     // Keep the strongest max_features across all levels: the same stable
     // response ranking the reference flow applies after computing every
-    // descriptor — hoisting it before the descriptor pass only skips work
-    // for keypoints that were going to be dropped anyway.
+    // descriptor (by the bits of the non-negative responses, as in NMS) —
+    // hoisting it before the descriptor pass only skips work for
+    // keypoints that were going to be dropped anyway.
     scratch.selected.clear();
     if scratch.winners.len() > config.max_features {
         let order = &mut scratch.order;
         order.clear();
         order.extend(0..scratch.winners.len());
-        order.sort_by(|&a, &b| {
-            scratch.winners[b]
-                .2
-                .partial_cmp(&scratch.winners[a].2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by_key(|&i| std::cmp::Reverse(scratch.winners[i].2.to_bits()));
         order.truncate(config.max_features);
         order.sort_unstable();
         scratch
@@ -406,7 +415,7 @@ pub fn detect_orb_with_scratch(
     let mut descriptors = Vec::with_capacity(scratch.selected.len());
     for &(x, y, resp, level) in &scratch.selected {
         let level_ref = &scratch.levels[level as usize];
-        let angle = orientation_fast(level_ref, x, y, 7);
+        let angle = orientation_fast(level_ref, x, y);
         let desc = brief_descriptor(level_ref, (x, y), angle, pattern);
         // Powers of two are exact in f64, so this matches the reference
         // flow's per-level `scale *= 2.0` accumulator bit for bit.
@@ -424,10 +433,14 @@ pub fn detect_orb_with_scratch(
 }
 
 /// Greedy NMS over one level's FAST candidates: strongest first, suppress
-/// a disc around each winner and append it to `winners`. Inherently
-/// sequential (each winner changes the suppression state seen by later
-/// candidates); the stable sort keeps scan order among equal responses.
-/// `suppressed` is the level's `width × height` plane.
+/// the square of half-width `radius` around each winner and append it to
+/// `winners`. Inherently sequential (each winner changes the suppression
+/// state seen by later candidates); the stable sort keeps scan order
+/// among equal responses. Responses are non-negative integers held in an
+/// `f32`, so their bit patterns sort as their values do. The square is
+/// one clamped row slice per row, the pixels the reference's
+/// bounds-checked writes set. `suppressed` is the level's `width ×
+/// height` plane.
 fn suppress_non_maxima(
     candidates: &mut [(u32, u32, f32)],
     suppressed: &mut [bool],
@@ -436,23 +449,17 @@ fn suppress_non_maxima(
     level: u8,
     winners: &mut Vec<(u32, u32, f32, u8)>,
 ) {
-    candidates.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+    candidates.sort_by_key(|c| std::cmp::Reverse(c.2.to_bits()));
     suppressed.fill(false);
-    let r = radius as i64;
-    let w = width as i64;
-    let h = height as i64;
+    let (w, h, r) = (width as usize, height as usize, radius as usize);
     for &(x, y, resp) in candidates.iter() {
-        if suppressed[(y as i64 * w + x as i64) as usize] {
+        let (cx, cy) = (x as usize, y as usize);
+        if suppressed[cy * w + cx] {
             continue;
         }
-        for dy in -r..=r {
-            for dx in -r..=r {
-                let nx = x as i64 + dx;
-                let ny = y as i64 + dy;
-                if nx >= 0 && ny >= 0 && nx < w && ny < h {
-                    suppressed[(ny * w + nx) as usize] = true;
-                }
-            }
+        let (x0, x1) = (cx.saturating_sub(r), (cx + r).min(w - 1));
+        for ny in cy.saturating_sub(r)..=(cy + r).min(h - 1) {
+            suppressed[ny * w + x0..=ny * w + x1].fill(true);
         }
         winners.push((x, y, resp, level));
     }
@@ -464,9 +471,7 @@ fn suppress_non_maxima(
 /// Not a production path; hidden from docs.
 #[doc(hidden)]
 pub mod reference {
-    use super::{
-        suppress_non_maxima, Descriptor, GrayImage, Keypoint, OrbConfig, FAST_BORDER, FAST_CIRCLE,
-    };
+    use super::{Descriptor, GrayImage, Keypoint, OrbConfig, FAST_BORDER, FAST_CIRCLE};
     use edgeis_rng::StdRng;
 
     pub use crate::simd::BriefPair;
@@ -614,6 +619,41 @@ pub mod reference {
             return (kps, descs);
         }
         (keypoints, descriptors)
+    }
+
+    /// Greedy NMS in its original shape, the oracle of the shipped
+    /// `suppress_non_maxima`: a stable float sort by response (strongest
+    /// first, scan order among ties), then a bounds check on every pixel
+    /// of the square around each winner. `suppressed` is the level's
+    /// `width × height` plane.
+    pub fn suppress_non_maxima(
+        candidates: &mut [(u32, u32, f32)],
+        suppressed: &mut [bool],
+        (width, height): (u32, u32),
+        radius: u32,
+        level: u8,
+        winners: &mut Vec<(u32, u32, f32, u8)>,
+    ) {
+        candidates.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+        suppressed.fill(false);
+        let r = radius as i64;
+        let w = width as i64;
+        let h = height as i64;
+        for &(x, y, resp) in candidates.iter() {
+            if suppressed[(y as i64 * w + x as i64) as usize] {
+                continue;
+            }
+            for dy in -r..=r {
+                for dx in -r..=r {
+                    let nx = x as i64 + dx;
+                    let ny = y as i64 + dy;
+                    if nx >= 0 && ny >= 0 && nx < w && ny < h {
+                        suppressed[(ny * w + nx) as usize] = true;
+                    }
+                }
+            }
+            winners.push((x, y, resp, level));
+        }
     }
 
     /// Longest circular run of `true` over the 16 circle flags.
@@ -820,7 +860,7 @@ mod tests {
     #[test]
     fn simd_feature_absent_fallback_detects_identically() {
         // Pin the dispatcher to no-SIMD: every kernel (blur row, FAST
-        // compass pre-test, BRIEF rotate/sample) must fall back to the
+        // segment test, BRIEF rotate/sample) must fall back to the
         // scalar fast paths with identical output — the portable behavior
         // on hosts without the CPU features.
         for phase in [0.0, 1.0, 3.0] {
@@ -893,7 +933,7 @@ mod tests {
         for (k, p) in patches.into_iter().enumerate() {
             let img = GrayImage::from_raw(15, 15, p);
             assert_eq!(
-                orientation_fast(&img, 7, 7, 7).to_bits(),
+                orientation_fast(&img, 7, 7).to_bits(),
                 reference::orientation(&img, 7, 7, 7).to_bits(),
                 "patch {k}"
             );
@@ -993,6 +1033,76 @@ mod tests {
             }
         }
         assert!(scratch.peak_bytes() > 0);
+    }
+
+    #[test]
+    fn capped_selection_matches_reference_on_ties() {
+        // Squares of a few contrasts give many corners with equal
+        // responses; cutting the ranking at every length up to 80 cuts
+        // through tie groups, where scan order decides who stays.
+        let img = textured_image(160, 160, 1.0);
+        for max_features in 1..=80 {
+            let cfg = OrbConfig {
+                max_features,
+                ..Default::default()
+            };
+            assert_eq!(
+                detect_orb(&img, &cfg),
+                reference::detect_orb(&img, &cfg),
+                "max_features {max_features}"
+            );
+        }
+    }
+
+    type Nms =
+        fn(&mut [(u32, u32, f32)], &mut [bool], (u32, u32), u32, u8, &mut Vec<(u32, u32, f32, u8)>);
+
+    #[test]
+    fn nms_matches_reference_on_ties_and_level_edges() {
+        // Small levels packed with candidates whose responses take four
+        // values, so most suppression contests are ties that scan order
+        // decides, and many winners lie within the radius of an edge,
+        // where the suppressed square is clamped.
+        let (mut ties, mut near_edge) = (0usize, 0usize);
+        edgeis_rng::for_each_case(|rng| {
+            let (w, h) = (rng.random_range(9u32..48), rng.random_range(9u32..40));
+            let radius = [4, 4, 0, 1, 3, 6][rng.random_range(0..6usize)];
+            let amount = rng.random_range(0..=(w * h / 3) as usize);
+            let mut picked = edgeis_rng::index::sample(rng, (w * h) as usize, amount);
+            picked.sort_unstable();
+            let candidates: Vec<(u32, u32, f32)> = picked
+                .iter()
+                .map(|&i| {
+                    let resp = rng.random_range(0u32..4) as f32 * 10.0;
+                    (i as u32 % w, i as u32 / w, resp)
+                })
+                .collect();
+            let run = |nms: Nms| {
+                let mut c = candidates.clone();
+                let mut suppressed = vec![true; (w * h) as usize];
+                let mut winners = Vec::new();
+                nms(&mut c, &mut suppressed, (w, h), radius, 1, &mut winners);
+                winners
+            };
+            let winners = run(suppress_non_maxima);
+            assert_eq!(
+                winners,
+                run(reference::suppress_non_maxima),
+                "{w}x{h} r {radius}"
+            );
+            let distinct: std::collections::BTreeSet<u32> =
+                winners.iter().map(|c| c.2.to_bits()).collect();
+            ties += winners.len() - distinct.len();
+            let r = radius;
+            near_edge += winners
+                .iter()
+                .filter(|&&(x, y, ..)| x < r || y < r || x + r >= w || y + r >= h)
+                .count();
+        });
+        assert!(
+            ties > 0 && near_edge > 0,
+            "ties {ties}, near an edge {near_edge}"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Explicit SIMD hot-path kernels (x86_64 `core::arch` intrinsics with
 //! runtime feature detection) for the three detector inner loops: the
-//! pyramid box blur's column-sum row kernel, the FAST compass pre-test and
+//! pyramid box blur's column-sum row kernel, the FAST-9 segment test and
 //! the rotated-BRIEF descriptor (rotate, bilinear sample, compare). (The
 //! Hamming matcher stays scalar: four hardware `popcnt`s per pair beat
 //! AVX2 and AVX-512 popcount scans, DESIGN.md §14.)
@@ -12,10 +12,11 @@
 //!   window sums fit ≤ 2295, for which `mulhi_epu16(n, 7282)` is exactly
 //!   `n / 9` (proved by the exhaustive test below): writing `n = 9q + r`,
 //!   `n·7282 = q·2¹⁶ + 2q + 7282r ≤ q·2¹⁶ + 510 + 58256 < (q+1)·2¹⁶`.
-//! - *FAST*: the 16-lane compass pre-test evaluates the same predicate as
-//!   the scalar reject (`v > c+t` ⟺ `subs_epu8(v, adds_epu8(c,t)) > 0`
-//!   and `v < c−t` ⟺ `subs_epu8(subs_epu8(c,t), v) > 0`, saturation
-//!   corners included), and survivors run the unchanged scalar decision.
+//! - *FAST*: the 16-lane segment test forms the scalar test's bright and
+//!   dark flags (`v > c+t` ⟺ `v > adds_epu8(c,t)` and `v < c−t` ⟺
+//!   `v < subs_epu8(c,t)`, saturation corners included) and counts each
+//!   lane's longest circular run over 16 + 8 steps: at least 9 there is
+//!   exactly `has_circular_run9`, which implies the scalar compass test.
 //! - *BRIEF*: lanewise f64 mul/add/sub and `floor_pd` perform the same
 //!   individually-rounded IEEE operations as the scalar twin and the
 //!   clamped oracle, in the same per-element order, so every
@@ -311,94 +312,107 @@ unsafe fn blur_row_avx2(ra: &[u8], rb: &[u8], rc: &[u8], colsum: &mut [u16], out
 }
 
 // ---------------------------------------------------------------------
-// FAST compass pre-test.
+// FAST-9 segment test.
 // ---------------------------------------------------------------------
 
-/// Whether [`fast_compass_mask`] has a vector implementation.
+/// Whether [`fast9_corner_mask`] has a vector implementation.
 pub fn fast_available() -> bool {
     caps().x86_baseline
 }
 
-/// Evaluates the FAST-9 compass pre-test for the 16 consecutive scan
-/// positions `x .. x + 16` of the row starting at linear index `row`:
-/// bit `k` of the result is set iff position `x + k` *survives* the
-/// reject (≥ 2 of the 4 compass circle pixels brighter than `c + t`, or
-/// ≥ 2 darker than `c − t`) — exactly the scalar predicate at the head
-/// of `fast9_response_fast`. Survivors still run the full scalar
-/// decision, so detections are bit-identical.
+/// The FAST-9 segment test of the 16 consecutive pixels `center ..
+/// center + 16` of `data`, whose circle pixel `i` lies `offsets[i]`
+/// bytes from each: bit `k` of the result is set iff pixel `center + k`
+/// (value `c`) is a corner, i.e. a circular run of at least 9 of its
+/// circle pixels are all brighter than `c + t` or all darker than
+/// `c − t`. That is the decision of the detector's per-pixel test, which
+/// the scalar twin (no SSE2, or `force_caps`) runs lane by lane; the
+/// caller computes the response of the corners only.
 ///
-/// Callers must guarantee the compass loads are in-bounds:
-/// `3 * stride <= row + x` and `row + x + 15 + 3 * stride + 3 <
-/// data.len()` (upheld by the detector's 16-pixel scan border).
-pub fn fast_compass_mask(data: &[u8], row: usize, x: usize, stride: usize, t: u8) -> u16 {
+/// # Panics
+///
+/// Panics unless every load lies in `data`: `center + o ≥ 0` and
+/// `center + o + 16 ≤ data.len()` for `o = 0` and every `offsets[i]`.
+pub fn fast9_corner_mask(data: &[u8], center: usize, offsets: &[isize; 16], t: u8) -> u16 {
+    // Every load lies between the lowest and the highest one; the fold
+    // starts at offset 0, the centers' own load.
+    let (lo, hi) = offsets
+        .iter()
+        .fold((0isize, 0isize), |(lo, hi), &o| (lo.min(o), hi.max(o)));
+    let fits = |o: isize| {
+        center
+            .checked_add_signed(o)
+            .and_then(|start| start.checked_add(16))
+            .is_some_and(|end| end <= data.len())
+    };
+    assert!(
+        fits(lo) && fits(hi),
+        "FAST circle loads leave the level at {center}"
+    );
     #[cfg(target_arch = "x86_64")]
     {
         if caps().x86_baseline {
-            return fast_compass_mask_sse2(data, row, x, stride, t);
+            // SAFETY: the assert above bounds every 16-byte load; SSE2 is
+            // part of the x86_64 baseline.
+            return unsafe { fast9_corner_mask_sse2(data, center, offsets, t) };
         }
     }
-    fast_compass_mask_scalar(data, row, x, stride, t)
+    fast9_corner_mask_scalar(data, center, offsets, t)
 }
 
-/// Scalar reference for [`fast_compass_mask`].
-fn fast_compass_mask_scalar(data: &[u8], row: usize, x: usize, stride: usize, t: u8) -> u16 {
-    let mut mask = 0u16;
-    for k in 0..16 {
-        let center = row + x + k;
-        let c = data[center] as i32;
-        let t = t as i32;
-        let compass = [
-            data[center - 3 * stride] as i32,
-            data[center + 3] as i32,
-            data[center + 3 * stride] as i32,
-            data[center - 3] as i32,
-        ];
-        let nb = compass.iter().filter(|&&v| v > c + t).count();
-        let nd = compass.iter().filter(|&&v| v < c - t).count();
-        if nb >= 2 || nd >= 2 {
-            mask |= 1 << k;
-        }
-    }
-    mask
+/// Scalar twin of [`fast9_corner_mask`]: the per-pixel test, lane by lane.
+fn fast9_corner_mask_scalar(data: &[u8], center: usize, offsets: &[isize; 16], t: u8) -> u16 {
+    (0..16).fold(0, |mask, k| {
+        let corner = crate::features::fast9_response_fast(data, center + k, t as i32, offsets);
+        mask | (corner.is_some() as u16) << k
+    })
 }
 
+/// Sixteen lanes per pass. Per circle pixel, a saturating compare forms
+/// the bright and dark byte masks: `v > c + t` ⟺ `v > adds_epu8(c, t)`
+/// and `v < c − t` ⟺ `v < subs_epu8(c, t)`, exact under saturation
+/// (`c + t > 255` makes "brighter" impossible in both forms, `c − t < 0`
+/// "darker"), compared as signed bytes after flipping the sign bits.
+/// Then 24 steps around the circle (16 + 8, so a run of 9 that starts at
+/// the last pixel ends inside the walk) count each lane's current run,
+/// `cnt = (cnt − m) & m` (a set mask is −1, so the count grows by one or
+/// resets to 0), and keep the longest: a lane is a corner iff that is at
+/// least 9. Such a run covers two adjacent compass pixels (one of 0 and
+/// 8, one of 4 and 12), so a block where no lane has such a pair returns
+/// early after loading only those four.
+///
+/// # Safety
+///
+/// The 16 bytes at `center + o` must lie in `data` for `o = 0` and every
+/// `offsets[i]`.
 #[cfg(target_arch = "x86_64")]
-fn fast_compass_mask_sse2(data: &[u8], row: usize, x: usize, stride: usize, t: u8) -> u16 {
+unsafe fn fast9_corner_mask_sse2(data: &[u8], center: usize, offsets: &[isize; 16], t: u8) -> u16 {
     use core::arch::x86_64::*;
-    let base = row + x;
-    assert!(
-        base >= 3 * stride && base + 15 + 3 * stride + 3 < data.len(),
-        "compass loads out of bounds"
-    );
-    // SAFETY: the assert above bounds every 16-byte load; SSE2 is baseline.
-    unsafe {
-        let p = data.as_ptr();
-        let c = _mm_loadu_si128(p.add(base) as *const __m128i);
-        let tv = _mm_set1_epi8(t as i8);
-        // v > c + t  ⟺  subs_epu8(v, adds_epu8(c, t)) > 0, and
-        // v < c − t  ⟺  subs_epu8(subs_epu8(c, t), v) > 0 — both exact
-        // under saturation: c + t > 255 makes "brighter" impossible in
-        // both forms, c − t < 0 makes "darker" impossible in both.
-        let hi = _mm_adds_epu8(c, tv);
-        let lo = _mm_subs_epu8(c, tv);
-        let zero = _mm_setzero_si128();
-        let one = _mm_set1_epi8(1);
-        let mut nb = zero;
-        let mut nd = zero;
-        let s3 = 3 * stride as isize;
-        for off in [-s3, 3, s3, -3] {
-            let v = _mm_loadu_si128(p.offset(base as isize + off) as *const __m128i);
-            // 1 per lane where brighter / darker, else 0.
-            let b = _mm_andnot_si128(_mm_cmpeq_epi8(_mm_subs_epu8(v, hi), zero), one);
-            let d = _mm_andnot_si128(_mm_cmpeq_epi8(_mm_subs_epu8(lo, v), zero), one);
-            nb = _mm_add_epi8(nb, b);
-            nd = _mm_add_epi8(nd, d);
-        }
-        // Keep lanes with nb ≥ 2 or nd ≥ 2 (counts are 0..=4, signed
-        // compare is safe).
-        let keep = _mm_or_si128(_mm_cmpgt_epi8(nb, one), _mm_cmpgt_epi8(nd, one));
-        _mm_movemask_epi8(keep) as u16
+    let p = data.as_ptr().add(center);
+    let sign = _mm_set1_epi8(i8::MIN);
+    let load = |off: isize| _mm_xor_si128(_mm_loadu_si128(p.offset(off) as *const __m128i), sign);
+    let c = _mm_loadu_si128(p as *const __m128i);
+    let tv = _mm_set1_epi8(t as i8);
+    let hi = _mm_xor_si128(_mm_adds_epu8(c, tv), sign);
+    let lo = _mm_xor_si128(_mm_subs_epu8(c, tv), sign);
+    let bright = |v: __m128i| _mm_cmpgt_epi8(v, hi);
+    let dark = |v: __m128i| _mm_cmpgt_epi8(lo, v);
+    let compass = [0, 4, 8, 12].map(|i| load(offsets[i]));
+    let pair = |m: [__m128i; 4]| _mm_and_si128(_mm_or_si128(m[0], m[2]), _mm_or_si128(m[1], m[3]));
+    let maybe = _mm_or_si128(pair(compass.map(bright)), pair(compass.map(dark)));
+    if _mm_movemask_epi8(maybe) == 0 {
+        return 0;
     }
+    let circle = offsets.map(load);
+    let (mut run_b, mut run_d) = (_mm_setzero_si128(), _mm_setzero_si128());
+    let mut longest = _mm_setzero_si128();
+    for i in (0..16).chain(0..8) {
+        let (b, d) = (bright(circle[i]), dark(circle[i]));
+        run_b = _mm_and_si128(_mm_sub_epi8(run_b, b), b);
+        run_d = _mm_and_si128(_mm_sub_epi8(run_d, d), d);
+        longest = _mm_max_epu8(longest, _mm_max_epu8(run_b, run_d));
+    }
+    _mm_movemask_epi8(_mm_cmpgt_epi8(longest, _mm_set1_epi8(8))) as u16
 }
 
 // ---------------------------------------------------------------------
@@ -772,35 +786,13 @@ mod tests {
     }
 
     #[test]
-    fn compass_mask_matches_scalar_including_saturation() {
-        // Random images plus extreme centers/thresholds that drive c + t
-        // past 255 and c − t below 0.
-        let stride = 48usize;
-        let mut s = 0xabcdu64;
-        for t in [0u8, 1, 20, 130, 255] {
-            let mut data: Vec<u8> = (0..stride * 24).map(|_| xorshift(&mut s) as u8).collect();
-            // Plant saturation corners inside the scanned band.
-            for (i, v) in data.iter_mut().enumerate() {
-                if i % 97 == 0 {
-                    *v = 255;
-                }
-                if i % 89 == 0 {
-                    *v = 0;
-                }
-            }
-            for y in 4..20 {
-                let row = y * stride;
-                let mut x = 4usize;
-                while x + 16 + 4 <= stride - 4 {
-                    assert_eq!(
-                        fast_compass_mask(&data, row, x, stride, t),
-                        fast_compass_mask_scalar(&data, row, x, stride, t),
-                        "t = {t}, y = {y}, x = {x}"
-                    );
-                    x += 16;
-                }
-            }
-        }
+    #[should_panic(expected = "FAST circle loads leave the level")]
+    fn fast9_corner_mask_refuses_an_offset_past_the_buffer() {
+        // An offset whose end overflows `usize` must fail the bounds
+        // check, not wrap past it.
+        let mut offsets = [0isize; 16];
+        offsets[5] = isize::MAX - 8;
+        fast9_corner_mask(&[0; 64], 8, &offsets, 20);
     }
 
     #[test]

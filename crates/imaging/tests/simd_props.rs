@@ -17,7 +17,9 @@
 //! included.
 
 use edgeis_imaging::features::{reference, FAST_BORDER};
-use edgeis_imaging::simd::{brief_fits, detected_caps, force_caps, BriefPattern};
+use edgeis_imaging::simd::{
+    brief_fits, detected_caps, fast9_corner_mask, force_caps, BriefPattern,
+};
 use edgeis_imaging::{
     detect_orb, match_descriptors, Descriptor, GrayImage, Keypoint, MatchConfig, OrbConfig,
     SimdCaps,
@@ -152,6 +154,129 @@ fn forced_scalar_caps_fall_back_identically() {
             "forced-scalar dispatch vs reference detector",
         );
     });
+}
+
+/// Longest circular run of circle pixels passing `test`.
+fn longest_run(circle: &[u8; 16], test: impl Fn(i32) -> bool) -> usize {
+    let (mut run, mut best) = (0, 0);
+    for i in 0..32 {
+        run = if test(circle[i % 16] as i32) {
+            run + 1
+        } else {
+            0
+        };
+        best = best.max(run);
+    }
+    best.min(16)
+}
+
+/// The FAST-9 decision, written from its definition: at least 9
+/// contiguous circle pixels brighter than `c + t`, or darker than `c − t`.
+fn is_corner(c: u8, circle: &[u8; 16], t: u8) -> bool {
+    let (c, t) = (c as i32, t as i32);
+    longest_run(circle, |v| v > c + t) >= 9 || longest_run(circle, |v| v < c - t) >= 9
+}
+
+/// Circle pixels `set` where `mask` has a bit, `fill` elsewhere.
+fn circle_of(mask: u32, set: u8, fill: u8) -> [u8; 16] {
+    std::array::from_fn(|i| if mask >> i & 1 == 1 { set } else { fill })
+}
+
+/// Sixteen independent lanes in one buffer: row 0 holds the centers and
+/// row `i + 1` circle pixel `i` of every lane, so any lane's circle can
+/// take any values.
+struct LaneBlock {
+    data: [u8; 17 * 16],
+}
+
+impl LaneBlock {
+    /// Circle pixel `i` of lane `k` sits at `16 * (i + 1) + k`.
+    fn offsets() -> [isize; 16] {
+        std::array::from_fn(|i| 16 * (i as isize + 1))
+    }
+
+    fn set(&mut self, lane: usize, c: u8, circle: &[u8; 16]) {
+        self.data[lane] = c;
+        for (i, &v) in circle.iter().enumerate() {
+            self.data[16 * (i + 1) + lane] = v;
+        }
+    }
+
+    /// Asserts that the kernel's mask is the decision, lane by lane.
+    fn check(&self, t: u8, what: &dyn Fn() -> String) {
+        let mask = fast9_corner_mask(&self.data, 0, &Self::offsets(), t);
+        for lane in 0..16 {
+            let circle = std::array::from_fn(|i| self.data[16 * (i + 1) + lane]);
+            assert_eq!(
+                mask >> lane & 1 == 1,
+                is_corner(self.data[lane], &circle, t),
+                "lane {lane}, t {t}, {}: c {} circle {circle:?}",
+                what(),
+                self.data[lane]
+            );
+        }
+    }
+}
+
+#[test]
+fn fast9_corner_mask_matches_scalar_decision() {
+    // Every 16-bit bright mask and every dark mask, one per lane, at
+    // ordinary and saturating (c, t): c + t above and at 255, c − t below
+    // and at 0, t = 0. Set pixels sit one step past the threshold; the
+    // others sit exactly on it (v == c ± t is neither), at the center,
+    // or one step past the opposite threshold. Then random lanes whose
+    // centers and pixels mix all of those levels with 0 and 255. Both
+    // dispatch arms.
+    for caps in [detected_caps(), SimdCaps::SCALAR] {
+        let _caps = force_caps(caps);
+        let mut block = LaneBlock { data: [0; 17 * 16] };
+        for (c, t) in [
+            (100u8, 20u8),
+            (250, 20),
+            (235, 20),
+            (10, 20),
+            (20, 20),
+            (77, 0),
+        ] {
+            let above = c.saturating_add(t);
+            let below = c.saturating_sub(t);
+            let kinds = [
+                (above.saturating_add(1), [above, c, below.saturating_sub(1)]),
+                (below.saturating_sub(1), [below, c, above.saturating_add(1)]),
+            ];
+            for (set, fills) in kinds {
+                for fill in fills {
+                    for first in (0..1u32 << 16).step_by(16) {
+                        for lane in 0..16 {
+                            let circle = circle_of(first + lane as u32, set, fill);
+                            block.set(lane, c, &circle);
+                        }
+                        block.check(t, &|| format!("{caps:?} masks from {first:#06x}"));
+                    }
+                }
+            }
+        }
+        for_each_case(|rng| {
+            let t = [0u8, 1, 20, 127, 255][rng.random_range(0..5usize)];
+            for _ in 0..16 {
+                for lane in 0..16 {
+                    let c = rng.random_range(0u8..=255);
+                    let levels = [
+                        c.saturating_sub(t).saturating_sub(1),
+                        c.saturating_sub(t),
+                        c,
+                        c.saturating_add(t),
+                        c.saturating_add(t).saturating_add(1),
+                        0,
+                        255,
+                    ];
+                    let circle = std::array::from_fn(|_| levels[rng.random_range(0..7usize)]);
+                    block.set(lane, c, &circle);
+                }
+                block.check(t, &|| format!("{caps:?} random"));
+            }
+        });
+    }
 }
 
 /// What a descriptor check covered, per pyramid level: shipped keypoints

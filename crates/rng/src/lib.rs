@@ -22,6 +22,14 @@
 //! Editing any of these re-seeds every golden. The known-answer tests
 //! ([`rand_fingerprint`] in `tests/known_answers.rs`, the RFC 7539 block
 //! vector in the unit tests) fail first.
+//!
+//! The generator computes eight consecutive blocks per refill, one per
+//! lane of a `[[u32; 8]; 16]` state, in plain lane-wise Rust that the
+//! compiler turns into vector instructions on AVX2 and wider targets (the
+//! x86-64 baseline build keeps the lanes scalar). That changes nothing in
+//! the stream: block `n` still has counter `n`, words are read in counter
+//! order, and a `next_u64` that straddles a refill still joins word 127
+//! with the next refill's word 0.
 
 pub mod index;
 
@@ -30,26 +38,47 @@ use std::ops::{Range, RangeInclusive};
 /// ChaCha constants: "expand 32-byte k".
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
+/// Blocks per refill, one per vector lane.
+const LANES: usize = 8;
+
+/// Words per refill: `LANES` blocks of 16.
+const WORDS: usize = 16 * LANES;
+
+/// One ChaCha state word across all lanes.
+type Lanes = [u32; LANES];
+
+/// The ChaCha quarter round on four state words, in every lane at once.
 #[inline(always)]
-fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(16);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(12);
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(8);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(7);
+fn quarter(s: &mut [Lanes; 16], a: usize, b: usize, c: usize, d: usize) {
+    let (mut va, mut vb, mut vc, mut vd) = (s[a], s[b], s[c], s[d]);
+    for l in 0..LANES {
+        va[l] = va[l].wrapping_add(vb[l]);
+        vd[l] = (vd[l] ^ va[l]).rotate_left(16);
+        vc[l] = vc[l].wrapping_add(vd[l]);
+        vb[l] = (vb[l] ^ vc[l]).rotate_left(12);
+        va[l] = va[l].wrapping_add(vb[l]);
+        vd[l] = (vd[l] ^ va[l]).rotate_left(8);
+        vc[l] = vc[l].wrapping_add(vd[l]);
+        vb[l] = (vb[l] ^ vc[l]).rotate_left(7);
+    }
+    (s[a], s[b], s[c], s[d]) = (va, vb, vc, vd);
 }
 
-/// One ChaCha block with `rounds` rounds, the given block counter and
-/// stream id 0.
-fn chacha_block(key: &[u32; 8], counter: u64, rounds: u32) -> [u32; 16] {
-    let mut input = [0u32; 16];
-    input[..4].copy_from_slice(&SIGMA);
-    input[4..12].copy_from_slice(key);
-    input[12] = counter as u32;
-    input[13] = (counter >> 32) as u32;
+/// The `LANES` ChaCha blocks with counters `counter..counter + LANES`,
+/// `rounds` rounds and stream id 0, word-major: `out[w][l]` is word `w`
+/// of block `counter + l`. Lane `l` carries its own 64-bit counter in
+/// words 12 (low) and 13 (high), so a carry out of word 12 lands in the
+/// lanes past it. Every operation is one lane-wise loop over plain
+/// arrays, which the compiler turns into vector instructions on AVX2 and
+/// wider targets; an x86-64 baseline build keeps the lanes scalar.
+fn chacha_blocks(key: &[u32; 8], counter: u64, rounds: u32) -> [Lanes; 16] {
+    let mut input = [[0u32; LANES]; 16];
+    for (word, &k) in input.iter_mut().zip(SIGMA.iter().chain(key)) {
+        *word = [k; LANES];
+    }
+    let counters: [u64; LANES] = std::array::from_fn(|l| counter.wrapping_add(l as u64));
+    input[12] = counters.map(|c| c as u32);
+    input[13] = counters.map(|c| (c >> 32) as u32);
     let mut s = input;
     for _ in 0..rounds / 2 {
         quarter(&mut s, 0, 4, 8, 12);
@@ -61,8 +90,10 @@ fn chacha_block(key: &[u32; 8], counter: u64, rounds: u32) -> [u32; 16] {
         quarter(&mut s, 2, 7, 8, 13);
         quarter(&mut s, 3, 4, 9, 14);
     }
-    for (w, i) in s.iter_mut().zip(input) {
-        *w = w.wrapping_add(i);
+    for (word, start) in s.iter_mut().zip(input) {
+        for (w, i) in word.iter_mut().zip(start) {
+            *w = w.wrapping_add(i);
+        }
     }
     s
 }
@@ -73,8 +104,11 @@ pub struct StdRng {
     key: [u32; 8],
     /// Counter of the next block to generate.
     counter: u64,
-    block: [u32; 16],
-    /// Next unread word of `block` (16 = exhausted).
+    /// The last refill's `LANES` blocks, as [`chacha_blocks`] returns
+    /// them.
+    blocks: [Lanes; 16],
+    /// Next unread word of the refill in stream order (`WORDS` =
+    /// exhausted).
     index: usize,
 }
 
@@ -93,30 +127,49 @@ impl StdRng {
         Self {
             key,
             counter: 0,
-            block: [0; 16],
-            index: 16,
+            blocks: [[0; LANES]; 16],
+            index: WORDS,
         }
+    }
+
+    /// Generates the next `LANES` blocks.
+    fn refill(&mut self) {
+        self.blocks = chacha_blocks(&self.key, self.counter, 12);
+        self.counter = self.counter.wrapping_add(LANES as u64);
+        self.index = 0;
+    }
+
+    /// Word `i` (< `WORDS`) of the refill in stream order: word `i % 16`
+    /// of its block `i / 16` (the `% LANES` changes nothing there and
+    /// spares the bounds check).
+    #[inline]
+    fn word(&self, i: usize) -> u32 {
+        self.blocks[i % 16][(i / 16) % LANES]
     }
 
     /// Next 32 random bits.
     #[inline]
     pub(crate) fn next_u32(&mut self) -> u32 {
-        if self.index == 16 {
-            self.block = chacha_block(&self.key, self.counter, 12);
-            self.counter = self.counter.wrapping_add(1);
-            self.index = 0;
+        if self.index >= WORDS {
+            self.refill();
         }
-        let w = self.block[self.index];
+        let w = self.word(self.index);
         self.index += 1;
         w
     }
 
-    /// Next 64 random bits: two words, low word first.
+    /// Next 64 random bits: two words, low word first. A pair that
+    /// straddles a refill joins its last word with the next one's first.
     #[inline]
     pub(crate) fn next_u64(&mut self) -> u64 {
-        let lo = self.next_u32() as u64;
-        let hi = self.next_u32() as u64;
-        (hi << 32) | lo
+        let (lo, hi) = if self.index + 1 < WORDS {
+            let pair = (self.word(self.index), self.word(self.index + 1));
+            self.index += 2;
+            pair
+        } else {
+            (self.next_u32(), self.next_u32())
+        };
+        ((hi as u64) << 32) | lo as u64
     }
 
     /// A value drawn uniformly from `range` (floats: from `[low, high]`,
@@ -288,32 +341,109 @@ pub fn for_each_case(mut property: impl FnMut(&mut StdRng)) {
 
 #[cfg(test)]
 mod tests {
-    use super::chacha_block;
+    use super::{chacha_blocks, StdRng, LANES, SIGMA, WORDS};
+
+    /// The RFC 7539 block function one block at a time: the oracle the
+    /// lane-wise refill is checked against.
+    fn chacha_block(key: &[u32; 8], counter: u64, rounds: u32) -> [u32; 16] {
+        fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+            s[a] = s[a].wrapping_add(s[b]);
+            s[d] = (s[d] ^ s[a]).rotate_left(16);
+            s[c] = s[c].wrapping_add(s[d]);
+            s[b] = (s[b] ^ s[c]).rotate_left(12);
+            s[a] = s[a].wrapping_add(s[b]);
+            s[d] = (s[d] ^ s[a]).rotate_left(8);
+            s[c] = s[c].wrapping_add(s[d]);
+            s[b] = (s[b] ^ s[c]).rotate_left(7);
+        }
+        let mut input = [0u32; 16];
+        input[..4].copy_from_slice(&SIGMA);
+        input[4..12].copy_from_slice(key);
+        input[12] = counter as u32;
+        input[13] = (counter >> 32) as u32;
+        let mut s = input;
+        for _ in 0..rounds / 2 {
+            quarter(&mut s, 0, 4, 8, 12);
+            quarter(&mut s, 1, 5, 9, 13);
+            quarter(&mut s, 2, 6, 10, 14);
+            quarter(&mut s, 3, 7, 11, 15);
+            quarter(&mut s, 0, 5, 10, 15);
+            quarter(&mut s, 1, 6, 11, 12);
+            quarter(&mut s, 2, 7, 8, 13);
+            quarter(&mut s, 3, 4, 9, 14);
+        }
+        for (w, i) in s.iter_mut().zip(input) {
+            *w = w.wrapping_add(i);
+        }
+        s
+    }
+
+    /// Block `l` of a refill.
+    fn lane(blocks: &[[u32; LANES]; 16], l: usize) -> [u32; 16] {
+        blocks.map(|word| word[l])
+    }
 
     #[test]
     fn chacha_block_matches_rfc7539() {
         // RFC 7539 §A.1, test vector #1: all-zero key and nonce, counter
-        // 0, 20 rounds.
-        assert_eq!(
-            chacha_block(&[0; 8], 0, 20),
-            [
-                0xade0_b876,
-                0x903d_f1a0,
-                0xe56a_5d40,
-                0x28bd_8653,
-                0xb819_d2bd,
-                0x1aed_8da0,
-                0xccef_36a8,
-                0xc70d_778b,
-                0x7c59_41da,
-                0x8d48_5751,
-                0x3fe0_2477,
-                0x374a_d8b8,
-                0xf4b8_436a,
-                0x1ca1_1815,
-                0x69b6_87c3,
-                0x8665_eeb2,
-            ]
-        );
+        // 0, 20 rounds, for the oracle and lane 0 of the refill.
+        let want = [
+            0xade0_b876,
+            0x903d_f1a0,
+            0xe56a_5d40,
+            0x28bd_8653,
+            0xb819_d2bd,
+            0x1aed_8da0,
+            0xccef_36a8,
+            0xc70d_778b,
+            0x7c59_41da,
+            0x8d48_5751,
+            0x3fe0_2477,
+            0x374a_d8b8,
+            0xf4b8_436a,
+            0x1ca1_1815,
+            0x69b6_87c3,
+            0x8665_eeb2,
+        ];
+        assert_eq!(chacha_block(&[0; 8], 0, 20), want);
+        assert_eq!(lane(&chacha_blocks(&[0; 8], 0, 20), 0), want);
+    }
+
+    #[test]
+    fn refill_equals_single_blocks() {
+        // Counter 2³² − 3 puts the carry out of word 12 between lanes 2
+        // and 3 of the refill.
+        let key = StdRng::seed_from_u64(0x5eed).key;
+        for counter in [0, 7, (1u64 << 32) - 3, u64::MAX - 2] {
+            let blocks = chacha_blocks(&key, counter, 12);
+            for l in 0..LANES {
+                assert_eq!(
+                    lane(&blocks, l),
+                    chacha_block(&key, counter.wrapping_add(l as u64), 12),
+                    "counter {counter}, lane {l}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn words_follow_the_block_stream_across_refills() {
+        // After every prefix of u32 draws, u64 draws join consecutive
+        // stream words low first, also the pair that straddles a refill
+        // (last word of one, first of the next).
+        let key = StdRng::seed_from_u64(3).key;
+        let stream: Vec<u32> = (0..4 * LANES as u64)
+            .flat_map(|c| chacha_block(&key, c, 12))
+            .collect();
+        for skip in 0..=WORDS + 1 {
+            let mut rng = StdRng::seed_from_u64(3);
+            for want in &stream[..skip] {
+                assert_eq!(rng.next_u32(), *want, "skip {skip}");
+            }
+            for (k, pair) in stream[skip..2 * WORDS + 2].chunks_exact(2).enumerate() {
+                let want = ((pair[1] as u64) << 32) | pair[0] as u64;
+                assert_eq!(rng.next_u64(), want, "skip {skip}, u64 {k}");
+            }
+        }
     }
 }
