@@ -68,8 +68,15 @@ const DIRS: [(i64, i64); 8] = [
 /// Extracts the outer contours of all connected components in `mask` using
 /// Moore-neighbour tracing with Jacob's stopping criterion.
 ///
-/// Components are discovered in scan order; holes are not traced (the paper
-/// only needs the outer boundary of each instance mask).
+/// Components are discovered in scan order. Holes are not traced as such
+/// (the paper only needs the outer boundary of each instance mask), with
+/// one exception: where a ring around a hole is at most 2 px thick, the
+/// traced outer boundary walls the rest of the ring off from the flood
+/// that marks a component as seen. The scan then meets the band around
+/// the hole as a new start pixel, the one east of the hole's first row,
+/// and traces it as one more contour. A 9×9 ring 2 px thick around a 5×5
+/// hole with an island thus gives three contours: the outer boundary, the
+/// band from `(8, 3)`, and the island.
 ///
 /// Every set pixel lies inside the mask's bounding box, so the scan and
 /// the `visited` map cover only the box: past the one chunked pass of

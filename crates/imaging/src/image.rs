@@ -102,6 +102,17 @@ impl GrayImage {
         self.data[i] = v;
     }
 
+    /// Row `y`, for writers that fill whole rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is out of bounds.
+    pub fn row_mut(&mut self, y: u32) -> &mut [u8] {
+        assert!(y < self.height, "row out of bounds");
+        let w = self.width as usize;
+        &mut self.data[y as usize * w..(y as usize + 1) * w]
+    }
+
     /// Bilinear sample at sub-pixel coordinates, clamped at borders.
     pub fn sample_bilinear(&self, x: f64, y: f64) -> f64 {
         let x0 = x.floor() as i64;

@@ -574,6 +574,17 @@ impl LabelMap {
         self.labels[(y * self.width + x) as usize] = label;
     }
 
+    /// Row `y`, for writers that fill whole rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is out of bounds.
+    pub fn row_mut(&mut self, y: u32) -> &mut [u16] {
+        assert!(y < self.height, "row out of bounds");
+        let w = self.width as usize;
+        &mut self.labels[y as usize * w..(y as usize + 1) * w]
+    }
+
     /// The sorted list of distinct non-background labels present.
     ///
     /// One pass over the map marks each label in a 64 Ki-bit seen-table;

@@ -12,6 +12,13 @@
 //!   give up on: objects across or behind the camera plane, a camera
 //!   inside or millimetres from a surface, long facades, and faces seen
 //!   exactly edge-on, whose grazing rays only the cull's padding keeps.
+//! - **Reference equality**: the row passes of `Scene::render_at` give
+//!   the same image and label bytes as the per-pixel ray caster kept in
+//!   `render::reference`, on random and cull-hard scenes and on the
+//!   cases the branch-free slab test and the hit order must get right:
+//!   rays exactly parallel to a box face, ties between coincident
+//!   objects, cylinder caps under near-horizontal rays, a camera inside
+//!   a box, boxes across the near plane, and drifting light.
 //! - **Pinned output**: every image and label byte of five presets at
 //!   fixed frames folds into constants recorded before the hoisting, the
 //!   per-column normalized x and the lighting tone table existed, so a
@@ -25,8 +32,8 @@
 
 use edgeis_geometry::{Camera, Mat3, Vec2, Vec3, SE3, SO3};
 use edgeis_rng::{for_each_case, StdRng};
-use edgeis_scene::render::GROUND_Y;
-use edgeis_scene::{datasets, MotionModel, ObjectClass, Scene, SceneObject, Shape};
+use edgeis_scene::render::{reference, GROUND_Y};
+use edgeis_scene::{datasets, Lighting, MotionModel, ObjectClass, Scene, SceneObject, Shape};
 
 fn shape(rng: &mut StdRng) -> Shape {
     let cuboid = rng.random_bool(0.5);
@@ -398,6 +405,263 @@ fn edge_on_faces_keep_their_grazing_column() {
                 assert_eq!(frame.labels.get(u, v), expected, "pixel ({u}, {v})");
             }
         }
+    });
+}
+
+/// Asserts that `Scene::render_at` and the per-pixel reference renderer
+/// agree at every pixel, on both the label and the image byte.
+fn assert_matches_reference(scene: &Scene, camera: &Camera, pose: &SE3, t: f64) {
+    let got = scene.render_at(camera, pose, t);
+    let want = reference::render_at(scene, camera, pose, t);
+    for v in 0..camera.height {
+        for u in 0..camera.width {
+            assert_eq!(
+                (got.labels.get(u, v), got.image.get(u, v)),
+                (want.labels.get(u, v), want.image.get(u, v)),
+                "(label, value) at pixel ({u}, {v}), t={t}"
+            );
+        }
+    }
+}
+
+/// Sinusoidal exposure drift with a random period and depth.
+fn drift(rng: &mut StdRng) -> Lighting {
+    Lighting::Drift {
+        period_s: rng.random_range(0.5..4.0),
+        amplitude: rng.random_range(0.05..0.5),
+    }
+}
+
+/// The row passes equal the per-pixel reference on the random scenes
+/// (half of them under drifting light) and on the cull's hard cases.
+#[test]
+fn row_passes_match_the_per_pixel_reference() {
+    for_each_case(|rng| {
+        let (mut scene, pose, t) = (scene(rng), pose(rng), rng.random_range(0.0..4.0));
+        if rng.random_bool(0.5) {
+            scene = scene.with_lighting(drift(rng));
+        }
+        let camera = if rng.random_bool(0.5) {
+            Camera::with_hfov(1.2, 64, 48)
+        } else {
+            skewed_camera(rng)
+        };
+        assert_matches_reference(&scene, &camera, &pose, t);
+
+        let pose = self::pose(rng);
+        let n = rng.random_range(1u16..5);
+        let scene = Scene::new(
+            (1..=n)
+                .map(|id| hard_object(rng, id, &camera, &pose))
+                .collect(),
+        );
+        assert_matches_reference(&scene, &camera, &pose, 0.0);
+    });
+}
+
+/// A rotation by right angles: a signed permutation matrix of
+/// determinant +1. Rotating by it moves vector components without
+/// rounding, so a ray component that is exactly zero stays zero.
+fn right_angle_rotation(rng: &mut StdRng) -> SO3 {
+    const PERMS: [([usize; 3], f64); 6] = [
+        ([0, 1, 2], 1.0),
+        ([1, 2, 0], 1.0),
+        ([2, 0, 1], 1.0),
+        ([0, 2, 1], -1.0),
+        ([2, 1, 0], -1.0),
+        ([1, 0, 2], -1.0),
+    ];
+    let (perm, parity) = PERMS[rng.random_range(0usize..6)];
+    let sign = |rng: &mut StdRng| if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+    let (s0, s1) = (sign(rng), sign(rng));
+    let signs = [s0, s1, parity * s0 * s1];
+    let row = |i: usize| {
+        let mut r = [0.0; 3];
+        r[perm[i]] = signs[i];
+        Vec3::new(r[0], r[1], r[2])
+    };
+    SO3::from_matrix_unchecked(Mat3::from_row_vecs(row(0), row(1), row(2)))
+}
+
+/// A distance just off zero on either side, or exactly zero.
+fn gap(rng: &mut StdRng) -> f64 {
+    match rng.random_range(0u8..4) {
+        0 => 0.0,
+        1 => rng.random_range(-1e-3..1e-3),
+        2 => rng.random_range(-1e-9..1e-9),
+        _ => rng.random_range(-0.3..0.3),
+    }
+}
+
+/// A random box half extent triple.
+fn half_extents(rng: &mut StdRng) -> Vec3 {
+    Vec3::new(
+        rng.random_range(0.2..1.5),
+        rng.random_range(0.2..1.5),
+        rng.random_range(0.2..1.5),
+    )
+}
+
+/// One scene for each case the slab test's branch-free form and the
+/// row passes' hit order must get right, with the camera and pose that
+/// show it:
+///
+/// - **Rays parallel to a box face.** The principal point lies on the
+///   centre of pixel (32, 24), so that column's and that row's rays have
+///   an exactly zero camera-frame x or y. The camera and every box are
+///   rotated by right angles, with the boxes' axes along the camera's,
+///   so the zero survives into each box's frame (the `|d| < 1e-12`
+///   axis). Each box has a face within a small gap of the plane those
+///   rays sweep, on either side of it or exactly in it.
+/// - **Cylinder caps under near-horizontal rays.** An upright cylinder
+///   whose cap plane lies a small gap from the camera's height, seen
+///   level or pitched a little, so rays meet the cap at grazing angles;
+///   level, row 24's rays run exactly parallel to it.
+/// - **A camera inside a box**, rotated at random, among other boxes.
+/// - **Boxes across the near plane** of the screen-rectangle cull.
+///
+/// Half the scenes also get a twin: a copy of one object under a new
+/// id, so every ray that hits one hits both at the same distance and
+/// only the hit order decides the label. Half are under drifting light.
+fn slab_edge_case(rng: &mut StdRng) -> (Scene, Camera, SE3, f64) {
+    let fx = rng.random_range(30.0..90.0);
+    let fy = fx * rng.random_range(0.8..1.25);
+    let camera = Camera::new(fx, fy, 32.5, 24.5, 64, 48);
+    let translation = Vec3::new(
+        rng.random_range(-0.6..0.6),
+        rng.random_range(-0.3..0.3),
+        rng.random_range(-0.6..0.6),
+    );
+    let box_at = |center_cam: Vec3, pose: &SE3, he: Vec3, rot: SO3| {
+        (
+            Shape::Cuboid { half_extents: he },
+            pose.inverse().transform(center_cam),
+            rot,
+        )
+    };
+    let (pose, mut objects) = match rng.random_range(0u8..4) {
+        0 => {
+            let pose = SE3::new(right_angle_rotation(rng), translation);
+            let r_wc = pose.rotation.inverse();
+            let objects = (0..rng.random_range(1usize..4))
+                .map(|_| {
+                    let he = half_extents(rng);
+                    let side = |rng: &mut StdRng| if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+                    let x = side(rng) * (he.x + gap(rng));
+                    let y = if rng.random_bool(0.5) {
+                        side(rng) * (he.y + gap(rng))
+                    } else {
+                        rng.random_range(-1.0..1.0)
+                    };
+                    let center_cam = Vec3::new(x, y, rng.random_range(0.5..6.0));
+                    box_at(center_cam, &pose, he, r_wc)
+                })
+                .collect();
+            (pose, objects)
+        }
+        1 => {
+            let yaw = rng.random_range(-3.0..3.0);
+            let (s, c) = f64::sin_cos(yaw);
+            let level = Mat3::from_row_vecs(
+                Vec3::new(c, 0.0, -s),
+                Vec3::new(0.0, 1.0, 0.0),
+                Vec3::new(s, 0.0, c),
+            );
+            let rotation = if rng.random_bool(0.5) {
+                SO3::from_matrix_unchecked(level)
+            } else {
+                SO3::exp(Vec3::new(rng.random_range(-0.05..0.05), 0.0, 0.0))
+                    * SO3::from_matrix_unchecked(level)
+            };
+            let pose = SE3::new(rotation, translation);
+            let cam_y = pose.camera_center().y;
+            let objects = (0..rng.random_range(1usize..3))
+                .map(|_| {
+                    let (radius, half_height) =
+                        (rng.random_range(0.2..1.2), rng.random_range(0.2..1.5));
+                    let center_cam =
+                        Vec3::new(rng.random_range(-2.0..2.0), 0.0, rng.random_range(1.0..6.0));
+                    let mut center = pose.inverse().transform(center_cam);
+                    let side = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+                    center.y = cam_y + side * (half_height + gap(rng));
+                    let shape = Shape::Cylinder {
+                        radius,
+                        half_height,
+                    };
+                    (shape, center, SO3::identity())
+                })
+                .collect();
+            (pose, objects)
+        }
+        2 => {
+            let pose = self::pose(rng);
+            let he = half_extents(rng);
+            let inside = Vec3::new(
+                he.x * rng.random_range(-0.9..0.9),
+                he.y * rng.random_range(-0.9..0.9),
+                he.z * rng.random_range(-0.9..0.9),
+            );
+            let rot = rotation(rng);
+            // The box centre sits at `-inside` in the box's own frame,
+            // seen from the camera centre.
+            let center_cam = -(pose.rotation * (rot * inside));
+            let mut objects = vec![box_at(center_cam, &pose, he, rot)];
+            for _ in 0..rng.random_range(0usize..3) {
+                let center_cam = Vec3::new(
+                    rng.random_range(-2.0..2.0),
+                    rng.random_range(-1.0..1.0),
+                    rng.random_range(0.5..6.0),
+                );
+                objects.push(box_at(center_cam, &pose, half_extents(rng), rotation(rng)));
+            }
+            (pose, objects)
+        }
+        _ => {
+            let pose = self::pose(rng);
+            let objects = (0..rng.random_range(1usize..4))
+                .map(|_| {
+                    let he = half_extents(rng);
+                    let center_cam = Vec3::new(
+                        rng.random_range(-1.5..1.5),
+                        rng.random_range(-1.0..1.0),
+                        0.05 + rng.random_range(-he.z..he.z),
+                    );
+                    let rot = pose.rotation.inverse() * SO3::exp(Vec3::new(0.0, gap(rng), 0.0));
+                    box_at(center_cam, &pose, he, rot)
+                })
+                .collect::<Vec<_>>();
+            (pose, objects)
+        }
+    };
+    if rng.random_bool(0.5) {
+        let twin = objects[rng.random_range(0..objects.len())];
+        objects.push(twin);
+    }
+    let mut scene = Scene::new(
+        objects
+            .into_iter()
+            .zip(1u16..)
+            .map(|((shape, center, rot), id)| {
+                SceneObject::new(id, ObjectClass::Generic, shape, center).with_rotation(rot)
+            })
+            .collect(),
+    );
+    let t = rng.random_range(0.0..4.0);
+    if rng.random_bool(0.5) {
+        scene = scene.with_lighting(drift(rng));
+    }
+    (scene, camera, pose, t)
+}
+
+/// The row passes equal the per-pixel reference where the branch-free
+/// slab test and the hit order could part from it: rays exactly parallel
+/// to a box face, objects tied at the same distance, cylinder caps under
+/// grazing rays, a camera inside a box, boxes across the near plane.
+#[test]
+fn row_passes_match_the_per_pixel_reference_on_slab_edge_cases() {
+    for_each_case(|rng| {
+        let (scene, camera, pose, t) = slab_edge_case(rng);
+        assert_matches_reference(&scene, &camera, &pose, t);
     });
 }
 

@@ -115,21 +115,14 @@ impl AnchorGrid {
     /// needs to slide a small network across the whole convolutional
     /// feature map").
     pub fn full_frame(&self) -> Vec<Anchor> {
-        let mut anchors = Vec::new();
-        for (level, (&stride, &size)) in self
-            .config
-            .strides
-            .iter()
-            .zip(self.config.sizes.iter())
-            .enumerate()
-        {
+        let mut anchors =
+            Vec::with_capacity(self.config.full_frame_anchor_count(self.width, self.height));
+        for (level, stride, dims) in self.levels() {
             for gy in 0..self.height.div_ceil(stride) {
                 for gx in 0..self.width.div_ceil(stride) {
                     let cx = (gx * stride) as f64 + stride as f64 / 2.0;
                     let cy = (gy * stride) as f64 + stride as f64 / 2.0;
-                    for &ar in &self.config.aspect_ratios {
-                        let w = size * ar.sqrt();
-                        let h = size / ar.sqrt();
+                    for &(w, h) in &dims {
                         anchors.push(Anchor {
                             bbox: BBox::from_center(cx, cy, w, h),
                             level,
@@ -162,13 +155,7 @@ impl AnchorGrid {
             .collect();
 
         let mut anchors = Vec::new();
-        for (level, (&stride, &size)) in self
-            .config
-            .strides
-            .iter()
-            .zip(self.config.sizes.iter())
-            .enumerate()
-        {
+        for (level, stride, dims) in self.levels() {
             for gy in 0..self.height.div_ceil(stride) {
                 for gx in 0..self.width.div_ceil(stride) {
                     let cx = (gx * stride) as f64 + stride as f64 / 2.0;
@@ -178,9 +165,7 @@ impl AnchorGrid {
                     };
                     // Area id is only meaningful for known-class boxes.
                     let area_id = guidance.boxes[area].class_id.map(|_| area);
-                    for &ar in &self.config.aspect_ratios {
-                        let w = size * ar.sqrt();
-                        let h = size / ar.sqrt();
+                    for &(w, h) in &dims {
                         anchors.push(Anchor {
                             bbox: BBox::from_center(cx, cy, w, h),
                             level,
@@ -191,6 +176,26 @@ impl AnchorGrid {
             }
         }
         anchors
+    }
+
+    /// Each pyramid level's index, stride and anchor `(width, height)`
+    /// per aspect ratio, `size·√ar` by `size/√ar`, computed once per
+    /// level rather than once per grid position.
+    fn levels(&self) -> impl Iterator<Item = (usize, u32, Vec<(f64, f64)>)> + '_ {
+        let config = &self.config;
+        config
+            .strides
+            .iter()
+            .zip(&config.sizes)
+            .enumerate()
+            .map(|(level, (&stride, &size))| {
+                let dims = config
+                    .aspect_ratios
+                    .iter()
+                    .map(|ar| (size * ar.sqrt(), size / ar.sqrt()))
+                    .collect();
+                (level, stride, dims)
+            })
     }
 }
 

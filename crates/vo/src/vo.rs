@@ -980,17 +980,7 @@ impl VisualOdometry {
         let mut frame = frame;
         if let Some(prev_id) = self.last_annotated {
             if prev_id != frame_id {
-                if let Some(prev) = self.frames.get(prev_id).cloned() {
-                    if let Some(prev_pose) = prev.pose {
-                        new_points = self.triangulate_unmatched(
-                            &mut frame,
-                            &pose,
-                            &prev,
-                            &prev_pose,
-                            Some(labels),
-                        );
-                    }
-                }
+                new_points = self.triangulate_unmatched(&mut frame, &pose, prev_id, Some(labels));
             }
         }
 
@@ -1051,35 +1041,36 @@ impl VisualOdometry {
     fn extend_map_from(&mut self, frame: &mut ProcessedFrame, pose: &SE3) {
         // Minimum baseline: a fraction of the (normalized) init baseline.
         const MIN_BASELINE: f64 = 0.4;
-        let reference = self
-            .frames
-            .iter()
-            .rev()
-            .filter(|f| f.pose.is_some())
-            .find(|f| {
-                let fp = f.pose.expect("filtered");
-                fp.camera_center().distance(pose.camera_center()) > MIN_BASELINE
-            })
-            .cloned();
-        let Some(prev) = reference else {
-            return;
-        };
-        let prev_pose = prev.pose.expect("reference has pose");
-        let new_points = self.triangulate_unmatched(frame, pose, &prev, &prev_pose, None);
-        let _ = new_points;
+        let reference = self.frames.iter().rev().find(|f| {
+            f.pose
+                .is_some_and(|fp| fp.camera_center().distance(pose.camera_center()) > MIN_BASELINE)
+        });
+        if let Some(prev_id) = reference.map(|f| f.id) {
+            self.triangulate_unmatched(frame, pose, prev_id, None);
+        }
     }
 
-    /// Triangulates features of `frame` that have no map match, against a
-    /// previous tracked frame. Labels come from `labels` when provided
-    /// (annotation path) and default to background otherwise.
+    /// Triangulates features of `frame` that have no map match, against
+    /// the stored frame `prev_id` (nothing when it is gone or has no
+    /// pose). Labels come from `labels` when provided (annotation path)
+    /// and default to background otherwise.
+    ///
+    /// The stored frame is read in place: new matches are mirrored into
+    /// the store's copy of `frame` after the loop, so the store is never
+    /// borrowed mutably while `prev` is held.
     fn triangulate_unmatched(
         &mut self,
         frame: &mut ProcessedFrame,
         pose: &SE3,
-        prev: &ProcessedFrame,
-        prev_pose: &SE3,
+        prev_id: u64,
         labels: Option<&LabelMap>,
     ) -> usize {
+        let Some(prev) = self.frames.get(prev_id) else {
+            return 0;
+        };
+        let Some(prev_pose) = prev.pose.as_ref() else {
+            return 0;
+        };
         // Collect unmatched features of both frames.
         let unmatched_now: Vec<usize> = (0..frame.len())
             .filter(|&i| frame.map_matches[i].is_none())
@@ -1100,7 +1091,7 @@ impl VisualOdometry {
             .collect();
         let matches = match_descriptors(&descs_now, &descs_prev, &self.config.matching);
 
-        let mut created = 0usize;
+        let mut created = Vec::new();
         for m in &matches {
             let i_now = unmatched_now[m.query_idx];
             let i_prev = unmatched_prev[m.train_idx];
@@ -1135,12 +1126,14 @@ impl VisualOdometry {
                 labels.is_some(),
             );
             frame.map_matches[i_now] = Some(point_id);
-            if let Some(fr) = self.frames.get_mut(frame.id) {
-                fr.map_matches[i_now] = Some(point_id);
-            }
-            created += 1;
+            created.push(i_now);
         }
-        created
+        if let Some(fr) = self.frames.get_mut(frame.id) {
+            for &i in &created {
+                fr.map_matches[i] = frame.map_matches[i];
+            }
+        }
+        created.len()
     }
 }
 
